@@ -1,5 +1,16 @@
 """Finite-gap Schrodinger backgrounds: divisor flow, Weyl solutions, and
-transformation-operator kernels."""
+transformation-operator kernels.
+
+``LEVITAN_THREADS`` is applied here, before any submodule imports numpy;
+set it before numpy is imported anywhere in the process.
+"""
+
+from ._threads import apply_thread_budget as _apply_thread_budget
+
+try:
+    _apply_thread_budget()
+except ValueError:
+    pass  # the ``levitan`` entry point reports it and exits with code 2
 
 from .dubrovin import (
     DirichletDivisor,

@@ -15,8 +15,10 @@ derived from the config seed, and every float is written through a fixed
 byte-identical artifacts.
 
 The ``LEVITAN_THREADS`` environment variable caps the BLAS/OpenMP thread
-pools before numpy gets to spin them up; ``0`` (or unset) leaves the
-libraries to their own defaults.
+pools; ``0`` (or unset) leaves the libraries to their own defaults.  The
+package applies it on import, before numpy loads, so it takes effect as long
+as numpy was not imported first; :func:`main` re-reads it to reject a bad
+value with exit code 2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +34,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from ._numerics import f17
+from ._threads import apply_thread_budget as _apply_thread_budget
 from .errors import LevitanError, MissingArtifact
 from .spectral import (
     BandStructure,
@@ -83,18 +85,6 @@ STAGES = ("validate", "flow", "potential", "weyl", "kernel", "jost", "verify")
 
 _TAIL_EPS = 1e-12
 _WINDOW_MARGIN = 0.5
-
-
-def _apply_thread_budget() -> None:
-    raw = os.environ.get("LEVITAN_THREADS", "").strip()
-    if not raw:
-        return
-    n = int(raw)
-    if n < 0:
-        raise ValueError("LEVITAN_THREADS must be >= 0, got %d" % n)
-    if n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 # ---------------------------------------------------------------------------

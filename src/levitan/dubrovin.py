@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 _DEGENERATE_WIDTH = 1e-12
+# integrator tolerance = flow tolerance / _TOL_SAFETY, never below the
+# floor under which scipy's error control stops being meaningful
+_TOL_SAFETY = 100.0
+_TOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -96,18 +100,23 @@ class DirichletDivisor:
 
 
 def _omega(band: BandStructure, theta: np.ndarray) -> np.ndarray:
-    """Angle-form right sides; strictly positive on the whole torus."""
+    """Angle-form right sides; strictly positive on the whole torus.
+
+    Vectorized over leading axes: theta of shape (..., N) gives (..., N).
+    """
     mu = band.gap_mid - band.gap_half * np.cos(theta)
     base = 2.0 * np.sqrt(mu - band.edges[0])
-    if mu.size == 1:
+    n = mu.shape[-1]
+    if n == 1:
         return base
     lo = band.edge_array[1::2]
     hi = band.edge_array[2::2]
-    a = (mu[:, None] - lo[None, :]) * (mu[:, None] - hi[None, :])
-    b = np.abs(mu[:, None] - mu[None, :])
-    np.fill_diagonal(a, 1.0)
-    np.fill_diagonal(b, 1.0)
-    return base * np.prod(np.sqrt(a) / b, axis=1)
+    a = (mu[..., :, None] - lo) * (mu[..., :, None] - hi)
+    b = np.abs(mu[..., :, None] - mu[..., None, :])
+    diag = np.arange(n)
+    a[..., diag, diag] = 1.0
+    b[..., diag, diag] = 1.0
+    return base * np.prod(np.sqrt(a) / b, axis=-1)
 
 
 @dataclass
@@ -204,33 +213,89 @@ class DivisorTrajectory:
     def _touch_cache(self) -> dict:
         return {}
 
+    def increasing(self, gap_index: int) -> bool:
+        """True when the Hermite interpolant of theta_j is strictly
+        increasing on the whole window.
+
+        The flow always is (Omega > 0, so every node derivative is positive
+        and the cubic pieces follow); a hand-built trajectory may not be.
+        Checked piece by piece: the derivative is positive at every node and
+        at the interior minimum of each piece's derivative parabola.
+        """
+        m = self.dtheta[:, gap_index]
+        if np.any(m <= 0.0):
+            return False
+        if len(self.x_grid) < 2:
+            return True
+        c3, c2, c1 = self._spline.c[:3, :, gap_index]
+        h = np.diff(self.x_grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = -c2 / (3.0 * c3)
+            dip = c1 - c2 * c2 / (3.0 * c3)
+        inside = (c3 > 0.0) & (s > 0.0) & (s < h)
+        return not np.any(dip[inside] <= 0.0)
+
     def touch_points(self, gap_index: int, edge: str, lo=None, hi=None) -> np.ndarray:
         """x values where mu_j touches its 'lower' or 'upper' gap edge.
 
-        Roots of theta_j = k*pi with the matching parity, located on the
-        Hermite spline inside [lo, hi] (defaults: full range).  The root
-        solve runs once per (gap, edge) and is reused across queries.
+        Roots of theta_j = k*pi with the matching parity (even k: lower
+        edge), located on the Hermite spline inside [lo, hi] (defaults: full
+        range).  Precondition: theta_j strictly increasing (see
+        :meth:`increasing`; the flow guarantees it since Omega > 0), so each
+        level has exactly one preimage, found by ``searchsorted`` over the
+        node values and one cubic solve on that spline piece.  Raises
+        ValueError for a trajectory that violates the precondition.  The
+        search runs once per (gap, edge) and is reused across queries.
         """
         key = (gap_index, edge)
         full = self._touch_cache.get(key)
         if full is None:
-            col = self.theta[:, gap_index]
-            want_even = (edge == "lower")
-            k_lo = math.floor(col.min() / math.pi) - 1
-            k_hi = math.ceil(col.max() / math.pi) + 1
-            sp = CubicHermiteSpline(self.x_grid, col, self.dtheta[:, gap_index])
-            out = []
-            for k in range(k_lo, k_hi + 1):
-                if (k % 2 == 0) != want_even:
-                    continue
-                out.extend(float(r)
-                           for r in sp.solve(k * math.pi, extrapolate=False))
-            full = np.array(sorted(out))
+            if not self.increasing(gap_index):
+                raise ValueError(
+                    "theta_%d is not strictly increasing; its edge touches "
+                    "are not transversal" % (gap_index + 1))
+            full = self._level_crossings(gap_index, edge == "lower")
             self._touch_cache[key] = full
         lo = self.x_min if lo is None else lo
         hi = self.x_max if hi is None else hi
         sel = full[(full >= lo - 1e-12) & (full <= hi + 1e-12)]
         return np.clip(sel, lo, hi)
+
+    def _level_crossings(self, j: int, even: bool) -> np.ndarray:
+        """Preimages of the levels k*pi (k even or odd) under the increasing
+        spline of theta_j, ascending."""
+        col = self.theta[:, j]
+        # one spare level at each end: k*pi/pi may round off k
+        k = np.arange(math.floor(col[0] / math.pi),
+                      math.ceil(col[-1] / math.pi) + 1)
+        levels = k[(k % 2 == 0) == even] * math.pi
+        levels = levels[(levels >= col[0]) & (levels <= col[-1])]
+        x = self.x_grid
+        if len(x) < 2:
+            return np.full(len(levels), x[0])
+        i = np.clip(np.searchsorted(col, levels, side="right") - 1,
+                    0, len(x) - 2)
+        c3, c2, c1, c0 = self._spline.c[:, i, j]
+        h = x[i + 1] - x[i]
+        # the local cubic rises from c0 - level <= 0 at s = 0 to >= 0 at
+        # s = h: Newton from the secant estimate, kept inside the bracket
+        a = np.zeros_like(levels)
+        b = h.copy()
+        s = h * (levels - col[i]) / (col[i + 1] - col[i])
+        for _ in range(60):
+            f = ((c3 * s + c2) * s + c1) * s + (c0 - levels)
+            a = np.where(f <= 0.0, s, a)
+            b = np.where(f >= 0.0, s, b)
+            df = (3.0 * c3 * s + 2.0 * c2) * s + c1
+            nxt = s - f / df
+            nxt = np.where((nxt > a) & (nxt < b), nxt, 0.5 * (a + b))
+            done = np.abs(nxt - s) <= 1e-15 * h
+            s = nxt
+            if np.all(done):
+                break
+        # a level on a node is met at s = 0 exactly, except the last node
+        # (window end), where x[i] + h may miss x[i + 1] by an ulp
+        return np.where(col[i + 1] == levels, x[i + 1], x[i] + s)
 
     @cached_property
     def _flip_points(self) -> np.ndarray:
@@ -264,8 +329,11 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
 
     The initial divisor lives at x = 0, so the window must contain it.  The
     output grid is uniform with the given step (the window ends snap to the
-    nearest multiple); the integrator is adaptive with per-step tolerance
-    ``tol`` and its internal steps capped at ``step``.
+    nearest multiple) and doubles as the knot set of the Hermite spline.
+    The DOP853 integrator chooses its own steps, error-controlled with
+    ``rtol = atol = max(tol / 100, 100 eps)`` and sampled on the grid through
+    its dense output; the factor 100 keeps the accumulated global error over
+    a window of a few dozen units near ``tol``.
     """
     if step <= 0.0 or tol <= 0.0:
         raise ValueError("step and tol must be positive")
@@ -293,6 +361,7 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
     theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - theta0, theta0)
 
     rhs = lambda x, th: _omega(band, th)
+    rtol = max(tol / _TOL_SAFETY, _TOL_FLOOR)
     parts = []
     for lo, hi, t_eval in ((0.0, x_grid[-1], x_grid[n0:]),
                            (0.0, x_grid[0], x_grid[n0::-1])):
@@ -300,8 +369,7 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
             parts.append(theta0[None, :] * np.ones((len(t_eval), 1)))
             continue
         sol = solve_ivp(rhs, (lo, hi), theta0, method="DOP853",
-                        t_eval=t_eval, rtol=tol, atol=tol, max_step=step,
-                        dense_output=False)
+                        t_eval=t_eval, rtol=rtol, atol=rtol)
         if not sol.success:
             raise RuntimeError("divisor integration failed: %s" % sol.message)
         parts.append(sol.y.T)
@@ -313,7 +381,7 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
             "angle advance %.3g rad per output step exceeds pi/2; "
             "reduce step below %.3g" % (jump, step * 0.5 * math.pi / jump))
 
-    dtheta = np.array([_omega(band, th) for th in theta])
+    dtheta = _omega(band, theta)
     return DivisorTrajectory(band, x_grid, theta, dtheta)
 
 

@@ -267,6 +267,10 @@ def _edge_phases(ctx: WeylContext, k: int, lo: float, hi: float):
     band = ctx.band
     gap_idx = (k + 1) // 2 - 1
     kind = "lower" if k % 2 == 1 else "upper"
+    if not ctx.trajectory.increasing(gap_idx):
+        raise ExtrapolationFailure(
+            "edge-limit phase at E_%d: touches not transversal (theta_%d "
+            "not strictly increasing)" % (k, gap_idx + 1))
     touches = ctx.trajectory.touch_points(gap_idx, kind, lo=lo, hi=hi)
     touches = touches[(touches > lo) & (touches < hi)]
     reps, _ = _phase_reps(ctx, k, lo, hi, touches)

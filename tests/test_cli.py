@@ -3,10 +3,15 @@ verification summaries, exit codes, plot scripts, and byte determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import levitan
 from levitan import (
     RunConfig,
     VerificationSummary,
@@ -280,7 +285,6 @@ def test_thread_budget(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("LEVITAN_THREADS", "3")
     _apply_thread_budget()
-    import os
     assert os.environ["OMP_NUM_THREADS"] == "3"
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
@@ -289,6 +293,34 @@ def test_thread_budget(monkeypatch):
     assert "OMP_NUM_THREADS" not in os.environ
     monkeypatch.setenv("LEVITAN_THREADS", "nope")
     assert main(["fixture", "free"]) == 2
+
+
+_COUNT_THREADS = """
+import os
+import levitan
+import numpy as np
+a = np.random.default_rng(0).random((800, 800))
+a @ a
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="thread count read from /proc")
+def test_thread_budget_takes_effect():
+    # the budget must reach OpenBLAS, which reads it once when numpy loads:
+    # a fresh interpreter that imports levitan first runs the matmul on the
+    # main thread alone
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["LEVITAN_THREADS"] = "1"
+    src = str(Path(levitan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_THREADS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout.strip()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
+from scipy.special import ellipj, ellipk, ellipkinc
 
-from levitan import BandStructure, eval_sqrtY
+from levitan import BandStructure, eval_sqrtY, generate_fixture
+from levitan import dubrovin
 from levitan.dubrovin import (
     DirichletDivisor,
     DivisorTrajectory,
@@ -16,6 +19,8 @@ from levitan.dubrovin import (
     trajectory_to_csv,
 )
 from levitan.errors import DegenerateGap, StepTooLarge, WindowTooShort
+
+from conftest import periodic_edges
 
 
 ONE_GAP_DMU0 = 1.2247448713915892  # sqrt(1.5): hand-evaluated flow at mu=1.5
@@ -223,6 +228,81 @@ def test_touch_points_match_theta_levels(one_gap_traj):
     assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
 
+def every_piece_flip_points(traj):
+    """Reference search: PPoly.solve over every spline piece, for every
+    level k*pi the angle range could reach, with no monotonicity assumed."""
+    pts = []
+    for j in range(traj.band.gap_count):
+        col = traj.theta[:, j]
+        sp = CubicHermiteSpline(traj.x_grid, col, traj.dtheta[:, j])
+        for k in range(math.floor(col.min() / math.pi) - 1,
+                       math.ceil(col.max() / math.pi) + 2):
+            pts.extend(sp.solve(k * math.pi, extrapolate=False))
+    return np.unique(pts)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
+    ("one_gap", {}),
+    ("periodic_like", {"n": 4}),
+    ("periodic_like", {"n": 10}),
+    ("random", {"n": 6, "seed": 0}),
+])
+def test_flip_points_match_every_piece_solve(kind, kwargs):
+    cfg = generate_fixture(kind, **kwargs)
+    band = BandStructure(cfg.edges)
+    if cfg.divisor is None:
+        div = DirichletDivisor.random_in_gaps(
+            band, np.random.default_rng(cfg.seed))
+    else:
+        div = DirichletDivisor(cfg.divisor)
+    tr = integrate_dubrovin(band, div, -5.0, 5.0, cfg.flow_step,
+                            tol=cfg.flow_tol)
+    got = tr.flip_points()
+    want = every_piece_flip_points(tr)
+    assert len(got) == len(want) > 0
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_touch_levels_on_nodes_and_window_ends(one_gap_band):
+    # theta = pi x on a dyadic grid: the levels k*pi fall exactly on the
+    # nodes x = -2..2, the first and last of them on the window ends
+    x = np.arange(-8, 9) * 0.25
+    tr = DivisorTrajectory(one_gap_band, x, (math.pi * x)[:, None],
+                           np.full((len(x), 1), math.pi))
+    assert np.array_equal(tr.touch_points(0, "lower"), [-2.0, 0.0, 2.0])
+    assert np.array_equal(tr.touch_points(0, "upper"), [-1.0, 1.0])
+    assert np.array_equal(tr.flip_points(), [-2.0, -1.0, 0.0, 1.0, 2.0])
+    assert np.array_equal(tr.touch_points(0, "lower", lo=0.0, hi=2.0),
+                          [0.0, 2.0])
+    assert tr.touch_points(0, "upper", lo=-0.5, hi=0.5).size == 0
+
+
+def test_touch_at_origin_on_the_edge(one_gap_band):
+    # mu(0) = E_1 puts theta(0) = 0 on a node; the flow is even in x
+    tr = integrate_dubrovin(one_gap_band, DirichletDivisor(((1.0, 1),)),
+                            -10.0, 10.0, step=0.01, tol=1e-11)
+    lows = tr.touch_points(0, "lower")
+    assert 0.0 in lows
+    np.testing.assert_allclose(lows, -lows[::-1], rtol=0.0, atol=1e-10)
+    assert 0.0 in tr.mirrored().touch_points(0, "lower")
+    assert np.abs(tr.flip_points() - every_piece_flip_points(tr)).max() \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("theta,dtheta", [
+    ([0.0, 1.0, 0.5], [1.0, 1.0, 1.0]),    # decreasing step between nodes
+    ([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]),    # stalls at a node
+    ([0.0, 0.1, 0.2], [5.0, 5.0, 5.0]),    # cubic overshoots inside a piece
+])
+def test_touch_search_rejects_non_increasing_angle(one_gap_band, theta,
+                                                   dtheta):
+    tr = DivisorTrajectory(one_gap_band, np.array([-1.0, 0.0, 1.0]),
+                           np.array(theta)[:, None], np.array(dtheta)[:, None])
+    assert not tr.increasing(0)
+    with pytest.raises(ValueError, match="theta_1"):
+        tr.touch_points(0, "lower")
+
+
 def test_mirrored_trajectory(one_gap_traj):
     mir = one_gap_traj.mirrored()
     for x in (-3.2, -0.7, 0.0, 1.9):
@@ -232,6 +312,72 @@ def test_mirrored_trajectory(one_gap_traj):
             abs(math.sin(one_gap_traj.theta_at(-x)[0])) < 1e-9
     again = mir.mirrored()
     assert np.allclose(again.theta, one_gap_traj.theta, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# one-gap elliptic oracle
+# ---------------------------------------------------------------------------
+
+def elliptic_mu(x, mu0, sigma0, edges=(0.0, 1.0, 2.0)):
+    """Closed-form one-gap divisor (Gesztesy-Holden; DLMF 22.2):
+    mu(x) = E2 - (E2 - E1) sn^2(sqrt(E2 - E0) (x - x*) | k),
+    k^2 = (E2 - E1) / (E2 - E0), with x* fixed by mu(0) = mu0 and the sheet:
+    sigma = +1 (mu increasing) puts the argument on the descending half
+    (K, 2K) of sn^2."""
+    e0, e1, e2 = edges
+    m = (e2 - e1) / (e2 - e0)
+    f0 = float(ellipkinc(math.asin(math.sqrt((e2 - mu0) / (e2 - e1))), m))
+    u0 = 2.0 * float(ellipk(m)) - f0 if sigma0 > 0 else f0
+    sn = ellipj(math.sqrt(e2 - e0) * np.asarray(x) + u0, m)[0]
+    return e2 - (e2 - e1) * sn ** 2
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+@pytest.mark.parametrize("mu0,sigma0", [(1.5, 1), (1.2, -1), (1.9, 1)])
+def test_one_gap_elliptic_oracle(one_gap_band, mu0, sigma0, tol):
+    tr = integrate_dubrovin(one_gap_band, DirichletDivisor(((mu0, sigma0),)),
+                            -20.0, 20.0, step=0.01, tol=tol)
+    err = np.abs(tr.mu_grid[:, 0] - elliptic_mu(tr.x_grid, mu0, sigma0))
+    assert err.max() <= 10.0 * tol
+    xs = np.linspace(-19.997, 19.996, 3001)  # off the grid
+    err = np.abs(tr.mu_at(xs)[:, 0] - elliptic_mu(xs, mu0, sigma0))
+    assert err.max() <= 10.0 * tol
+    # consecutive touches of one edge are one period 2K(k)/sqrt(E2 - E0) apart
+    period = 2.0 * float(ellipk(0.5)) / math.sqrt(2.0)
+    for edge in ("lower", "upper"):
+        gaps = np.diff(tr.touch_points(0, edge))
+        assert len(gaps) >= 10
+        assert np.abs(gaps - period).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# cost of the flow
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("edges,entries", [
+    ((0.0, 1.0, 2.0), ((1.5, 1),)),
+    (periodic_edges(3), ((0.95, -1), (4.01, 1), (9.0, -1))),
+])
+def test_rhs_budget_follows_tol(monkeypatch, edges, entries):
+    # error-controlled stepping: the RHS count is set by tol, not by the
+    # output step (a step-capped run over this window costs ~64k calls)
+    band = BandStructure(edges)
+    calls = []
+    omega = dubrovin._omega
+
+    def counting(band, theta):
+        calls.append(1)
+        return omega(band, theta)
+
+    monkeypatch.setattr(dubrovin, "_omega", counting)
+    counts = {}
+    for tol in (1e-10, 1e-11):
+        calls.clear()
+        integrate_dubrovin(band, DirichletDivisor(entries), -20.0, 20.0,
+                           0.01, tol=tol)
+        counts[tol] = len(calls)
+    assert counts[1e-11] <= 8000
+    assert counts[1e-11] > counts[1e-10]
 
 
 # ---------------------------------------------------------------------------
