@@ -32,7 +32,6 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
-from ._numerics import f17
 from .errors import DegenerateGap, StepTooLarge, WindowTooShort
 from .spectral import BandStructure
 
@@ -498,13 +497,12 @@ def trajectory_to_csv(band: BandStructure, trajectory: DivisorTrajectory,
             + ["mu_%d" % j for j in range(1, n + 1)]
             + ["sigma_%d" % j for j in range(1, n + 1)]
             + ["p"])
-    p = trace_potential(band, trajectory).p_values
+    # every float through %.17g, as f17 writes it; sigma, stacked as
+    # +-1.0 among the floats, through %d
+    fmt = ",".join(["%.17g"] * (1 + 2 * n) + ["%d"] * n + ["%.17g"]) + "\n"
+    rows = np.column_stack([trajectory.x_grid, trajectory.theta,
+                            trajectory.mu_grid, trajectory.sigma_grid,
+                            trace_potential(band, trajectory).p_values])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, xv in enumerate(trajectory.x_grid):
-            row = [f17(xv)]
-            row += [f17(v) for v in trajectory.theta[i]]
-            row += [f17(v) for v in trajectory.mu_grid[i]]
-            row += ["%d" % v for v in trajectory.sigma_grid[i]]
-            row.append(f17(p[i]))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows.tolist())

@@ -73,7 +73,9 @@ class AmbiguousPole(LevitanError):
 # --- transformation kernel -----------------------------------------------------
 
 class ExtrapolationFailure(LevitanError):
-    """The edge-limit extrapolation did not settle near an admissible phase."""
+    """An edge amplitude's sign is undefined: the divisor touches the edge
+    non-transversally (its Dubrovin angle is not strictly increasing), so
+    the touch-parity closed form of the edge phase does not apply."""
 
 
 class NoConvergence(LevitanError):

@@ -19,14 +19,22 @@ factorizes over its four position arguments,
                            / prod_{m != k} (E_k - E_m),
 
 with a per-edge amplitude a_k(t) = L_k(t) prod_j |E_k - mu_j(t)|^{1/2}.  The
-modulus is elementary; the unimodular factor L_k(t) is the limit of the
-oscillating exponential of psi_+ as z approaches the edge through the
-adjacent band, computed here as a Richardson-extrapolated eps-limit and
-snapped to the nearest element of {+1, -1, +i, -i}.  The factorized form
-turns every fourfold kernel evaluation in the solver into products of
-precomputed per-edge arrays (rank-(2N+1) structure), which is also the
-concurrency story: the amplitude arrays are filled once before the sweeps
-and only read afterwards.
+sign L_k has a closed form in the Dubrovin angles: for the lower edge of gap
+j, E_{2j-1} - mu_j = -2 w_j sin^2(theta_j / 2), so the analytic amplitude is
+a multiple of sin(theta_j / 2) (cos for the upper edge E_2j) and changes sign
+at each touch of mu_j on E_k.  Normalized at x = 0,
+
+    L_k(t) = (-1)^(number of E_k touches between 0 and t),
+
+read off the trajectory's touch points; L_0 = 1 (no mu_j reaches E_0).  The
+sign is the limit phase of the oscillating exponential of psi_+ as z
+approaches the edge through the adjacent band, up to a constant unimodular
+factor that cancels in f_+.  It needs transversal touches, which the flow
+guarantees (Omega > 0); a trajectory whose angle is not strictly increasing
+is refused with ExtrapolationFailure.  The factorized form turns every
+fourfold kernel evaluation in the solver into products of per-edge arrays
+(rank-(2N+1) structure), all filled by one pass over the divisor before the
+sweeps and only read afterwards.
 
 The - side is never solved directly: all minus-side objects come from the
 mirror substitution x -> -x applied to trajectory and perturbation, under
@@ -40,21 +48,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import RectBivariateSpline
 
-from ._numerics import f17, gauss_panels, merge_breakpoints, richardson
+from ._numerics import f17
 from .errors import (
     ExtrapolationFailure,
     MomentViolation,
     NoConvergence,
 )
-from .spectral import BandStructure, as_point, eval_sqrtY
-from .weyl import WeylContext, psi_on_grid, eval_green
+from .spectral import BandStructure, as_point
+from .weyl import WeylContext, _check_sign, eval_green, psi_on_grid
 
 __all__ = [
     "PerturbationProfile",
@@ -70,11 +78,6 @@ __all__ = [
     "jost_direct",
     "schrodinger_residual",
     "moment_check",
-    "band_beta",
-    "band_c1",
-    "d_bound",
-    "in_forcing_domain",
-    "in_interaction_domain",
 ]
 
 
@@ -190,185 +193,79 @@ def moment_check(perturbation, window) -> float:
 # edge amplitudes a_k(t)
 # ---------------------------------------------------------------------------
 
-_PHASES = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
-_SNAP_TOL = 0.1
-_CACHE_MAX = 4096
-
-
-def _ctx_store(ctx: WeylContext, name: str):
-    store = getattr(ctx, name, None)
-    if store is None:
-        store = {}
-        object.__setattr__(ctx, name, store)
-    return store
-
-
-def _mirrored_ctx(ctx: WeylContext) -> WeylContext:
-    store = _ctx_store(ctx, "_mirror_store")
-    if "ctx" not in store:
-        store["ctx"] = ctx.mirrored()
-    return store["ctx"]
-
-
-def _amp_modulus(ctx: WeylContext, k: int, ts: np.ndarray) -> np.ndarray:
-    e = ctx.band.edges[k]
-    mus = ctx.trajectory.mu_at(ts)
-    if mus.shape[-1] == 0:
-        return np.ones(len(ts))
-    return np.sqrt(np.prod(np.abs(e - mus), axis=-1))
-
-
-def _phase_reps(ctx: WeylContext, k: int, lo: float, hi: float,
-                touches: np.ndarray):
-    """One representative point per inter-touch interval of [lo, hi]."""
-    bounds = np.concatenate([[lo], touches, [hi]])
-    return 0.5 * (bounds[:-1] + bounds[1:]), bounds
-
-
-def _phil_at(ctx: WeylContext, zd: float, reps: np.ndarray, lo: float,
-             hi: float, touches: np.ndarray, rings: np.ndarray) -> np.ndarray:
-    """phi_delta at the representatives: int_0^rep of y_delta / G(z_delta, .)."""
-    band = ctx.band
-    y = (eval_sqrtY(band, complex(zd)) / 1j).real
-    traj = ctx.trajectory
-    norm = band.gap_norm
-
-    fill = np.arange(lo, hi, 0.05)
-    edges = merge_breakpoints(reps, [0.0], fill, touches, rings,
-                              lo=lo, hi=hi, min_sep=1e-13)
-
-    def integrand(ts):
-        mus = traj.mu_at(ts)
-        return y / (np.prod(zd - mus, axis=-1) / norm)
-
-    panels = gauss_panels(integrand, edges, order=16)
-    cum = np.concatenate([[0.0], np.cumsum(panels)])
-    idx = np.searchsorted(edges, reps, side="right") - 1
-    i0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
-    return cum[idx] - cum[i0]
-
-
-def _phase_data(ctx: WeylContext, k: int):
-    """Per-(context, edge) cache of the snapped interval phases."""
-    store = _ctx_store(ctx, "_edge_phase_cache")
-    if k not in store:
-        traj = ctx.trajectory
-        store[k] = _edge_phases(ctx, k, traj.x_min, traj.x_max)
-    return store[k]
-
-
-def _edge_phases(ctx: WeylContext, k: int, lo: float, hi: float):
-    """Snapped limit phases, one per inter-touch interval, plus the touches.
-
-    The phase of a_k is constant between touches of the adjacent gap edge, so
-    the eps-limit is evaluated once per interval (at its midpoint, far from
-    the spike smearing) and extended by constancy.
-    """
-    band = ctx.band
-    gap_idx = (k + 1) // 2 - 1
-    kind = "lower" if k % 2 == 1 else "upper"
-    if not ctx.trajectory.increasing(gap_idx):
+def _touch_counts(traj, k: int, pts: np.ndarray) -> np.ndarray:
+    """Number of E_k touches in (x_min, t] for each t in ``pts``."""
+    j = (k + 1) // 2 - 1
+    try:
+        touches = traj.touch_points(j, "lower" if k % 2 == 1 else "upper")
+    except ValueError as exc:
+        # raised only when DivisorTrajectory.increasing(j) fails
         raise ExtrapolationFailure(
-            "edge-limit phase at E_%d: touches not transversal (theta_%d "
-            "not strictly increasing)" % (k, gap_idx + 1))
-    touches = ctx.trajectory.touch_points(gap_idx, kind, lo=lo, hi=hi)
-    touches = touches[(touches > lo) & (touches < hi)]
-    reps, _ = _phase_reps(ctx, k, lo, hi, touches)
+            "edge phase at E_%d: touches not transversal (%s)" % (k, exc)) \
+            from exc
+    touches = touches[(touches > traj.x_min) & (touches < traj.x_max)]
+    return np.searchsorted(touches, pts, side="right")
 
-    side = -1.0 if k % 2 == 1 else 1.0
-    b_lo, b_hi = band.bands()[band.band_of_edge(k)]
-    b_len = (b_hi - b_lo) if math.isfinite(b_hi) else 1.0
-    w = band.gap_half[gap_idx]
-    dth = np.array([ctx.trajectory.dtheta_at(t)[gap_idx] for t in touches])
-    c_touch = 0.5 * w * dth ** 2
-    c_touch = np.where(c_touch > 0.0, c_touch, np.inf)
 
-    delta0 = min(1e-3, 0.1 * b_len)
-    for attempt in range(2):
-        d0 = delta0 / 16.0 ** attempt
-        deltas = d0 / 4.0 ** np.arange(5)
-        phis = []
-        for d in deltas:
-            ring_w = np.sqrt(d / c_touch) if len(touches) else np.array([])
-            rings = (touches[:, None] +
-                     np.outer(ring_w, [-64, -16, -4, -1, 1, 4, 16, 64])).ravel() \
-                if len(touches) else np.array([])
-            zd = band.edges[k] + side * d
-            phis.append(_phil_at(ctx, zd, reps, lo, hi, touches, rings))
-        phis = np.array(phis)          # (5, n_reps)
-        lim = np.empty(len(reps))
-        for i in range(len(reps)):
-            lim[i], _ = richardson(phis[:, i], ratio=2.0)
-        snapped = np.round(lim / (0.5 * math.pi))
-        if np.max(np.abs(lim - snapped * 0.5 * math.pi), initial=0.0) <= _SNAP_TOL:
-            factors = np.array([_PHASES[int(s) % 4] for s in snapped])
-            return factors, touches
-    raise ExtrapolationFailure(
-        "edge-limit phase at E_%d did not land near a quarter turn "
-        "(max distance %.3g)" % (k, float(np.max(np.abs(
-            lim - snapped * 0.5 * math.pi)))))
+def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
+    """a_k(ts) for each k in ``edges``, shape (len(edges), len(ts)), from one
+    pass over the divisor at the positions.
+
+    The sign is L_k(t) = (-1)^(number of E_k touches in (min(0, t),
+    max(0, t)]): it flips at every touch, a position on a touch takes the
+    sign of the interval to its right (the amplitude vanishes there anyway),
+    and a touch exactly at 0 flips the interval to its left.
+    """
+    traj = ctx.trajectory
+    e = ctx.band.edge_array[list(edges)]
+    amp = np.sqrt(np.prod(np.abs(e[:, None, None] - traj.mu_at(ts)),
+                          axis=-1)).astype(complex)
+    # E_0 keeps L_0 = 1: no mu_j ever reaches it
+    pts = np.append(ts, 0.0)
+    counts = np.array([_touch_counts(traj, k, pts) if k
+                       else np.zeros(len(pts), int) for k in edges])
+    flips = counts[:, :-1] - counts[:, -1:]
+    return amp * np.where(flips % 2 == 1, -1.0, 1.0)
 
 
 def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
-    """a_k at an array of positions (complex; modulus prod_j |E_k - mu_j|^{1/2}).
+    """a_k at an array of positions (complex; modulus prod_j |E_k - mu_j|^{1/2},
+    sign flipping at each touch of the gap's divisor point on E_k).
 
-    Results are memoized on the context keyed by (edge, positions); the cache
-    uses dict.setdefault so concurrent fills resolve to a single winner.
+    Returns a fresh array on every call.
     """
-    band = ctx.band
-    if not 0 <= edge_index < len(band.edges):
+    if not 0 <= edge_index < len(ctx.band.edges):
         raise ValueError("edge index %d out of range" % edge_index)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    cache = _ctx_store(ctx, "_edge_amp_cache")
-    key = (edge_index, ts.tobytes())
-    hit = cache.get(key)
-    if hit is not None:
-        return hit.copy()
-
-    amp = _amp_modulus(ctx, edge_index, ts).astype(complex)
-    if band.gap_count and edge_index > 0:
-        factors, touches = _phase_data(ctx, edge_index)
-        idx = np.searchsorted(touches, ts, side="right")
-        amp = amp * factors[idx]
-    # E_0 keeps phase 1: no mu_j can reach it, the integrand y_delta / G is
-    # uniformly bounded and y_delta -> 0, so the limit phase vanishes.
-
-    if len(cache) > _CACHE_MAX:
-        cache.clear()
-    cache.setdefault(key, amp)
-    return cache[key].copy()
+    return _amplitudes(ctx, (edge_index,), ts)[0]
 
 
 # ---------------------------------------------------------------------------
 # residues and D
 # ---------------------------------------------------------------------------
 
-def _check_side(sign) -> int:
-    if sign in (1, +1, "+"):
-        return 1
-    if sign in (-1, "-"):
-        return -1
-    raise ValueError("sign must be +1 or -1, got %r" % (sign,))
+def _edge_denominators(band: BandStructure) -> np.ndarray:
+    """prod_{m != k} (E_k - E_m) for every edge k."""
+    e = band.edge_array
+    diffs = e[:, None] - e[None, :]
+    np.fill_diagonal(diffs, 1.0)
+    return np.prod(diffs, axis=1)
+
+
+def _residues(a: np.ndarray, denoms: np.ndarray) -> np.ndarray:
+    # pairwise grouping keeps the (x,y,r,s) <-> (y,x,s,r) exchange an exact
+    # complex conjugation in floating point, so the sum is exactly symmetric
+    val = (a[:, 0] * np.conj(a[:, 1])) * (a[:, 2] * np.conj(a[:, 3]))
+    return val.real / denoms
 
 
 def residue_f_plus(ctx: WeylContext, edge_index: int, x: float, y: float,
                    r: float, s: float) -> float:
     """The edge term f_+(E_k, x, y, r, s); exactly 0 when a divisor point
     sits on E_k at any of the four positions."""
-    e = ctx.band.edge_array
     a = edge_amplitudes(ctx, edge_index, np.array([x, y, r, s]))
-    denom = float(np.prod(e[edge_index] - np.delete(e, edge_index)))
-    # pairwise grouping keeps the (x,y,r,s) <-> (y,x,s,r) exchange an exact
-    # complex conjugation in floating point, so the sum is exactly symmetric
-    val = (a[0] * np.conj(a[1])) * (a[2] * np.conj(a[3]))
-    return float(val.real) / denom
-
-
-def _eval_D_plus(ctx: WeylContext, x: float, y: float, r: float, s: float) -> float:
-    total = 0.0
-    for k in range(len(ctx.band.edges)):
-        total += residue_f_plus(ctx, k, x, y, r, s)
-    return -0.25 * total
+    denom = _edge_denominators(ctx.band)[edge_index]
+    return float(_residues(a[None, :], denom)[0])
 
 
 def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
@@ -378,37 +275,16 @@ def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
     The - side is the + side of the mirrored problem evaluated at negated
     positions.
     """
-    if _check_side(sign) < 0:
-        return _eval_D_plus(_mirrored_ctx(ctx), -x, -y, -r, -s)
-    return _eval_D_plus(ctx, x, y, r, s)
-
-
-def band_beta(band: BandStructure) -> float:
-    """Smallest pairwise separation among all band edges (inf for N = 0)."""
-    e = band.edge_array
-    if len(e) < 2:
-        return math.inf
-    diffs = np.abs(e[:, None] - e[None, :])
-    return float(np.min(diffs[np.triu_indices(len(e), k=1)]))
-
-
-def band_c1(band: BandStructure) -> float:
-    """C_1 = exp(sum of gap widths / beta)."""
-    if band.gap_count == 0:
-        return 1.0
-    widths = 2.0 * band.gap_half
-    return float(math.exp(np.sum(widths) / band_beta(band)))
-
-
-def d_bound(band: BandStructure) -> float:
-    """Bookkeeping bound on sup |D|: each gap edge term is at most
-    C_1 * width_l / (E_2l - E_0), the E_0 term at most C_1."""
-    c1 = band_c1(band)
-    total = c1
-    for l in range(1, band.gap_count + 1):
-        w = band.edges[2 * l] - band.edges[2 * l - 1]
-        total += 2.0 * c1 * w / (band.edges[2 * l] - band.edges[0])
-    return 0.25 * total
+    if _check_sign(sign) < 0:
+        ctx = ctx.mirrored()
+        x, y, r, s = -x, -y, -r, -s
+    n_edges = len(ctx.band.edges)
+    a = _amplitudes(ctx, range(n_edges), np.array([x, y, r, s]))
+    # summed in edge order, as -1/4 sum_k residue_f_plus would be
+    total = 0.0
+    for term in _residues(a, _edge_denominators(ctx.band)).tolist():
+        total += term
+    return -0.25 * total
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +433,8 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
     cumulative trapezoid passes.  Each iterate is computed entirely from the
     previous one (Jacobi sweeps), so iteration order never affects values.
     """
-    if _check_side(sign) < 0:
-        grid = solve_kernel(_mirrored_ctx(ctx), perturbation.mirrored(), "+",
+    if _check_sign(sign) < 0:
+        grid = solve_kernel(ctx.mirrored(), perturbation.mirrored(), "+",
                             grid_params, tol=tol, max_iter=max_iter)
         grid.side = "-"
         return grid
@@ -585,11 +461,9 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
             "[%g, %g]" % (traj.x_min, traj.x_max, lo_need, hi_need))
 
     qt = np.asarray(perturbation(pos), dtype=float)
-    e = ctx.band.edge_array
-    n_edges = len(e)
-    amps = [edge_amplitudes(ctx, k, pos) for k in range(n_edges)]
-    cks = np.array([-0.25 / np.prod(e[k] - np.delete(e, k))
-                    for k in range(n_edges)])
+    n_edges = len(ctx.band.edges)
+    amps = _amplitudes(ctx, range(n_edges), pos)
+    cks = -0.25 / _edge_denominators(ctx.band)
 
     mi = np.arange(m_steps + 1)[:, None]
     li = np.arange(m_steps + 1)[None, :]
@@ -747,11 +621,11 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
 def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
                      sign) -> complex:
     """phi via the transformation operator: psi plus the K-smeared tail."""
-    sgn = _check_side(sign)
+    sgn = _check_sign(sign)
     if sgn < 0:
         if grid.side != "-":
             raise ValueError("grid was solved for the + side")
-        return _jost_plus_from_grid(_mirrored_ctx(ctx), grid, p, -x)
+        return _jost_plus_from_grid(ctx.mirrored(), grid, p, -x)
     if grid.side != "+":
         raise ValueError("grid was solved for the - side")
     return _jost_plus_from_grid(ctx, grid, p, x)
@@ -786,7 +660,7 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     one per point.
     """
     if grid.side == "-":
-        xs, vals = _jost_profile_plus(_mirrored_ctx(ctx), grid, p)
+        xs, vals = _jost_profile_plus(ctx.mirrored(), grid, p)
         return -xs[::-1], vals[::-1]
     return _jost_profile_plus(ctx, grid, p)
 
@@ -816,7 +690,7 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     are solved natively (no mirror trick): this function is the independent
     oracle against the kernel route, so it must not share its machinery.
     """
-    sgn = _check_side(sign)
+    sgn = _check_sign(sign)
     pt = as_point(p)
     g = eval_green(ctx, pt)
     if sgn > 0:
@@ -878,26 +752,3 @@ def schrodinger_residual(ctx: WeylContext, perturbation: PerturbationProfile,
         perturbation(xs), dtype=float)
     res = np.abs(-d2 + (pot - z) * vals[1:-1])
     return float(np.max(res))
-
-
-# ---------------------------------------------------------------------------
-# integration-domain predicates
-# ---------------------------------------------------------------------------
-
-def in_forcing_domain(x: float, s: float, t: float) -> bool:
-    """Membership in the forcing-term t-domain of the kernel equation for the
-    pair (x, s): the half line t >= (x + s)/2 (and s >= x for K's support)."""
-    return s >= x and t >= 0.5 * (x + s)
-
-
-def in_interaction_domain(x: float, s: float, y: float, t: float) -> bool:
-    """Membership in the interaction-term (y, t)-domain for the pair (x, s):
-
-        y >= x,  t >= y,  s + x - y <= t <= s + y - x.
-
-    Equivalent to the rotated-rectangle description used by the solver
-    (alpha >= (x+s)/2, 0 <= beta <= (s-x)/2 with y = alpha - beta,
-    t = alpha + beta); the equivalence is covered by tests.
-    """
-    return (s >= x and y >= x and t >= y
-            and s + x - y <= t <= s + y - x)

@@ -7,6 +7,30 @@ import pytest
 from levitan import BandStructure
 
 
+def richardson(values, ratio=2.0):
+    """Richardson-extrapolate a sequence f(h_k) with h_{k+1} = h_k / ratio.
+
+    Assumes an error expansion in integer powers of h (use the appropriate
+    variable substitution beforehand for half-power expansions).  Returns
+    ``(limit, err_estimate)`` where the estimate is the last diagonal change.
+    """
+    t = [complex(v) for v in values]
+    n = len(t)
+    if n < 2:
+        return (t[0] if n else np.nan), np.inf
+    diag = [t[-1]]
+    col = t
+    for m in range(1, n):
+        fac = ratio ** m
+        col = [(fac * col[i + 1] - col[i]) / (fac - 1.0) for i in range(len(col) - 1)]
+        diag.append(col[-1])
+    limit = diag[-1]
+    err = abs(diag[-1] - diag[-2])
+    if abs(limit.imag) == 0.0:
+        limit = limit.real
+    return limit, err
+
+
 def periodic_edges(n_gaps):
     """Edge list 0, j^2 -/+ 0.1/j^2 (j = 1..N): gaps shrink like the periodic
     model while spacings grow linearly."""

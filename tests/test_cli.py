@@ -323,6 +323,20 @@ def test_thread_budget_takes_effect():
     assert int(out.stdout.strip()) == 1
 
 
+def test_python_m_levitan_writes_fixture(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(levitan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "one_gap.json"
+    done = subprocess.run([sys.executable, "-m", "levitan", "fixture",
+                           "one_gap", "--out", str(out)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    cfg = RunConfig.from_file(out)
+    assert cfg.edges == generate_fixture("one_gap").edges
+
+
 # ---------------------------------------------------------------------------
 # summary semantics
 # ---------------------------------------------------------------------------

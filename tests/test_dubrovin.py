@@ -435,3 +435,37 @@ def test_csv_format(tmp_path, one_gap_band):
     assert float(fields[0]) == 0.0
     assert float(fields[2]) == tr.mu_grid[2, 0]   # 17 digits round-trip
     assert fields[3] in ("1", "-1")
+
+
+def _csv_reference(band, tr, path):
+    """The per-value writer: every float through f17, sigma through %d."""
+    from levitan._numerics import f17
+    n = band.gap_count
+    cols = (["x"] + ["theta_%d" % j for j in range(1, n + 1)]
+            + ["mu_%d" % j for j in range(1, n + 1)]
+            + ["sigma_%d" % j for j in range(1, n + 1)] + ["p"])
+    p = trace_potential(band, tr).p_values
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i, xv in enumerate(tr.x_grid):
+            row = [f17(xv)]
+            row += [f17(v) for v in tr.theta[i]]
+            row += [f17(v) for v in tr.mu_grid[i]]
+            row += ["%d" % v for v in tr.sigma_grid[i]]
+            row.append(f17(p[i]))
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("edges, divisor", [
+    ((0.0,), ()),
+    ((0.0, 1.0, 2.0), ((1.0, 1),)),
+    (periodic_edges(3), ((1.0, 1), (4.0, -1), (9.0, 1))),
+])
+def test_csv_matches_per_value_writer(tmp_path, edges, divisor):
+    band = BandStructure(edges)
+    tr = integrate_dubrovin(band, DirichletDivisor(divisor), -3.0, 3.0,
+                            step=0.01, tol=1e-10)
+    trajectory_to_csv(band, tr, tmp_path / "fast.csv")
+    _csv_reference(band, tr, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()

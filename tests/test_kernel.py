@@ -3,23 +3,21 @@ Volterra solve, decay bounds, and the two independent Jost routes."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import periodic_edges
+from conftest import periodic_edges, richardson
+from levitan import cli
 from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
 from levitan.errors import ExtrapolationFailure, MomentViolation, NoConvergence
 from levitan.kernel import (
     GridParams,
     PerturbationProfile,
-    band_c1,
-    d_bound,
     edge_amplitudes,
     eval_D,
-    in_forcing_domain,
-    in_interaction_domain,
     jost_direct,
     jost_from_kernel,
     kernel_bound_check,
@@ -28,13 +26,64 @@ from levitan.kernel import (
     schrodinger_residual,
     solve_kernel,
 )
+from levitan.cli import generate_fixture
 from levitan.spectral import BandStructure, SpectralPoint
 from levitan.weyl import WeylContext, eval_G, eval_psi_product, psi_on_grid
-from levitan._numerics import richardson
 
 
 BUMP = PerturbationProfile.gaussian_bump(0.2, 0.0, 0.8)
 BUMP_NARROW = PerturbationProfile.gaussian_bump(0.25, 0.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# bookkeeping bound on |D| and the kernel equation's integration domains
+# ---------------------------------------------------------------------------
+
+def band_beta(band: BandStructure) -> float:
+    """Smallest pairwise separation among all band edges (inf for N = 0)."""
+    e = band.edge_array
+    if len(e) < 2:
+        return math.inf
+    diffs = np.abs(e[:, None] - e[None, :])
+    return float(np.min(diffs[np.triu_indices(len(e), k=1)]))
+
+
+def band_c1(band: BandStructure) -> float:
+    """C_1 = exp(sum of gap widths / beta)."""
+    if band.gap_count == 0:
+        return 1.0
+    widths = 2.0 * band.gap_half
+    return float(math.exp(np.sum(widths) / band_beta(band)))
+
+
+def d_bound(band: BandStructure) -> float:
+    """Bookkeeping bound on sup |D|: each gap edge term is at most
+    C_1 * width_l / (E_2l - E_0), the E_0 term at most C_1."""
+    c1 = band_c1(band)
+    total = c1
+    for l in range(1, band.gap_count + 1):
+        w = band.edges[2 * l] - band.edges[2 * l - 1]
+        total += 2.0 * c1 * w / (band.edges[2 * l] - band.edges[0])
+    return 0.25 * total
+
+
+def in_forcing_domain(x: float, s: float, t: float) -> bool:
+    """Membership in the forcing-term t-domain of the kernel equation for the
+    pair (x, s): the half line t >= (x + s)/2 (and s >= x for K's support)."""
+    return s >= x and t >= 0.5 * (x + s)
+
+
+def in_interaction_domain(x: float, s: float, y: float, t: float) -> bool:
+    """Membership in the interaction-term (y, t)-domain for the pair (x, s):
+
+        y >= x,  t >= y,  s + x - y <= t <= s + y - x.
+
+    Equivalent to the rotated-rectangle description used by the solver
+    (alpha >= (x+s)/2, 0 <= beta <= (s-x)/2 with y = alpha - beta,
+    t = alpha + beta); the equivalence is covered by the tests below.
+    """
+    return (s >= x and y >= x and t >= y
+            and s + x - y <= t <= s + y - x)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +244,87 @@ def test_residue_vanishes_at_touch(kgap_sym):
     # mu(0) sits exactly on E_1, so every edge-1 amplitude at position 0 is 0
     assert residue_f_plus(kgap_sym, 1, 0.0, 0.5, 0.8, -0.3) == 0.0
     assert residue_f_plus(kgap_sym, 1, 0.5, 0.0, 0.8, -0.3) == 0.0
+
+
+def _flow_context(kind, n, seed, out):
+    """The fixture's config, its flow-stage state and the Weyl context,
+    built by the pipeline's own validate and flow stages."""
+    cfg = generate_fixture(kind, n=n, seed=seed)
+    st = {}
+    for stage in ("validate", "flow"):
+        cli._STAGE_FNS[stage](cfg, st, {}, out)
+    return cfg, st, WeylContext(st["band"], st["traj"])
+
+
+@pytest.fixture(scope="module", params=[("periodic_like", 4, 0),
+                                        ("random", 6, 0)],
+                ids=["periodic_like-4", "random-6"])
+def kfixture(request, tmp_path_factory):
+    return _flow_context(*request.param, tmp_path_factory.mktemp("flow"))[2]
+
+
+def test_edge_amplitudes_match_closed_form(kfixture):
+    # oracle: (-1)^(touches strictly between 0 and t) sqrt(prod |E_k - mu_j|),
+    # and the same sign read from the angle, sin(theta_j/2) for the lower
+    # edge and cos(theta_j/2) for the upper one, relative to x = 0
+    ctx = kfixture
+    traj = ctx.trajectory
+    ts = np.linspace(traj.x_min, traj.x_max, 61)
+    th0 = traj.theta_at(0.0)
+    for k in range(1, len(ctx.band.edges)):
+        j = (k + 1) // 2 - 1
+        kind, half = ("lower", np.sin) if k % 2 == 1 else ("upper", np.cos)
+        a = edge_amplitudes(ctx, k, ts)
+        assert np.all(a.imag == 0.0)
+        for t, av in zip(ts, a.real):
+            touches = traj.touch_points(j, kind, lo=min(t, 0.0), hi=max(t, 0.0))
+            touches = touches[(np.abs(touches) > 1e-9)
+                              & (np.abs(touches - t) > 1e-9)]
+            mod = math.sqrt(np.prod(np.abs(ctx.band.edges[k] - traj.mu_at(t))))
+            assert av == pytest.approx((-1.0) ** len(touches) * mod,
+                                       rel=1e-12, abs=1e-15)
+            angle_sign = half(0.5 * traj.theta_at(t)[j]) * half(0.5 * th0[j])
+            if abs(angle_sign) > 1e-6:
+                assert math.copysign(1.0, av) == math.copysign(1.0, angle_sign)
+
+
+def test_eval_D_is_residue_sum_bit_for_bit(kfixture, rng):
+    ctx = kfixture
+    for _ in range(12):
+        x, y, r, s = rng.uniform(-1.0, 3.0, 4)
+        total = 0.0
+        for k in range(len(ctx.band.edges)):
+            total += residue_f_plus(ctx, k, x, y, r, s)
+        assert eval_D(ctx, x, y, r, s) == -0.25 * total
+
+
+# random fixtures on which the eps-limit edge phase used to stop the kernel
+# stage with ExtrapolationFailure
+FORMERLY_FAILING = [(5, 1), (8, 0), (8, 5), (9, 3), (9, 6)]
+
+
+@pytest.mark.parametrize("n, seed", FORMERLY_FAILING)
+def test_random_fixture_amplitudes_and_D(n, seed, tmp_path):
+    cfg, st, ctx = _flow_context("random", n, seed, tmp_path)
+    pos = cfg.x0 + cfg.h * np.arange(
+        round(2.0 * (st["x_cut"] - cfg.x0) / cfg.h) + 1)
+    for k in range(len(ctx.band.edges)):
+        assert np.all(np.isfinite(edge_amplitudes(ctx, k, pos)))
+    # the verify stage's D rows, with its probes and bounds
+    probe = np.random.default_rng(cfg.seed + 1)
+    pairs = probe.uniform(cfg.x0, st["x_cut"], size=(40, 2))
+    assert max(abs(eval_D(ctx, x, y, y, x) + 0.25) for x, y in pairs) <= 1e-8
+    quads = probe.uniform(cfg.x0, st["x_cut"], size=(20, 4))
+    assert max(abs(eval_D(ctx, x, y, r, s) - eval_D(ctx, y, x, s, r))
+               for x, y, r, s in quads) <= 1e-10
+
+
+def test_random_fixture_pipeline_passes(tmp_path):
+    cfg = replace(generate_fixture("random", n=8, seed=5),
+                  out_dir=str(tmp_path))
+    summary = cli.run_pipeline(cfg)
+    failed = [name for name, row in summary.checks.items() if not row["pass"]]
+    assert failed == []
 
 
 def _y_prime(band, z):

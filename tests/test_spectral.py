@@ -16,7 +16,6 @@ from levitan import (
     require_hypothesis,
     validate_band_structure,
 )
-from levitan._numerics import richardson
 from levitan.errors import (
     BranchAtEdge,
     EmptyGap,
@@ -26,7 +25,7 @@ from levitan.errors import (
     NonMonotonic,
 )
 
-from conftest import periodic_edges
+from conftest import periodic_edges, richardson
 
 
 # ---------------------------------------------------------------------------
