@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -118,6 +118,14 @@ def _omega(band: BandStructure, theta: np.ndarray) -> np.ndarray:
     return base * np.prod(np.sqrt(a) / b, axis=-1)
 
 
+class TouchTable(NamedTuple):
+    """Every edge touch of a trajectory window, ascending in x."""
+
+    x: np.ndarray        # touch positions
+    edge: np.ndarray     # k of the touched edge E_k (k >= 1)
+    count: np.ndarray    # count[i, k]: touches of E_k among x[:i]
+
+
 @dataclass
 class DivisorTrajectory:
     """Angle samples theta_j(x_i) on a uniform grid, plus derived views.
@@ -132,7 +140,6 @@ class DivisorTrajectory:
     x_grid: np.ndarray
     theta: np.ndarray            # shape (len(x_grid), N)
     dtheta: np.ndarray           # exact RHS at the nodes, same shape
-    interpolation: str = "cubic-hermite"
 
     @cached_property
     def _spline(self) -> CubicHermiteSpline:
@@ -208,10 +215,6 @@ class DivisorTrajectory:
         sg = np.atleast_1d(self.sigma_at(x))
         return DirichletDivisor(tuple(zip(mu.tolist(), sg.tolist())))
 
-    @cached_property
-    def _touch_cache(self) -> dict:
-        return {}
-
     def increasing(self, gap_index: int) -> bool:
         """True when the Hermite interpolant of theta_j is strictly
         increasing on the whole window.
@@ -234,27 +237,40 @@ class DivisorTrajectory:
         inside = (c3 > 0.0) & (s > 0.0) & (s < h)
         return not np.any(dip[inside] <= 0.0)
 
-    def touch_points(self, gap_index: int, edge: str, lo=None, hi=None) -> np.ndarray:
-        """x values where mu_j touches its 'lower' or 'upper' gap edge.
+    @cached_property
+    def touch_table(self) -> TouchTable:
+        """Every edge touch of the window, built once per trajectory.
 
-        Roots of theta_j = k*pi with the matching parity (even k: lower
-        edge), located on the Hermite spline inside [lo, hi] (defaults: full
-        range).  Precondition: theta_j strictly increasing (see
+        The touches of E_k are the roots of theta_j = m*pi with the matching
+        parity (even m: lower edge), located on the Hermite spline.
+        Precondition: every theta_j strictly increasing (see
         :meth:`increasing`; the flow guarantees it since Omega > 0), so each
         level has exactly one preimage, found by ``searchsorted`` over the
         node values and one cubic solve on that spline piece.  Raises
-        ValueError for a trajectory that violates the precondition.  The
-        search runs once per (gap, edge) and is reused across queries.
+        ValueError naming the first gap that violates the precondition.
         """
-        key = (gap_index, edge)
-        full = self._touch_cache.get(key)
-        if full is None:
-            if not self.increasing(gap_index):
+        n = self.band.gap_count
+        for j in range(n):
+            if not self.increasing(j):
                 raise ValueError(
                     "theta_%d is not strictly increasing; its edge touches "
-                    "are not transversal" % (gap_index + 1))
-            full = self._level_crossings(gap_index, edge == "lower")
-            self._touch_cache[key] = full
+                    "are not transversal" % (j + 1))
+        # gap j's lower edge is E_{2j+1}, its upper edge E_{2j+2}
+        found = [self._level_crossings((k - 1) // 2, k % 2 == 1)
+                 for k in range(1, 2 * n + 1)]
+        x = np.concatenate([np.zeros(0)] + found)
+        edge = np.repeat(np.arange(1, 2 * n + 1), [len(t) for t in found])
+        order = np.argsort(x, kind="stable")
+        x, edge = x[order], edge[order]
+        hits = np.vstack([np.zeros((1, 2 * n + 1), dtype=bool),
+                          edge[:, None] == np.arange(2 * n + 1)])
+        return TouchTable(x, edge, np.cumsum(hits, axis=0))
+
+    def touch_points(self, gap_index: int, edge: str, lo=None, hi=None) -> np.ndarray:
+        """x values where mu_j touches its 'lower' or 'upper' gap edge inside
+        [lo, hi] (defaults: full range), read from :attr:`touch_table`."""
+        table = self.touch_table
+        full = table.x[table.edge == 2 * gap_index + (1 if edge == "lower" else 2)]
         lo = self.x_min if lo is None else lo
         hi = self.x_max if hi is None else hi
         sel = full[(full >= lo - 1e-12) & (full <= hi + 1e-12)]
@@ -296,29 +312,19 @@ class DivisorTrajectory:
         # (window end), where x[i] + h may miss x[i + 1] by an ulp
         return np.where(col[i + 1] == levels, x[i + 1], x[i] + s)
 
-    @cached_property
-    def _flip_points(self) -> np.ndarray:
-        pts = [self.touch_points(j, edge)
-               for j in range(self.band.gap_count)
-               for edge in ("lower", "upper")]
-        return np.unique(np.concatenate(pts)) if pts else np.array([])
-
     def flip_points(self) -> np.ndarray:
-        """All edge-touch locations (sigma flip candidates), every gap.
+        """All edge-touch locations (sigma flip candidates), every gap."""
+        return np.unique(self.touch_table.x)
 
-        Cached; callers must treat the returned array as read-only.
-        """
-        return self._flip_points
+    @cached_property
+    def _mirror(self) -> "DivisorTrajectory":
+        return DivisorTrajectory(self.band, -self.x_grid[::-1],
+                                 -self.theta[::-1], self.dtheta[::-1].copy())
 
     def mirrored(self) -> "DivisorTrajectory":
-        """The trajectory of the space-reflected background, mu~(x) = mu(-x)."""
-        return DivisorTrajectory(
-            band=self.band,
-            x_grid=-self.x_grid[::-1].copy(),
-            theta=-self.theta[::-1].copy(),
-            dtheta=self.dtheta[::-1].copy(),
-            interpolation=self.interpolation,
-        )
+        """The trajectory of the space-reflected background, mu~(x) = mu(-x),
+        built once and shared along with its spline and touch table."""
+        return self._mirror
 
 
 def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,

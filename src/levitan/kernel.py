@@ -193,20 +193,6 @@ def moment_check(perturbation, window) -> float:
 # edge amplitudes a_k(t)
 # ---------------------------------------------------------------------------
 
-def _touch_counts(traj, k: int, pts: np.ndarray) -> np.ndarray:
-    """Number of E_k touches in (x_min, t] for each t in ``pts``."""
-    j = (k + 1) // 2 - 1
-    try:
-        touches = traj.touch_points(j, "lower" if k % 2 == 1 else "upper")
-    except ValueError as exc:
-        # raised only when DivisorTrajectory.increasing(j) fails
-        raise ExtrapolationFailure(
-            "edge phase at E_%d: touches not transversal (%s)" % (k, exc)) \
-            from exc
-    touches = touches[(touches > traj.x_min) & (touches < traj.x_max)]
-    return np.searchsorted(touches, pts, side="right")
-
-
 def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
     """a_k(ts) for each k in ``edges``, shape (len(edges), len(ts)), from one
     pass over the divisor at the positions.
@@ -214,17 +200,24 @@ def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
     The sign is L_k(t) = (-1)^(number of E_k touches in (min(0, t),
     max(0, t)]): it flips at every touch, a position on a touch takes the
     sign of the interval to its right (the amplitude vanishes there anyway),
-    and a touch exactly at 0 flips the interval to its left.
+    and a touch exactly at 0 flips the interval to its left.  The counts come
+    from the trajectory's touch table by one ``searchsorted``; E_0 keeps
+    L_0 = 1, as no mu_j ever reaches it.
     """
     traj = ctx.trajectory
-    e = ctx.band.edge_array[list(edges)]
+    edges = list(edges)
+    e = ctx.band.edge_array[edges]
     amp = np.sqrt(np.prod(np.abs(e[:, None, None] - traj.mu_at(ts)),
                           axis=-1)).astype(complex)
-    # E_0 keeps L_0 = 1: no mu_j ever reaches it
-    pts = np.append(ts, 0.0)
-    counts = np.array([_touch_counts(traj, k, pts) if k
-                       else np.zeros(len(pts), int) for k in edges])
-    flips = counts[:, :-1] - counts[:, -1:]
+    try:
+        table = traj.touch_table
+    except ValueError as exc:
+        # raised only when DivisorTrajectory.increasing fails for some gap
+        raise ExtrapolationFailure(
+            "edge phases: touches not transversal (%s)" % exc) from exc
+    counts = table.count[np.searchsorted(table.x, np.append(ts, 0.0),
+                                         side="right")][:, edges]
+    flips = (counts[:-1] - counts[-1]).T
     return amp * np.where(flips % 2 == 1, -1.0, 1.0)
 
 

@@ -182,14 +182,6 @@ class BandStructure:
         e = self.edges
         return any(e[2 * j] <= x <= e[2 * j + 1] for j in range(self.gap_count))
 
-    def band_of_edge(self, k: int) -> int:
-        """Index of the band adjacent to edge k on the spectrum side used for
-        limits: edge E_0 and upper gap edges E_2l open band l to the right,
-        lower gap edges E_{2l-1} close band l-1 from the left."""
-        if k == 0:
-            return 0
-        return (k + 1) // 2 if k % 2 == 0 else (k - 1) // 2
-
     def gap_distance(self, z: complex) -> float:
         """Distance from z to the union of closed gap hulls (inf if no gaps)."""
         if self.gap_count == 0:

@@ -6,12 +6,19 @@ product
     G(z, x) = prod_j (z - mu_j(x)) / prod_j E_{2j-1},
 
 its half x-derivative H = (1/2) dG/dx (a polynomial in z, assembled from the
-exact flow derivatives mu_j'), the Weyl functions m+- = (H +- Y^{1/2}) / G,
-the Green function g = -G(z,0) / (2 Y^{1/2}), and the Weyl solutions
+exact flow derivatives mu_j' and the removed-factor products
+P_l(z) = prod_{k != l} (z - mu_k)), the Weyl functions
+m+- = (H +- Y^{1/2}) / G, the Green function g = -G(z,0) / (2 Y^{1/2}), and
+the Weyl solutions
 
     psi_+-(z, x) = (G(z,x)/G(z,0))^{1/2} exp( +- int_0^x Y^{1/2}(z)/G(z,t) dt )
 
-normalized to 1 at x = 0.  A second, independent route builds psi from the
+normalized to 1 at x = 0.  The flow integral has one implementation, a
+Gauss-Kronrod 7/15 panel engine with bisection of the panels whose error
+estimate fails; the one-point ``eval_psi_product``, the grid pass
+``psi_on_grid`` and ``probe_csv`` all call it, and each raises
+QuadratureFailure when the summed error estimate exceeds
+quad_tol (1 + |integral|).  A second, independent route builds psi from the
 cosine/sine-type solutions of -y'' + p y = z y via an initial-value solve:
 psi = c + m+-(z, 0) s.  The two routes share nothing numerically (quadrature
 plus square roots versus an ODE integrator), which is what makes their
@@ -24,7 +31,6 @@ hull it refuses and the ODE route must be used.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +38,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._numerics import complex_quad, f17, gauss_panels, merge_breakpoints, principal_sqrt
+from ._numerics import f17, principal_sqrt, removed_products
 from .dubrovin import DivisorTrajectory, potential_on
 from .errors import (
     AmbiguousPole,
@@ -112,14 +118,6 @@ def _check_sign(sign) -> int:
 # G, H and the Weyl functions
 # ---------------------------------------------------------------------------
 
-def _mu_and_dot(ctx: WeylContext, x: float):
-    th = ctx.trajectory.theta_at(x)
-    mu = ctx.trajectory.mu_of_theta(th)
-    dth = ctx.trajectory.dtheta_at(x)
-    mu_dot = ctx.band.gap_half * np.sin(th) * dth
-    return mu, mu_dot
-
-
 def eval_G(ctx: WeylContext, p, x: float) -> complex:
     """The divisor product G(z, x); entire in z, exactly 0 at z = mu_j(x)."""
     z = as_point(p).z
@@ -127,46 +125,23 @@ def eval_G(ctx: WeylContext, p, x: float) -> complex:
     return complex(np.prod(z - mu) / ctx.band.gap_norm)
 
 
-def eval_H(ctx: WeylContext, p, x: float) -> complex:
-    """H(z, x) = (1/2) d/dx G(z, x), assembled by the product rule.
+def _mu_rates(ctx: WeylContext, x: float) -> np.ndarray:
+    """mu_j'(x) from the exact angle derivative: w_j sin(theta_j) theta_j'."""
+    traj = ctx.trajectory
+    return ctx.band.gap_half * np.sin(traj.theta_at(x)) * traj.dtheta_at(x)
 
-    Each removed-factor product is built explicitly, so z = mu_j(x) is a
-    perfectly regular point (the residue-sum form of H would divide by zero
-    there; this form is what gives H(mu_j, x) = sigma_j Y^{1/2}(mu_j)).
+
+def eval_H(ctx: WeylContext, p, x: float) -> complex:
+    """H(z, x) = (1/2) d/dx G(z, x) = -(1/2) sum_l mu_l' P_l(z) / norm,
+    with P_l the removed-factor products of the divisor.
+
+    z = mu_j(x) is a perfectly regular point (the residue-sum form of H would
+    divide by zero there; this form is what gives H(mu_j, x) = sigma_j
+    Y^{1/2}(mu_j)).
     """
     z = as_point(p).z
-    mu, mu_dot = _mu_and_dot(ctx, x)
-    n = mu.size
-    if n == 0:
-        return 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    for l in range(n):
-        prod = 1.0 + 0.0j
-        for k in range(n):
-            if k != l:
-                prod *= z - mu[k]
-        acc += mu_dot[l] * prod
-    return complex(-0.5 * acc / ctx.band.gap_norm)
-
-
-def _H_and_deriv(ctx: WeylContext, z: complex, x: float):
-    """(H, dH/dz) via polynomial coefficients; used by the removable limit."""
-    mu, mu_dot = _mu_and_dot(ctx, x)
-    coeffs = np.zeros(max(mu.size, 1), dtype=complex)
-    for l in range(mu.size):
-        coeffs = coeffs + mu_dot[l] * np.poly(np.delete(mu, l))
-    coeffs = -0.5 * coeffs / ctx.band.gap_norm
-    h = np.polyval(coeffs, z)
-    dh = np.polyval(np.polyder(coeffs), z) if len(coeffs) > 1 else 0.0
-    return complex(h), complex(dh)
-
-
-def _nearest_divisor(ctx: WeylContext, z: complex, x: float):
-    mu = ctx.trajectory.mu_at(x)
-    if mu.size == 0:
-        return None, math.inf
-    j = int(np.argmin(np.abs(z - mu)))
-    return j, float(abs(z - mu[j]))
+    p_l = removed_products(z, ctx.trajectory.mu_at(x))
+    return complex(-0.5 * np.sum(_mu_rates(ctx, x) * p_l) / ctx.band.gap_norm)
 
 
 _POLE_TOL = 1e-9
@@ -182,9 +157,9 @@ def eval_m(ctx: WeylContext, p, x: float, sign) -> complex:
     sgn = _check_sign(sign)
     pt = as_point(p)
     z = pt.z
-    j, dist = _nearest_divisor(ctx, z, x)
-    if dist < _POLE_TOL:
-        mu = ctx.trajectory.mu_at(x)
+    mu = ctx.trajectory.mu_at(x)
+    j = int(np.argmin(np.abs(z - mu))) if mu.size else None
+    if mu.size and abs(z - mu[j]) < _POLE_TOL:
         sigma = int(ctx.trajectory.sigma_at(x)[j])
         lo, hi = ctx.band.gaps[j]
         if min(abs(mu[j] - lo), abs(mu[j] - hi)) < _POLE_TOL:
@@ -195,41 +170,22 @@ def eval_m(ctx: WeylContext, p, x: float, sign) -> complex:
             raise AtDivisorPole(
                 "z = %s is within %g of mu_%d(%g), a pole of m%s"
                 % (z, _POLE_TOL, j + 1, x, "+" if sgn > 0 else "-"))
-        # removable limit at mu_j: l'Hopital in z
-        zj = complex(mu[j])
-        _, dh = _H_and_deriv(ctx, zj, x)
-        sq = eval_sqrtY(ctx.band, zj)
-        dsq = _Y_deriv(ctx.band, zj) / (2.0 * sq)
-        dg = _G_deriv(ctx, zj, x)
+        # removable limit at mu_j: l'Hopital in z.  G' = sum_l P_l / norm and
+        # Y' = -sum of the edges' removed products / norm^2.  With Q_l the
+        # removed products of the divisor without mu_j, taken at mu_j, the
+        # z-derivatives there are P_l' = Q_l (l != j) and P_j' = sum_l Q_l.
+        zj, norm = complex(mu[j]), ctx.band.gap_norm
+        rates = _mu_rates(ctx, x)
+        dh = -0.5 * np.sum((np.delete(rates, j) + rates[j])
+                           * removed_products(zj, np.delete(mu, j))) / norm
+        dg = np.sum(removed_products(zj, mu)) / norm
+        dy = -np.sum(removed_products(zj, ctx.band.edge_array)) / norm ** 2
+        dsq = dy / (2.0 * eval_sqrtY(ctx.band, zj))
         return complex((dh + sgn * dsq) / dg)
     h = eval_H(ctx, pt, x)
     g = eval_G(ctx, pt, x)
     sq = eval_sqrtY(ctx.band, pt)
     return complex((h + sgn * sq) / g)
-
-
-def _Y_deriv(band: BandStructure, z: complex) -> complex:
-    e = band.edge_array
-    acc = 0.0 + 0.0j
-    for m in range(len(e)):
-        prod = 1.0 + 0.0j
-        for k in range(len(e)):
-            if k != m:
-                prod *= z - e[k]
-        acc += prod
-    return complex(-acc / band.gap_norm ** 2)
-
-
-def _G_deriv(ctx: WeylContext, z: complex, x: float) -> complex:
-    mu = ctx.trajectory.mu_at(x)
-    acc = 0.0 + 0.0j
-    for l in range(mu.size):
-        prod = 1.0 + 0.0j
-        for k in range(mu.size):
-            if k != l:
-                prod *= z - mu[k]
-        acc += prod
-    return complex(acc / ctx.band.gap_norm)
 
 
 def eval_green(ctx: WeylContext, p) -> complex:
@@ -247,45 +203,115 @@ def eval_green(ctx: WeylContext, p) -> complex:
 # psi: product representation
 # ---------------------------------------------------------------------------
 
-def _require_away_from_gaps(ctx: WeylContext, z: complex) -> None:
-    d = ctx.band.gap_distance(z)
+# Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK, 1983): one row
+# per node x >= 0 with its Kronrod and Gauss weight (0: a Kronrod-only node)
+_GK15 = np.array([
+    [0.9914553711208126, 0.022935322010529224, 0.0],
+    [0.9491079123427585, 0.06309209262997856, 0.1294849661688697],
+    [0.8648644233597691, 0.10479001032225019, 0.0],
+    [0.7415311855993945, 0.14065325971552592, 0.27970539148927664],
+    [0.5860872354676911, 0.1690047266392679, 0.0],
+    [0.4058451513773972, 0.19035057806478542, 0.3818300505051189],
+    [0.20778495500789848, 0.20443294007529889, 0.0],
+    [0.0, 0.20948214108472782, 0.4179591836734694]])
+_NODES, _WK, _WG = np.concatenate([_GK15[:-1] * [-1, 1, 1], _GK15[::-1]]).T
+
+_PANEL = 0.05          # base panel width; breakpoints at its multiples from 0
+_PANEL_TOL = 1e-13     # a panel is accepted at err <= _PANEL_TOL (|I| + width)
+_MAX_DEPTH = 16        # bisection levels below a base panel
+_MAX_LIVE = 4096       # panels one refinement level may evaluate
+
+
+def _gk15(f, a: np.ndarray, b: np.ndarray):
+    """Kronrod integral and QUADPACK error estimate of f on every [a, b],
+    from one vectorized call of f."""
+    half = 0.5 * (b - a)
+    vals = f((a + half)[:, None] + half[:, None] * _NODES)
+    kron = vals @ _WK
+    mean = 0.5 * kron[:, None]
+    resabs = half * (np.abs(vals) @ _WK)
+    resasc = half * (np.abs(vals - mean) @ _WK)
+    err = np.abs(half * (kron - vals @ _WG))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc > 0.0) & (err > 0.0),
+                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5),
+                       err)
+    return half * kron, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+
+
+def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
+                   xs: np.ndarray) -> np.ndarray:
+    """W(x) = int_0^x Y^{1/2}(z) / G(z, t) dt at every x of a sorted, unique
+    array: the panel engine behind every product-route psi.
+
+    The base panels break at the multiples of _PANEL counted from x = 0, at
+    the sigma-flip points and at every requested x.  Each panel gets a
+    Gauss-Kronrod 7/15 pair; a panel whose error estimate fails is bisected,
+    level by level, each level one vectorized ``mu_at`` call, until
+    _MAX_DEPTH levels or a level of more than _MAX_LIVE panels.  Below that
+    budget the refinement of a base panel depends on its end points only, so
+    calls that share panels share their quadrature history.  W is summed
+    outward from 0 and so is its error estimate; QuadratureFailure if that
+    estimate exceeds quad_tol (1 + |W|) at any x.
+    """
+    lo, hi = min(xs[0], 0.0), max(xs[-1], 0.0)
+    sq = eval_sqrtY(ctx.band, pt)
+    z, norm, traj = pt.z, ctx.band.gap_norm, ctx.trajectory
+    inv_g = lambda ts: sq / (np.prod(z - traj.mu_at(ts), axis=-1) / norm)
+    fill = _PANEL * np.arange(math.ceil(lo / _PANEL),
+                              math.floor(hi / _PANEL) + 1)
+    cuts = np.unique(np.concatenate([fill, traj.flip_points(), xs, [0.0]]))
+    cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+
+    vals = np.zeros(len(cuts) - 1, dtype=complex)
+    errs = np.zeros(len(cuts) - 1)
+    owner = np.arange(len(cuts) - 1)
+    a, b = cuts[:-1], cuts[1:]
+    for depth in range(_MAX_DEPTH + 1):
+        val, err = _gk15(inv_g, a, b)
+        done = err <= _PANEL_TOL * (np.abs(val) + (b - a))
+        if depth == _MAX_DEPTH or 2 * np.count_nonzero(~done) > _MAX_LIVE:
+            done[:] = True
+        np.add.at(vals, owner[done], val[done])
+        np.add.at(errs, owner[done], err[done])
+        if done.all():
+            break
+        a, b, owner = a[~done], b[~done], owner[~done]
+        mid = 0.5 * (a + b)
+        a, b, owner = (np.concatenate([a, mid]), np.concatenate([mid, b]),
+                       np.concatenate([owner, owner]))
+
+    i0 = int(np.searchsorted(cuts, 0.0))
+    outward = lambda v: np.concatenate([-np.cumsum(v[:i0][::-1])[::-1], [0.0],
+                                        np.cumsum(v[i0:])])
+    at = np.searchsorted(cuts, xs)
+    w, e = outward(vals)[at], np.abs(outward(errs))[at]
+    bad = e > ctx.quad_tol * (1.0 + np.abs(w))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureFailure(
+            "flow integral error %.3g exceeds tolerance at z = %s, x = %g"
+            % (e[i], z, xs[i]))
+    return w
+
+
+def _psi_parts(ctx: WeylContext, p, xs):
+    """(prefactor, W) at every x of xs (any order, repeats allowed), from one
+    pass of the panel engine; psi_+- = prefactor exp(+-W), exactly 1 at 0."""
+    pt = as_point(p)
+    d = ctx.band.gap_distance(pt.z)
     if d < ctx.eps_gap:
         raise TooCloseToGap(
             "z = %s is %.3g from a gap hull; the product representation "
             "needs at least eps_gap = %.3g (use the ODE route instead)"
-            % (z, d, ctx.eps_gap))
-
-
-def _flow_integral(ctx: WeylContext, pt: SpectralPoint, x: float) -> complex:
-    """int_0^x Y^{1/2}(z) / G(z, t) dt by adaptive quadrature, with
-    subdivision forced at the sigma-flip points of the trajectory."""
-    if x == 0.0:
-        return 0.0 + 0.0j
-    sq = eval_sqrtY(ctx.band, pt)
-    mu_of = ctx.trajectory.mu_at
-    norm = ctx.band.gap_norm
-    z = pt.z
-
-    def integrand(t):
-        return sq / complex(np.prod(z - mu_of(t)) / norm)
-
-    flips = ctx.trajectory.flip_points()
-    lo, hi = (0.0, x) if x > 0.0 else (x, 0.0)
-    flips = flips[(flips > lo) & (flips < hi)]
-    val, err = complex_quad(integrand, 0.0, x, points=flips,
-                            epsabs=1e-13, epsrel=1e-13)
-    if err > ctx.quad_tol * (1.0 + abs(val)):
-        raise QuadratureFailure(
-            "flow integral error %.3g exceeds tolerance at z = %s" % (err, z))
-    return val
-
-
-def _psi_prefactor(ctx: WeylContext, z: complex, x: float) -> complex:
-    mu_x = ctx.trajectory.mu_at(x)
+            % (pt.z, d, ctx.eps_gap))
+    xs = np.asarray(xs, dtype=float)
+    ux, back = np.unique(xs, return_inverse=True)
+    w = _flow_exponent(ctx, pt, ux)[back]
     mu_0 = ctx.trajectory.mu_at(0.0)
-    if mu_x.size == 0:
-        return 1.0 + 0.0j
-    return complex(np.prod(principal_sqrt((z - mu_x) / (z - mu_0))))
+    pref = np.prod(principal_sqrt((pt.z - ctx.trajectory.mu_at(xs))
+                                  / (pt.z - mu_0)), axis=-1)
+    return np.where(xs == 0.0, 1.0, pref), w
 
 
 def eval_psi_product(ctx: WeylContext, p, x: float, sign) -> complex:
@@ -295,59 +321,23 @@ def eval_psi_product(ctx: WeylContext, p, x: float, sign) -> complex:
     and QuadratureFailure if the flow integral cannot be trusted.
     """
     sgn = _check_sign(sign)
-    pt = as_point(p)
-    _require_away_from_gaps(ctx, pt.z)
-    if x == 0.0:
-        return 1.0 + 0.0j
-    w = _flow_integral(ctx, pt, x)
-    return _psi_prefactor(ctx, pt.z, x) * cmath.exp(sgn * w)
+    pref, w = _psi_parts(ctx, p, [x])
+    return complex(pref[0] * np.exp(sgn * w[0]))
 
 
-def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign,
-                order: int = 12, max_panel: float = 0.05) -> np.ndarray:
-    """psi_+- at every point of a sorted grid in one cumulative pass.
+def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign) -> np.ndarray:
+    """psi_+- at every point of a strictly increasing grid in one pass.
 
-    One set of Gauss-Legendre panels covers the whole span, so neighboring
-    grid values share their quadrature history; errors are correlated instead
-    of independent, which downstream finite differences rely on.
+    One panel partition covers the whole span, so neighboring grid values
+    share their quadrature history; errors are correlated instead of
+    independent, which downstream finite differences rely on.  Raises like
+    :func:`eval_psi_product`.
     """
     sgn = _check_sign(sign)
-    pt = as_point(p)
-    _require_away_from_gaps(ctx, pt.z)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or np.any(np.diff(xs) <= 0.0):
         raise ValueError("xs must be strictly increasing")
-    z = pt.z
-    sq = eval_sqrtY(ctx.band, pt)
-
-    lo = min(xs[0], 0.0)
-    hi = max(xs[-1], 0.0)
-    fill = np.arange(lo, hi, max_panel)
-    edges = merge_breakpoints(xs, [0.0], fill, ctx.trajectory.flip_points(),
-                              lo=lo, hi=hi, min_sep=1e-12)
-
-    norm = ctx.band.gap_norm
-    traj = ctx.trajectory
-
-    def inv_g(ts):
-        mus = traj.mu_at(ts)                      # (n, N)
-        g = np.prod(z - mus, axis=-1) / norm
-        return sq / g
-
-    panels = gauss_panels(inv_g, edges, order=order)
-    cum = np.concatenate([[0.0 + 0.0j], np.cumsum(panels)])
-    # last panel edge <= x; the dedup in merge_breakpoints may have replaced
-    # an x by a twin within min_sep, so exact membership cannot be assumed
-    idx = np.searchsorted(edges, xs, side="right") - 1
-    i0 = int(np.searchsorted(edges, 0.0, side="right")) - 1
-    w = cum[idx] - cum[i0]
-
-    mu_xs = traj.mu_at(xs)
-    mu_0 = traj.mu_at(0.0)
-    if mu_0.size:
-        pref = np.prod(principal_sqrt((z - mu_xs) / (z - mu_0)), axis=-1)
-    else:
-        pref = np.ones(len(xs), dtype=complex)
+    pref, w = _psi_parts(ctx, p, xs)
     return pref * np.exp(sgn * w)
 
 
@@ -497,7 +487,8 @@ def classify_poles(ctx: WeylContext) -> PoleClassification:
 # ---------------------------------------------------------------------------
 
 def probe_csv(ctx: WeylContext, points, xs, path) -> None:
-    """CSV sweep of psi_+-, m_+, g over points x positions."""
+    """CSV sweep of psi_+-, m_+, g over points x positions; one panel-engine
+    pass per point, rows in the order of ``xs``."""
     header = ("re_z,im_z,side,x,re_psi_plus,im_psi_plus,re_psi_minus,"
               "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g")
     with open(path, "w") as fh:
@@ -505,9 +496,10 @@ def probe_csv(ctx: WeylContext, points, xs, path) -> None:
         for pt in points:
             pt = as_point(pt)
             g = eval_green(ctx, pt)
-            for x in xs:
-                pp = eval_psi_product(ctx, pt, float(x), +1)
-                pm = eval_psi_product(ctx, pt, float(x), -1)
+            pref, w = _psi_parts(ctx, pt, [float(x) for x in xs])
+            rows = zip(xs, (pref * np.exp(w)).tolist(),
+                       (pref * np.exp(-w)).tolist())
+            for x, pp, pm in rows:
                 mp = eval_m(ctx, pt, float(x), +1)
                 row = [f17(pt.z.real), f17(pt.z.imag), pt.side.value, f17(x),
                        f17(pp.real), f17(pp.imag), f17(pm.real), f17(pm.imag),

@@ -3,8 +3,10 @@ the suite.  Session-scoped where construction is not free."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from levitan import BandStructure
+from levitan import BandStructure, eval_G, eval_sqrtY
+from levitan.spectral import as_point
 
 
 def richardson(values, ratio=2.0):
@@ -29,6 +31,20 @@ def richardson(values, ratio=2.0):
     if abs(limit.imag) == 0.0:
         limit = limit.real
     return limit, err
+
+
+def flow_integral_quad(ctx, p, x):
+    """int_0^x Y^{1/2}(z) / G(z, t) dt by scipy ``quad`` on the real and the
+    imaginary part, split at the trajectory's edge touches: a reference for
+    the package's panel engine that shares none of its quadrature."""
+    pt = as_point(p)
+    sq = eval_sqrtY(ctx.band, pt)
+    lo, hi = sorted((0.0, x))
+    cuts = [t for t in ctx.trajectory.flip_points() if lo < t < hi] or None
+    parts = [quad(lambda t: part(sq / eval_G(ctx, pt, t)), 0.0, x,
+                  points=cuts, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+             for part in (np.real, np.imag)]
+    return complex(*parts)
 
 
 def periodic_edges(n_gaps):

@@ -348,6 +348,17 @@ def test_one_gap_elliptic_oracle(one_gap_band, mu0, sigma0, tol):
         gaps = np.diff(tr.touch_points(0, edge))
         assert len(gaps) >= 10
         assert np.abs(gaps - period).max() <= 1e-9
+    # trace formula: p = E0 + E1 + E2 - 2 mu, on the grid and off it
+    ps = trace_potential(one_gap_band, tr)
+    want = 3.0 - 2.0 * elliptic_mu(tr.x_grid, mu0, sigma0)
+    assert np.abs(ps.p_values - want).max() <= 20.0 * tol
+    want = 3.0 - 2.0 * elliptic_mu(xs, mu0, sigma0)
+    assert np.abs(potential_on(one_gap_band, tr, xs) - want).max() <= 20.0 * tol
+    # every almost-period candidate is a multiple of the period
+    rep = recurrence_diagnostic(tr, tolerance=1e-6)
+    taus = np.array([t for t, _ in rep.candidates])
+    assert len(taus) >= 5
+    assert np.abs(taus - period * np.round(taus / period)).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------

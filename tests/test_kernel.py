@@ -385,13 +385,26 @@ def test_D_bounded_by_edge_bookkeeping(kgap, kn2, rng):
 
 def test_D_minus_side_via_mirror(kgap_sym, rng):
     # the flow is its own mirror image here, so D- must equal D+ at the
-    # reflected positions even though it is computed through a fresh
-    # mirrored trajectory
+    # reflected positions even though it is computed through the mirrored
+    # trajectory
     for _ in range(6):
         x, y, r, s = rng.uniform(-2.0, 2.0, 4)
         dm = eval_D(kgap_sym, x, y, r, s, "-")
         dp = eval_D(kgap_sym, -x, -y, -r, -s, "+")
         assert dm == pytest.approx(dp, abs=1e-9)
+
+
+def test_D_minus_side_is_hand_mirrored_plus_side(kn2, rng):
+    # D- equals D+ of a context mirrored by hand, at negated positions, bit
+    # for bit; the package builds its mirror once per trajectory
+    tr = kn2.trajectory
+    hand = WeylContext(kn2.band, DivisorTrajectory(
+        kn2.band, -tr.x_grid[::-1], -tr.theta[::-1], tr.dtheta[::-1]))
+    for _ in range(6):
+        x, y, r, s = rng.uniform(-2.5, 2.5, 4)
+        assert eval_D(kn2, x, y, r, s, "-") == \
+            eval_D(hand, -x, -y, -r, -s, "+")
+    assert kn2.mirrored().trajectory is kn2.mirrored().trajectory
 
 
 # ---------------------------------------------------------------------------

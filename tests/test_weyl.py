@@ -36,9 +36,11 @@ from levitan.errors import (
     QuadratureFailure,
     TooCloseToGap,
 )
+from levitan._numerics import principal_sqrt
+from levitan.spectral import as_point
 from levitan.weyl import probe_csv
 
-from conftest import periodic_edges
+from conftest import flow_integral_quad, periodic_edges
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,28 @@ def test_H_matches_finite_difference(gap2_ctx):
         assert abs(hv - fd) < 1e-7 * max(1.0, abs(hv))
 
 
+def test_H_matches_removed_factor_loop(gap2_ctx, n3_band):
+    # reference: the product rule as an explicit double loop over the
+    # divisor; only the summation order differs from the vectorized form
+    traj = integrate_dubrovin(n3_band, DirichletDivisor.midpoints(n3_band),
+                              -1.0, 1.0, 0.01, tol=1e-11)
+    n3_ctx = WeylContext(n3_band, traj)
+    for ctx in (gap2_ctx, n3_ctx):
+        for z, x in ((-0.7 + 0.3j, 0.4), (3.1 + 0.0j, -0.6), (5.0 + 2.0j, 0.9)):
+            th = ctx.trajectory.theta_at(x)
+            mu = ctx.trajectory.mu_at(x)
+            rate = ctx.band.gap_half * np.sin(th) * ctx.trajectory.dtheta_at(x)
+            acc = 0.0
+            for l in range(len(mu)):
+                prod = 1.0
+                for k in range(len(mu)):
+                    if k != l:
+                        prod *= z - mu[k]
+                acc += rate[l] * prod
+            want = -0.5 * acc / ctx.band.gap_norm
+            assert abs(eval_H(ctx, z, x) - want) <= 1e-14 * abs(want)
+
+
 def test_H_vanishes_for_edge_start(edge_ctx):
     # mu(0) sits on an edge, so mu'(0) = 0 and H(., 0) is identically zero
     for z in (-1.0, 0.5 + 0.5j, 3.0):
@@ -212,6 +236,23 @@ def test_m_pole_and_removable_limit(gap1_ctx):
     val = eval_m(gap1_ctx, 1.5, 0.0, -1)
     near = eval_m(gap1_ctx, 1.5 + 2e-6, 0.0, -1)
     assert abs(val - near) < 1e-4 * abs(val)
+
+
+def test_m_removable_limit_two_gaps(gap2_ctx):
+    # with two divisor points, H'(mu_j) takes the removed products of the
+    # other one; the symmetric average of nearby values cancels the flow
+    # residual's 1/delta term and leaves O(delta^2)
+    for x in (0.0, 0.35, -0.8):
+        mu = gap2_ctx.trajectory.mu_at(x)
+        sg = gap2_ctx.trajectory.sigma_at(x)
+        for j in range(2):
+            lo, hi = gap2_ctx.band.gaps[j]
+            d = 1e-3 * min(mu[j] - lo, hi - mu[j])
+            sgn = -int(sg[j])
+            val = eval_m(gap2_ctx, complex(mu[j]), x, sgn)
+            near = 0.5 * (eval_m(gap2_ctx, mu[j] + d, x, sgn)
+                          + eval_m(gap2_ctx, mu[j] - d, x, sgn))
+            assert abs(val - near) < 1e-6 * max(1.0, abs(val))
 
 
 def test_m_edge_divisor_rejects_both_signs(edge_ctx):
@@ -290,14 +331,47 @@ def test_psi_on_grid_matches_pointwise(free_ctx, gap1_ctx, gap2_ctx):
     vals = psi_on_grid(free_ctx, z, xs, +1)
     want = np.exp(1j * cmath.sqrt(z) * xs)
     assert np.max(np.abs(vals - want) / np.abs(want)) < 1e-12
-    # gap cases against the per-point product representation
+    # gap cases: the grid and the one-point entry against a scipy-quad
+    # reference for the flow integral
     for ctx, z in ((gap1_ctx, -1.0), (gap1_ctx, SpectralPoint.upper(0.45)),
                    (gap2_ctx, 2.6 + 0.3j)):
         for sgn in (+1, -1):
             vals = psi_on_grid(ctx, z, xs, sgn)
             for i in (0, 11, 40, 57, 80):
-                ref = eval_psi_product(ctx, z, float(xs[i]), sgn)
+                ref = psi_quad(ctx, z, float(xs[i]), sgn)
                 assert abs(vals[i] - ref) < 1e-9 * abs(ref)
+                point = eval_psi_product(ctx, z, float(xs[i]), sgn)
+                assert abs(point - ref) < 1e-9 * abs(ref)
+
+
+def psi_quad(ctx, p, x, sign):
+    """psi_+- from the square-root prefactor and the scipy-quad flow
+    integral of conftest."""
+    z = as_point(p).z
+    mu_x, mu_0 = ctx.trajectory.mu_at(x), ctx.trajectory.mu_at(0.0)
+    pref = np.prod(principal_sqrt((z - mu_x) / (z - mu_0)))
+    return pref * cmath.exp(sign * flow_integral_quad(ctx, p, x))
+
+
+def test_psi_on_grid_quad_guard(gap1_ctx):
+    xs = np.linspace(0.0, 2.0, 11)
+    strict = WeylContext(gap1_ctx.band, gap1_ctx.trajectory, quad_tol=1e-16)
+    with pytest.raises(QuadratureFailure):
+        psi_on_grid(strict, -1.0, xs, +1)
+    assert np.all(np.isfinite(psi_on_grid(gap1_ctx, -1.0, xs, +1)))
+
+
+def test_psi_product_near_gap_bisects(gap1_ctx):
+    # at distance 0.01 from the gap the integrand peaks each time mu passes
+    # Re z; the base panels alone fail quad_tol there (QuadratureFailure),
+    # so the agreement with the reference needs the engine's bisection
+    z = 1.5 + 0.01j
+    for x in (0.7, -1.3):
+        ref = psi_quad(gap1_ctx, z, x, +1)
+        got = eval_psi_product(gap1_ctx, z, x, +1)
+        assert abs(got - ref) < 1e-9 * abs(ref)
+        grid = psi_on_grid(gap1_ctx, z, np.array(sorted((0.0, x))), +1)
+        assert abs(grid[0 if x < 0 else 1] - ref) < 1e-9 * abs(ref)
 
 
 def test_psi_decay_envelope(gap1_ctx):
@@ -488,3 +562,19 @@ def test_probe_csv(tmp_path, gap1_ctx):
     # values round-trip through the 17-digit format
     val = eval_psi_product(gap1_ctx, points[0], -0.5, +1)
     assert float(row[4]) == val.real
+
+
+def test_probe_csv_keeps_row_order(tmp_path, gap1_ctx):
+    # one engine pass per point serves unsorted and repeated x values in the
+    # order given
+    path = tmp_path / "probes.csv"
+    xs = [1.0, -0.5, 1.0, 0.0]
+    probe_csv(gap1_ctx, [-1.0 + 0.5j], xs, path)
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+    assert [float(r[3]) for r in rows] == xs
+    assert rows[0] == rows[2]
+    for r, x in zip(rows, xs):
+        for col, sgn in ((4, +1), (6, -1)):
+            want = eval_psi_product(gap1_ctx, -1.0 + 0.5j, x, sgn)
+            got = complex(float(r[col]), float(r[col + 1]))
+            assert abs(got - want) < 1e-12 * abs(want)
