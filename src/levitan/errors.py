@@ -81,7 +81,7 @@ class ExtrapolationFailure(LevitanError):
 class NoConvergence(LevitanError):
     """Fixed-point iteration failed to contract below tolerance.
 
-    Carries the per-sweep sup-norm deltas in ``deltas`` for post-mortem use.
+    Carries each step's sup-norm delta in ``deltas`` for post-mortem use.
     """
 
     def __init__(self, message, deltas=None):

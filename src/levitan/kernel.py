@@ -31,10 +31,10 @@ sign is the limit phase of the oscillating exponential of psi_+ as z
 approaches the edge through the adjacent band, up to a constant unimodular
 factor that cancels in f_+.  It needs transversal touches, which the flow
 guarantees (Omega > 0); a trajectory whose angle is not strictly increasing
-is refused with ExtrapolationFailure.  The factorized form turns every
-fourfold kernel evaluation in the solver into products of per-edge arrays
-(rank-(2N+1) structure), all filled by one pass over the divisor before the
-sweeps and only read afterwards.
+is refused with ExtrapolationFailure.  The factorized form lets the solver
+build each lattice row's factors from slices of one (edges, positions)
+amplitude array, filled by one pass over the divisor, so no factor over the
+whole lattice is ever stored.
 
 The - side is never solved directly: all minus-side objects come from the
 mirror substitution x -> -x applied to trajectory and perturbation, under
@@ -55,7 +55,6 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import RectBivariateSpline
 
-from ._numerics import f17
 from .errors import (
     ExtrapolationFailure,
     MomentViolation,
@@ -361,20 +360,17 @@ class KernelGrid:
         return self._k_plus(x, y)
 
     def to_csv(self, path) -> None:
-        """Upper-triangular rows x,y,K over the native lattice."""
-        pos = self.positions
-        m = self.half_width
+        """Upper-triangular rows x,y,K over the native lattice, ordered by x
+        and then y; every float through %.17g, as f17 writes it."""
+        # row (i, c) of triu_indices is the lattice pair x = pos[i],
+        # y = pos[2c - i], where K = H[c, c - i]
+        i, c = np.triu_indices(self.half_width + 1)
+        pos = -self.positions if self.side == "-" else self.positions
+        rows = np.column_stack([pos[i], pos[2 * c - i], self.values[c, c - i]])
         with open(path, "w") as fh:
             fh.write("x,y,K\n")
-            for i in range(m + 1):
-                for j in range(i, 2 * m - i + 1, 2):
-                    mm, ll = (i + j) // 2, (j - i) // 2
-                    if self.side == "-":
-                        fh.write("%s,%s,%s\n" % (f17(-pos[i]), f17(-pos[j]),
-                                                 f17(self.values[mm, ll])))
-                    else:
-                        fh.write("%s,%s,%s\n" % (f17(pos[i]), f17(pos[j]),
-                                                 f17(self.values[mm, ll])))
+            fh.writelines("%.17g,%.17g,%.17g\n" % tuple(row)
+                          for row in rows.tolist())
 
     def metadata(self) -> dict:
         return {"iterations": self.iterations,
@@ -415,16 +411,29 @@ def _rev_cumtrapz(a: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
 def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
                  grid_params: GridParams, tol: float = 1e-9,
                  max_iter: int = 50) -> KernelGrid:
-    """Solve the kernel equation by deterministic full-grid sweeps.
+    """Solve the kernel equation by one march over the rows, from X down.
 
     In rotated coordinates the equation reads
 
         H(u, v) = -2 int_u^X q(t) D(u-v, t, t, u+v) dt
                   -4 int_u^X da int_0^v db q(a-b) D(u-v, a-b, a+b, u+v) H(a, b)
 
-    and the separable structure of D reduces both integrals to per-edge
-    cumulative trapezoid passes.  Each iterate is computed entirely from the
-    previous one (Jacobi sweeps), so iteration order never affects values.
+    discretized by the trapezoid rule in b along each row and the reverse
+    trapezoid rule in a over the rows.  With D factorized over the edges
+    (real amplitudes, c_k = -1/4 / prod_{m != k} (E_k - E_m)),
+
+        H(u, v) = -2 sum_k c_k a_k(u-v) a_k(u+v) (phi_k(u) + 2 W_k(u, v)),
+
+    where phi_k(u) = int_u^X q a_k^2 and W_k is the double integral of
+    q(a-b) a_k(a-b) a_k(a+b) H(a, b).  Row u needs only the rows a >= u,
+    which enter W_k through one running (edges, M+1) sum, so the rows are
+    solved in turn from u = X (where H = 0) down to u = x0, each as one
+    vectorized update over all edges.  A row enters its own W_k with the
+    trapezoid's end weight; that implicit part is solved by a fixed point
+    started from the row above, stopped once the row moves less than
+    ``tol``.  ``iterations`` and ``final_delta`` are the largest step count
+    and last change over the rows; a row still moving after ``max_iter``
+    steps raises NoConvergence with its delta history.
     """
     if _check_sign(sign) < 0:
         grid = solve_kernel(ctx.mirrored(), perturbation.mirrored(), "+",
@@ -454,55 +463,48 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
             "[%g, %g]" % (traj.x_min, traj.x_max, lo_need, hi_need))
 
     qt = np.asarray(perturbation(pos), dtype=float)
-    n_edges = len(ctx.band.edges)
-    amps = _amplitudes(ctx, range(n_edges), pos)
-    cks = -0.25 / _edge_denominators(ctx.band)
+    # sign times modulus: the amplitudes are real, so is every factor below
+    amps = _amplitudes(ctx, range(len(ctx.band.edges)), pos).real
+    denoms = _edge_denominators(ctx.band)
+    c2 = (0.5 / denoms)[:, None]        # -2 c_k
+    phi = _rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
+                        axis=1)
 
-    mi = np.arange(m_steps + 1)[:, None]
-    li = np.arange(m_steps + 1)[None, :]
-    tri = (li <= mi)
-    idx_m = np.clip(mi - li, 0, None)
-    idx_p = mi + li
+    values = np.zeros((m_steps + 1, m_steps + 1))
+    # 2 W_k on the current row, less the row's own term
+    run = np.zeros((len(amps), m_steps + 1))
+    row = np.zeros(m_steps + 1)
+    most, worst = 0, 0.0
+    for m in range(m_steps, -1, -1):
+        outer = amps[:, m::-1] * amps[:, m:2 * m + 1]
+        inner = (h * qt[m::-1]) * outer
+        outer *= c2
+        drive = np.einsum("kl,kl->l", outer, phi[:, m:m + 1] + run[:, :m + 1])
+        outer *= h
+        row = row[:m + 1]
+        deltas = []
+        while True:
+            # trapezoid in b from 0 to each l along the row
+            w = inner * row
+            w = w.cumsum(axis=1) - 0.5 * (w + w[:, :1])
+            if deltas and deltas[-1] < tol:
+                break
+            if len(deltas) == max_iter:
+                raise NoConvergence(
+                    "kernel row u = %g did not contract below %g in %d "
+                    "steps" % (pos[m], tol, max_iter), deltas=deltas)
+            new = drive + np.einsum("kl,kl->l", outer, w)
+            deltas.append(float(abs(new - row).max()))
+            row = new
+        values[m, :m + 1] = row
+        run[:, :m + 1] += (2.0 * h) * w
+        most, worst = max(most, len(deltas)), max(worst, deltas[-1])
 
-    # first term and the sweep-constant factor arrays
-    f_term = np.zeros((m_steps + 1, m_steps + 1))
-    outer = []
-    inner = []
-    for k in range(n_edges):
-        a = amps[k]
-        phi_k = _rev_cumtrapz(qt[:m_steps + 1] * np.abs(a[:m_steps + 1]) ** 2, h)
-        o_k = a[idx_m] * np.conj(a)[idx_p]
-        outer.append(o_k)
-        inner.append(qt[idx_m] * np.conj(a)[idx_m] * a[idx_p])
-        f_term += (-2.0 * cks[k]) * (o_k * phi_k[:, None]).real
-    f_term *= tri
-
-    h_cur = np.zeros_like(f_term)
-    deltas = []
-    converged = False
-    for _ in range(max_iter):
-        acc = np.zeros((m_steps + 1, m_steps + 1), dtype=complex)
-        for k in range(n_edges):
-            w = inner[k] * h_cur
-            w = cumulative_trapezoid(w, dx=h, axis=1, initial=0.0)
-            w = _rev_cumtrapz(w, h, axis=0)
-            acc += cks[k] * outer[k] * w
-        h_new = (f_term - 4.0 * acc.real) * tri
-        delta = float(np.max(np.abs(h_new - h_cur)))
-        deltas.append(delta)
-        h_cur = h_new
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            "kernel iteration did not contract below %g in %d sweeps"
-            % (tol, max_iter), deltas=deltas)
-
-    c_const = float(np.sum(np.abs(cks) *
-                           np.array([np.max(np.abs(a)) ** 4 for a in amps])))
-    return KernelGrid(x0=x0, h=h, half_width=m_steps, values=h_cur,
-                      iterations=len(deltas), final_delta=deltas[-1],
+    # scalar pow per edge: numpy's vectorized pow can differ in the last bit
+    c_const = float(np.sum(0.25 / np.abs(denoms) * np.array(
+        [a ** 4 for a in np.max(np.abs(amps), axis=1).tolist()])))
+    return KernelGrid(x0=x0, h=h, half_width=m_steps, values=values,
+                      iterations=most, final_delta=worst,
                       x_max=x_max, c_const=c_const, side="+")
 
 
@@ -562,7 +564,8 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
     mi = np.arange(m + 1)[:, None]
     li = np.arange(m + 1)[None, :]
     tri = li <= mi
-    x_lat = pos[np.clip(mi - li, 0, None)]
+    ix = np.clip(mi - li, 0, None)
+    x_lat = pos[ix]
     y_lat = pos[mi + li]
     bound = 2.0 * c * np.exp(4.0 * c * tail_q(x_lat)) * q_plus(x_lat + y_lat)
     kabs = np.abs(grid.values)
@@ -571,14 +574,15 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
                    float(kabs[i, j]), float(bound[i, j]))
                   for i, j in zip(*np.nonzero(bad))]
 
-    # L2 row bound: int |K(x, .)|^2 dy <= C(x)^2 Q(2x) int 2(s - x)|q| ds
-    for i in range(m + 1):
-        row = np.array([grid.values[(i + j) // 2, (j - i) // 2]
-                        for j in range(i, 2 * m - i + 1, 2)])
-        lhs = float(np.trapezoid(row ** 2, dx=2.0 * h)) if len(row) > 1 else 0.0
-        rhs = float(c_of_x[i] ** 2 * q_plus(2.0 * pos[i]) * tail_q(pos[i]))
-        if lhs > rhs + 1e-12:
-            violations.append(("L2", float(pos[i]), lhs, rhs))
+    # L2 row bound: int |K(x, .)|^2 dy <= C(x)^2 Q(2x) int 2(s - x)|q| ds.
+    # Row i of K is the diagonal H[i + l, l] (l = 0..m-i), i.e. the lattice
+    # points with ix == i; its trapezoid sum in y (step 2h) is the plain sum
+    # less half of the two ends H[i, 0] and H[m, m - i].
+    sums = np.bincount(ix[tri], weights=kabs[tri] ** 2, minlength=m + 1)
+    lhs = 2.0 * h * (sums - 0.5 * (kabs[:, 0] ** 2 + kabs[m, ::-1] ** 2))
+    rhs = c_of_x ** 2 * q_plus(2.0 * xs) * tail_q(xs)
+    violations += [("L2", float(xs[i]), float(lhs[i]), float(rhs[i]))
+                   for i in np.nonzero(lhs > rhs + 1e-12)[0]]
 
     # derivative bound constant (observed, not asserted); centered
     # differences on interior lattice points that stay inside the triangle

@@ -92,10 +92,6 @@ class WeylContext:
             object.__setattr__(self, "eps_gap",
                                1e-3 * width if math.isfinite(width) else 0.0)
 
-    @property
-    def branch_sign(self) -> int:
-        return self.band.branch_sign
-
     def mirrored(self) -> "WeylContext":
         return WeylContext(self.band, self.trajectory.mirrored(),
                            eps_gap=self.eps_gap, ode_tol=self.ode_tol,
@@ -443,9 +439,6 @@ class PoleClassification:
 
     tags: tuple
 
-    def __iter__(self):
-        return iter(self.tags)
-
 
 _EDGE_REL = 1e-12
 _AMBIGUOUS_TOL = 1e-5
@@ -456,9 +449,11 @@ def classify_poles(ctx: WeylContext) -> PoleClassification:
 
     Interior mu_j: the sign whose numerator H +- Y^{1/2} survives keeps the
     pole.  On an honest trajectory H(mu_j, 0) = sigma_j Y^{1/2}(mu_j), so the
-    tag follows sigma_j; the comparison is still made numerically, and if
-    both numerators are tiny while mu_j is nominally interior the divisor
-    data is inconsistent -> AmbiguousPole.
+    tag follows sigma_j and the other numerator vanishes; the comparison is
+    still made numerically, and if neither numerator is below 1e-5
+    |Y^{1/2}(mu_j)| the divisor data is inconsistent -> AmbiguousPole.  The
+    scale is |Y^{1/2}(mu_j)| itself, which shrinks as gaps are added, so the
+    test does not depend on the gap count.
     """
     tags = []
     mu = ctx.trajectory.mu_at(0.0)
@@ -473,11 +468,12 @@ def classify_poles(ctx: WeylContext) -> PoleClassification:
         sq = eval_sqrtY(ctx.band, zj)
         a = abs(h + sq)   # numerator of m+
         b = abs(h - sq)   # numerator of m-
-        scale = max(1.0, abs(sq))
-        if max(a, b) < _AMBIGUOUS_TOL * scale:
+        scale = abs(sq)
+        if min(a, b) >= _AMBIGUOUS_TOL * scale:
             raise AmbiguousPole(
-                "both Weyl numerators vanish at mu_%d = %g (|H+Y|=%.2g, "
-                "|H-Y|=%.2g); divisor data degenerate" % (j + 1, mu[j], a, b))
+                "neither Weyl numerator vanishes at mu_%d = %g (|H+Y|=%.2g, "
+                "|H-Y|=%.2g, |Y^1/2|=%.2g); divisor data degenerate"
+                % (j + 1, mu[j], a, b, scale))
         tags.append(PoleTag.M_PLUS if a > b else PoleTag.M_MINUS)
     return PoleClassification(tuple(tags))
 

@@ -3,9 +3,10 @@ the suite.  Session-scoped where construction is not free."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from levitan import BandStructure, eval_G, eval_sqrtY
+from levitan.kernel import _amplitudes, _edge_denominators, tail_cutoff
 from levitan.spectral import as_point
 
 
@@ -45,6 +46,59 @@ def flow_integral_quad(ctx, p, x):
                   points=cuts, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
              for part in (np.real, np.imag)]
     return complex(*parts)
+
+
+def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
+    """H on the rotated lattice by full-lattice Jacobi sweeps: a reference
+    for ``solve_kernel``'s row march with the same discretization (trapezoid
+    in b along each row, reverse trapezoid in a over the rows) but the
+    opposite solution order.  Every sweep computes the whole lattice from the
+    previous iterate, using two stored (M+1)^2 factor arrays per edge."""
+    def rev_cumtrapz(a, axis=0):
+        acc = cumulative_trapezoid(np.flip(a, axis=axis), dx=h, axis=axis,
+                                   initial=0.0)
+        return np.flip(acc, axis=axis)
+
+    x0, h = grid_params.x0, grid_params.h
+    x_max = grid_params.x_max
+    if x_max is None:
+        x_max = tail_cutoff(perturbation, x0, h, grid_params.tail_eps)
+    m_steps = max(1, round((x_max - x0) / h))
+    pos = x0 + h * np.arange(2 * m_steps + 1)
+    qt = np.asarray(perturbation(pos), dtype=float)
+    n_edges = len(ctx.band.edges)
+    amps = _amplitudes(ctx, range(n_edges), pos)
+    cks = -0.25 / _edge_denominators(ctx.band)
+
+    mi = np.arange(m_steps + 1)[:, None]
+    li = np.arange(m_steps + 1)[None, :]
+    tri = li <= mi
+    idx_m = np.clip(mi - li, 0, None)
+    idx_p = mi + li
+    f_term = np.zeros((m_steps + 1, m_steps + 1))
+    outer, inner = [], []
+    for k in range(n_edges):
+        a = amps[k]
+        phi_k = rev_cumtrapz(qt[:m_steps + 1] * np.abs(a[:m_steps + 1]) ** 2)
+        o_k = a[idx_m] * np.conj(a)[idx_p]
+        outer.append(o_k)
+        inner.append(qt[idx_m] * np.conj(a)[idx_m] * a[idx_p])
+        f_term += (-2.0 * cks[k]) * (o_k * phi_k[:, None]).real
+    f_term *= tri
+
+    h_cur = np.zeros_like(f_term)
+    for _ in range(max_iter):
+        acc = np.zeros(f_term.shape, dtype=complex)
+        for k in range(n_edges):
+            w = cumulative_trapezoid(inner[k] * h_cur, dx=h, axis=1,
+                                     initial=0.0)
+            acc += cks[k] * outer[k] * rev_cumtrapz(w, axis=0)
+        h_new = (f_term - 4.0 * acc.real) * tri
+        delta = float(np.max(np.abs(h_new - h_cur)))
+        h_cur = h_new
+        if delta < tol:
+            return h_cur
+    raise AssertionError("Jacobi sweeps did not converge")
 
 
 def periodic_edges(n_gaps):

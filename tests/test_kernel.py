@@ -3,13 +3,14 @@ Volterra solve, decay bounds, and the two independent Jost routes."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import periodic_edges, richardson
+from conftest import jacobi_kernel, periodic_edges, richardson
 from levitan import cli
 from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
 from levitan.errors import ExtrapolationFailure, MomentViolation, NoConvergence
@@ -28,7 +29,7 @@ from levitan.kernel import (
 )
 from levitan.cli import generate_fixture
 from levitan.spectral import BandStructure, SpectralPoint
-from levitan.weyl import WeylContext, eval_G, eval_psi_product, psi_on_grid
+from levitan.weyl import WeylContext, eval_G, eval_psi_product
 
 
 BUMP = PerturbationProfile.gaussian_bump(0.2, 0.0, 0.8)
@@ -494,6 +495,72 @@ def test_csv_and_metadata_roundtrip(kgap, tmp_path):
     assert csv.read_bytes() == csv2.read_bytes()
 
 
+@pytest.fixture(scope="module", params=[("one_gap", 0), ("periodic_like", 4),
+                                        ("periodic_like", 10)],
+                ids=["one_gap", "periodic_like-4", "periodic_like-10"])
+def kpipeline(request, tmp_path_factory):
+    kind, n = request.param
+    cfg, st, ctx = _flow_context(kind, n, 0, tmp_path_factory.mktemp("flow"))
+    return cfg, st["pert"], ctx
+
+
+def test_row_march_matches_jacobi_reference(kpipeline):
+    # same discretization, opposite solution order: the march must land on
+    # the Jacobi sweeps' fixed point within the stopping tolerance
+    cfg, pert, ctx = kpipeline
+    tol = 1e-9
+    for h in (0.05, 0.025):
+        params = GridParams(cfg.x0, h, None, 1e-12)
+        grid = solve_kernel(ctx, pert, "+", params, tol=tol)
+        ref = jacobi_kernel(ctx, pert, params, tol)
+        assert grid.values.shape == ref.shape
+        assert np.max(np.abs(grid.values - ref)) <= 10.0 * tol
+        assert grid.final_delta < tol
+        assert grid.iterations >= 2
+
+
+def test_solve_memory_is_quadratic_in_lattice(tmp_path):
+    # no per-edge factor over the whole lattice: periodic_like n=10 at
+    # h = 0.025 (21 edges, M = 181) holds one (M+1)^2 array plus per-row work
+    cfg, st, ctx = _flow_context("periodic_like", 10, 0, tmp_path)
+    pert = st["pert"]
+    params = GridParams(cfg.x0, 0.025, None, 1e-12)
+    solve_kernel(ctx, pert, "+", params)     # trajectory caches built
+    tracemalloc.start()
+    try:
+        grid = solve_kernel(ctx, pert, "+", params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.half_width > 150
+    assert peak < 3e6
+
+
+def _kernel_csv_per_value(grid, path):
+    """The per-value writer: every float through f17, row by row."""
+    from levitan._numerics import f17
+    pos = grid.positions
+    m = grid.half_width
+    sgn = -1.0 if grid.side == "-" else 1.0
+    with open(path, "w") as fh:
+        fh.write("x,y,K\n")
+        for i in range(m + 1):
+            for j in range(i, 2 * m - i + 1, 2):
+                fh.write("%s,%s,%s\n" % (
+                    f17(sgn * pos[i]), f17(sgn * pos[j]),
+                    f17(grid.values[(i + j) // 2, (j - i) // 2])))
+
+
+def test_kernel_csv_matches_per_value_writer(kgap, tmp_path):
+    for side in ("+", "-"):
+        grid = solve_kernel(kgap, BUMP_NARROW, side,
+                            GridParams(x0=-1.0, h=0.1), tol=1e-10)
+        grid.to_csv(tmp_path / "fast.csv")
+        _kernel_csv_per_value(grid, tmp_path / "slow.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "slow.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # decay bounds
 # ---------------------------------------------------------------------------
@@ -516,6 +583,24 @@ def test_bound_check_catches_inflated_kernel(kgap):
     grid.values = grid.values * 50.0
     report = kernel_bound_check(kgap, grid, BUMP)
     assert len(report.violations) > 0
+
+
+def test_bound_l2_rows_match_row_loop(kgap):
+    # the L2 left side of each reported row against the per-row trapezoid
+    # of K(x, .)^2 over y, gathered point by point
+    grid = solve_kernel(kgap, BUMP, "+", GridParams(x0=-1.5, h=0.05),
+                        tol=1e-11)
+    grid.values = grid.values * 50.0
+    rows = [v for v in kernel_bound_check(kgap, grid, BUMP).violations
+            if v[0] == "L2"]
+    assert rows
+    m = grid.half_width
+    for _, x, lhs, _ in rows:
+        i = int(round((x - grid.x0) / grid.h))
+        row = np.array([grid.values[(i + j) // 2, (j - i) // 2]
+                        for j in range(i, 2 * m - i + 1, 2)])
+        assert lhs == pytest.approx(np.trapezoid(row ** 2, dx=2.0 * grid.h),
+                                    rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

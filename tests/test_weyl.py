@@ -471,6 +471,23 @@ def test_classify_edge_and_empty(free_ctx, edge_ctx):
     assert classify_poles(edge_ctx).tags == (PoleTag.EDGE_MHAT,)
 
 
+def test_classify_scale_free_many_gaps():
+    # gaps at j^2 with half widths 0.2 j^-6: |Y^{1/2}(mu_j)| falls to ~1e-6,
+    # below any absolute floor, while the vanishing numerator is ~1e-21
+    n = 15
+    edges = [0.0]
+    for j in range(1, n + 1):
+        edges += [j * j - 0.2 * j ** -6.0, j * j + 0.2 * j ** -6.0]
+    band = BandStructure(tuple(edges))
+    sigma = [1 if j % 2 == 0 else -1 for j in range(n)]
+    div = DirichletDivisor(tuple((float(band.gap_mid[j]), sigma[j])
+                                 for j in range(n)))
+    traj = integrate_dubrovin(band, div, -0.5, 0.5, 0.01)
+    tags = classify_poles(WeylContext(band, traj)).tags
+    assert tags == tuple(PoleTag.M_PLUS if s > 0 else PoleTag.M_MINUS
+                         for s in sigma)
+
+
 def test_classify_degenerate_divisor_raises():
     # a frozen divisor a hair inside the gap: both numerators H +- Y^{1/2}
     # are tiny although mu is nominally interior -> inconsistent data
