@@ -1,11 +1,12 @@
 """Small shared numerical helpers: the round-trip float format, branch-safe
-square roots and the removed-factor products of a root list.  The one
-quadrature of the package, the panel engine behind psi, lives in
-:mod:`levitan.weyl`."""
+square roots, the removed-factor products of a root list and the reverse
+cumulative trapezoid.  The one quadrature of the package, the panel engine
+behind psi, lives in :mod:`levitan.weyl`."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 
 def f17(x) -> str:
@@ -38,3 +39,10 @@ def removed_products(z, roots) -> np.ndarray:
     d = np.broadcast_to(z - np.asarray(roots), (len(roots), len(roots))).copy()
     np.fill_diagonal(d, 1.0)
     return np.prod(d, axis=1)
+
+
+def rev_cumtrapz(a: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    """int_t^end of a by the trapezoid rule at every node t along ``axis``."""
+    acc = cumulative_trapezoid(np.flip(a, axis=axis), dx=dx, axis=axis,
+                               initial=0.0)
+    return np.flip(acc, axis=axis)

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from ._numerics import f17
+from ._numerics import f17, rev_cumtrapz
 from ._threads import apply_thread_budget as _apply_thread_budget
 from .errors import LevitanError, MissingArtifact
 from .spectral import (
@@ -389,10 +388,10 @@ def _stage_flow(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
 
 def _stage_potential(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     ps = trace_potential(st["band"], st["traj"])
+    rows = np.column_stack([ps.x_grid, ps.p_values]).tolist()
     with open(out / "potential.csv", "w") as fh:
         fh.write("x,p\n")
-        for x, p in zip(ps.x_grid, ps.p_values):
-            fh.write("%s,%s\n" % (f17(x), f17(p)))
+        fh.writelines("%.17g,%.17g\n" % tuple(row) for row in rows)
     excess = max(float(np.max(ps.p_values - ps.p_upper)),
                  float(np.max(ps.p_lower - ps.p_values)))
     checks["potential_bounds"] = _check(excess, 1e-9)
@@ -436,13 +435,9 @@ def _stage_kernel(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     checks["kernel_bound_monotone"] = _check(
         0.0 if report.c_of_x_monotone else 1.0, 0.0)
 
-    pos = grid.positions
-    qv = np.asarray(pert(pos), dtype=float)
-    half_tail = 0.5 * np.flip(cumulative_trapezoid(
-        np.flip(qv), dx=grid.h, initial=0.0))
-    m = grid.half_width
-    diag = grid.values[np.arange(m + 1), 0]
-    diag_err = float(np.max(np.abs(diag - half_tail[: m + 1])))
+    qv = np.asarray(pert(grid.positions), dtype=float)
+    half_tail = 0.5 * rev_cumtrapz(qv, grid.h)[:grid.half_width + 1]
+    diag_err = float(np.max(np.abs(grid.values[:, 0] - half_tail)))
     budget = grid.h ** 2 * max(1.0, float(np.max(np.abs(qv))))
     checks["kernel_diagonal"] = _check(diag_err, budget)
     checks["kernel_max_abs"] = _check(float(np.max(np.abs(grid.values))),
@@ -458,10 +453,13 @@ def _stage_jost(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
             if i:
                 fh.write("\n\n")  # double blank line: next gnuplot index
             xs, vals = jost_profile(ctx, grid, pt)
-            for x, v in zip(xs, vals):
-                fh.write(",".join([f17(pt.z.real), f17(pt.z.imag),
-                                   pt.side.value, f17(x), f17(v.real),
-                                   f17(v.imag), f17(abs(v))]) + "\n")
+            fmt = "%.17g,%.17g,%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % (
+                pt.z.real, pt.z.imag, pt.side.value)
+            # hypot, as abs() of each value: np.abs of a complex array can
+            # differ from it in the last bit
+            rows = np.column_stack([xs, vals.real, vals.imag,
+                                    np.hypot(vals.real, vals.imag)])
+            fh.writelines(fmt % tuple(row) for row in rows.tolist())
 
     m = grid.half_width
     x_sel = (float(grid.positions[0]), float(grid.positions[m // 2]))

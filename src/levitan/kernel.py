@@ -55,6 +55,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import RectBivariateSpline
 
+from ._numerics import rev_cumtrapz
 from .errors import (
     ExtrapolationFailure,
     MomentViolation,
@@ -310,6 +311,10 @@ class KernelGrid:
     u = x0 + m h (m = 0..M), v = l h (l = 0..m); ``values[m, l]`` stores H,
     ``half_width`` is M.  K(x, y) is nonzero only for x <= y <= 2 x_max - x
     (and the mirror image of that statement on the - side).
+
+    ``triangle`` maps the stored triangle back to K: index pairs (i, l),
+    ordered by x and then y, with K(x_i, x_{i+2l}) = H[i+l, l] for
+    x_i = positions[i] (i = 0..M, l = 0..M-i): row i of K, step 2h in y.
     """
 
     x0: float
@@ -327,29 +332,31 @@ class KernelGrid:
         return self.x0 + self.h * np.arange(2 * self.half_width + 1)
 
     @cached_property
+    def triangle(self) -> tuple:
+        i, c = np.triu_indices(self.half_width + 1)
+        return i, c - i
+
+    @cached_property
     def _interp(self):
         # Bicubic between lattice nodes: off-lattice evaluation must stay
         # twice differentiable or finite-difference checks of phi would see
         # interpolation kinks instead of the equation's residual.
         if self.half_width < 3:
             return None
-        u = self.x0 + self.h * np.arange(self.half_width + 1)
         v = self.h * np.arange(self.half_width + 1)
-        return RectBivariateSpline(u, v, self.values, kx=3, ky=3, s=0)
+        return RectBivariateSpline(self.positions[:len(v)], v, self.values,
+                                   kx=3, ky=3, s=0)
 
     def _k_plus(self, x: float, y: float) -> float:
-        if y < x - 1e-12:
-            return 0.0
         u = (x + y) * 0.5
         v = (y - x) * 0.5
-        m = self.half_width
         iu = (u - self.x0) / self.h
         iv = v / self.h
-        if iu > m + 1e-9 or iu < -1e-9 or iv < -1e-9:
+        m = self.half_width
+        if y < x - 1e-12 or iv < -1e-9 or not -1e-9 <= iu <= m + 1e-9:
             return 0.0
-        if (abs(iu - round(iu)) < 1e-9 and abs(iv - round(iv)) < 1e-9):
-            return float(self.values[int(round(iu)), int(round(iv))])
-        if self._interp is None:
+        if self._interp is None or (abs(iu - round(iu)) < 1e-9
+                                    and abs(iv - round(iv)) < 1e-9):
             return float(self.values[int(round(iu)), int(round(iv))])
         return float(self._interp.ev(u, max(v, 0.0)))
 
@@ -362,11 +369,9 @@ class KernelGrid:
     def to_csv(self, path) -> None:
         """Upper-triangular rows x,y,K over the native lattice, ordered by x
         and then y; every float through %.17g, as f17 writes it."""
-        # row (i, c) of triu_indices is the lattice pair x = pos[i],
-        # y = pos[2c - i], where K = H[c, c - i]
-        i, c = np.triu_indices(self.half_width + 1)
+        i, l = self.triangle
         pos = -self.positions if self.side == "-" else self.positions
-        rows = np.column_stack([pos[i], pos[2 * c - i], self.values[c, c - i]])
+        rows = np.column_stack([pos[i], pos[i + 2 * l], self.values[i + l, l]])
         with open(path, "w") as fh:
             fh.write("x,y,K\n")
             fh.writelines("%.17g,%.17g,%.17g\n" % tuple(row)
@@ -391,21 +396,12 @@ def tail_cutoff(perturbation: PerturbationProfile, x0: float, h: float,
     hi = max(perturbation.support[1], x0 + h)
     grid = np.arange(x0, hi + h, 0.5 * h)
     vals = np.abs(perturbation(grid))
-    tail = np.concatenate([
-        cumulative_trapezoid(vals[::-1], dx=0.5 * h, initial=0.0)[::-1]])
-    total = tail[0]
-    if total == 0.0:
+    tail = rev_cumtrapz(vals, 0.5 * h)
+    if tail[0] == 0.0:
         return x0 + 4 * h
-    thresh = tail_eps * total
-    idx = int(np.argmax(tail < thresh))
+    idx = int(np.argmax(tail < tail_eps * tail[0]))
     k = max(1, math.ceil((grid[idx] - x0) / h - 1e-9))
     return x0 + k * h
-
-
-def _rev_cumtrapz(a: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    flipped = np.flip(a, axis=axis)
-    acc = cumulative_trapezoid(flipped, dx=dx, axis=axis, initial=0.0)
-    return np.flip(acc, axis=axis)
 
 
 def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
@@ -467,8 +463,8 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
     amps = _amplitudes(ctx, range(len(ctx.band.edges)), pos).real
     denoms = _edge_denominators(ctx.band)
     c2 = (0.5 / denoms)[:, None]        # -2 c_k
-    phi = _rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
-                        axis=1)
+    phi = rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
+                       axis=1)
 
     values = np.zeros((m_steps + 1, m_steps + 1))
     # 2 W_k on the current row, less the row's own term
@@ -517,8 +513,9 @@ class KernelBoundReport:
     """Decay-bound audit of a solved kernel.
 
     ``violations`` lists every lattice point where |K(x,y)| exceeds
-    C(x) Q(x+y), plus any failing L2 row bound (tagged tuples); empty on a
-    passing run.  ``c1_fitted`` is the observed constant of the derivative
+    C(x) Q(x+y) as ("pointwise", x, y, |K|, bound), ordered by x and then y,
+    then every failing L2 row as ("L2", x, lhs, rhs), ordered by x; empty on
+    a passing run.  ``c1_fitted`` is the observed constant of the derivative
     bound (reported, never asserted: the true constant is existential).
     """
 
@@ -532,83 +529,72 @@ class KernelBoundReport:
 
 def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
                        perturbation: PerturbationProfile) -> KernelBoundReport:
+    """Audit a solved kernel against the decay estimates of the
+    transformation operator (Marchenko 1986, ch. 1), with c = grid.c_const,
+    Q(w) = int_{w/2}^inf |q| and C(x) = 2c exp(4c int_x^inf 2(s - x)|q| ds):
+
+    - |K(x, y)| <= C(x) Q(x + y) at every stored lattice point;
+    - int |K(x, .)|^2 dy <= C(x)^2 Q(2x) int_x^inf 2(s - x)|q| ds by rows;
+    - ``c1_fitted``, the least c1 with max(|K_x|, |K_y|) <= c1 (|q(u)| +
+      Q(2u)), u = (x + y)/2, at interior nodes: observed, never asserted.
+
+    Every point a bound needs is a node of the tail grid (x = x_i and
+    u = x_{i+l} on the triangle), so the bounds come from two node vectors,
+    int_t^inf |q| and int_t^inf s|q|, without interpolation.
+    """
     if grid.side == "-":
         perturbation = perturbation.mirrored()
 
-    h = grid.h
-    m = grid.half_width
-    pos = grid.positions
+    h, m, pos = grid.h, grid.half_width, grid.positions
     # Tail integrals at the solver's own trapezoid resolution and node
     # alignment, so that discretization error cancels between |K| and the
     # bound instead of producing spurious far-tail violations.
     n_tail = max(2 * m, math.ceil((perturbation.support[1] - pos[0]) / h)) + 1
     tgrid = pos[0] + h * np.arange(n_tail + 1)
     aq = np.abs(perturbation(tgrid))
-    r1 = _rev_cumtrapz(aq, h)                 # int_t^inf |q|
-    r2 = _rev_cumtrapz(tgrid * aq, h)         # int_t^inf s |q|
-
-    def q_plus(w):
-        return np.interp(0.5 * np.asarray(w, dtype=float), tgrid, r1,
-                         left=r1[0], right=0.0)
-
-    def tail_q(x):
-        x = np.asarray(x, dtype=float)
-        a = np.interp(x, tgrid, r1, left=r1[0], right=0.0)
-        b = np.interp(x, tgrid, r2, left=r2[0], right=0.0)
-        return 2.0 * (b - x * a)
+    r1 = rev_cumtrapz(aq, h)[:m + 1]              # int_t^inf |q| = Q(2t)
+    r2 = rev_cumtrapz(tgrid * aq, h)[:m + 1]      # int_t^inf s |q|
 
     c = grid.c_const
     xs = pos[:m + 1]
-    c_of_x = 2.0 * c * np.exp(4.0 * c * tail_q(xs))
+    tail = 2.0 * (r2 - xs * r1)
+    c_of_x = 2.0 * c * np.exp(4.0 * c * tail)
 
-    mi = np.arange(m + 1)[:, None]
-    li = np.arange(m + 1)[None, :]
-    tri = li <= mi
-    ix = np.clip(mi - li, 0, None)
-    x_lat = pos[ix]
-    y_lat = pos[mi + li]
-    bound = 2.0 * c * np.exp(4.0 * c * tail_q(x_lat)) * q_plus(x_lat + y_lat)
-    kabs = np.abs(grid.values)
-    bad = tri & (kabs > bound + 1e-12)
-    violations = [("pointwise", float(x_lat[i, j]), float(y_lat[i, j]),
-                   float(kabs[i, j]), float(bound[i, j]))
-                  for i, j in zip(*np.nonzero(bad))]
+    i, l = grid.triangle
+    u = i + l
+    kabs = np.abs(grid.values[u, l])
+    bound = c_of_x[i] * r1[u]
+    bad = np.nonzero(kabs > bound + 1e-12)[0]
+    ib, ub = i[bad], u[bad]
+    violations = [("pointwise",) + row for row in zip(
+        pos[ib].tolist(), pos[2 * ub - ib].tolist(), kabs[bad].tolist(),
+        bound[bad].tolist())]
 
-    # L2 row bound: int |K(x, .)|^2 dy <= C(x)^2 Q(2x) int 2(s - x)|q| ds.
-    # Row i of K is the diagonal H[i + l, l] (l = 0..m-i), i.e. the lattice
-    # points with ix == i; its trapezoid sum in y (step 2h) is the plain sum
-    # less half of the two ends H[i, 0] and H[m, m - i].
-    sums = np.bincount(ix[tri], weights=kabs[tri] ** 2, minlength=m + 1)
-    lhs = 2.0 * h * (sums - 0.5 * (kabs[:, 0] ** 2 + kabs[m, ::-1] ** 2))
-    rhs = c_of_x ** 2 * q_plus(2.0 * xs) * tail_q(xs)
-    violations += [("L2", float(xs[i]), float(lhs[i]), float(rhs[i]))
-                   for i in np.nonzero(lhs > rhs + 1e-12)[0]]
+    # the trapezoid in y (step 2h) over row i: its plain sum less half of
+    # the two ends H[i, 0] and H[m, m - i]
+    ends = grid.values[:, 0] ** 2 + grid.values[m, ::-1] ** 2
+    sums = np.bincount(i, weights=kabs ** 2, minlength=m + 1)
+    lhs = 2.0 * h * (sums - 0.5 * ends)
+    rhs = c_of_x ** 2 * r1 * tail
+    violations += [("L2", float(xs[j]), float(lhs[j]), float(rhs[j]))
+                   for j in np.nonzero(lhs > rhs + 1e-12)[0]]
 
-    # derivative bound constant (observed, not asserted); centered
-    # differences on interior lattice points that stay inside the triangle
-    c1_fit = 0.0
-    if m >= 3:
-        vv = grid.values
-        hu = (vv[2:, 1:-1] - vv[:-2, 1:-1]) / (2.0 * h)
-        hv = (vv[1:-1, 2:] - vv[1:-1, :-2]) / (2.0 * h)
-        dx_k = 0.5 * (hu - hv)
-        dy_k = 0.5 * (hu + hv)
-        ii = np.arange(1, m)[:, None]
-        jj = np.arange(1, m)[None, :]
-        x_in = pos[np.clip(ii - jj, 0, None)]
-        y_in = pos[ii + jj]
-        rhs = (np.abs(perturbation(0.5 * (x_in + y_in)))
-               + q_plus(x_in + y_in))
-        ok = (jj <= ii - 2) & (rhs > 1e-14)
-        if np.any(ok):
-            c1_fit = float(np.max(np.maximum(np.abs(dx_k), np.abs(dy_k))[ok]
-                                  / rhs[ok]))
+    # centered differences at the interior nodes (v > 0, x >= x0 + 2h,
+    # u < X), where max(|K_x|, |K_y|) = (|H_u| + |H_v|) / 2
+    inner = (l >= 1) & (i >= 2) & (u < m)
+    ui, li = u[inner], l[inner]
+    vv = grid.values
+    dh = (np.abs(vv[ui + 1, li] - vv[ui - 1, li])
+          + np.abs(vv[ui, li + 1] - vv[ui, li - 1]))
+    floor = (aq[:m + 1] + r1)[ui]
+    ok = floor > 1e-14
+    c1_fit = float(np.max(dh[ok] / floor[ok], initial=0.0)) / (4.0 * h)
 
     mono = bool(np.all(np.diff(c_of_x) <= 1e-12 * max(1.0, c_of_x[0])))
-    q_samples = np.column_stack([2.0 * xs, q_plus(2.0 * xs)])
     return KernelBoundReport(c_const=c, c_of_x=np.column_stack([xs, c_of_x]),
-                             q_plus=q_samples, violations=violations,
-                             c1_fitted=c1_fit, c_of_x_monotone=mono)
+                             q_plus=np.column_stack([2.0 * xs, r1]),
+                             violations=violations, c1_fitted=c1_fit,
+                             c_of_x_monotone=mono)
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +603,17 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
 
 def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
                      sign) -> complex:
-    """phi via the transformation operator: psi plus the K-smeared tail."""
+    """phi via the transformation operator: psi plus the K-smeared tail;
+    x must not lie beyond the lattice's anchor x0 (-x0 on the - side)."""
     sgn = _check_sign(sign)
+    if grid.side != ("+" if sgn > 0 else "-"):
+        raise ValueError("grid was solved for the %s side" % grid.side)
+    if sgn * x < grid.x0 - 1e-9 * grid.h:
+        lo, hi = sorted((sgn * grid.x0, sgn * grid.x_max))
+        raise ValueError("x = %g is %s of the kernel lattice [%g, %g]"
+                         % (x, "left" if sgn > 0 else "right", lo, hi))
     if sgn < 0:
-        if grid.side != "-":
-            raise ValueError("grid was solved for the + side")
-        return _jost_plus_from_grid(ctx.mirrored(), grid, p, -x)
-    if grid.side != "+":
-        raise ValueError("grid was solved for the - side")
-    return _jost_plus_from_grid(ctx, grid, p, x)
-
-
-def _jost_plus_from_grid(ctx: WeylContext, grid: KernelGrid, p,
-                         x: float) -> complex:
+        ctx, x = ctx.mirrored(), -x
     h = grid.h
     n = int(math.floor((grid.x_max - x) / h + 1e-9))
     if n <= 0:
@@ -656,23 +640,19 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     shared across rows, so the profile costs one quadrature pass instead of
     one per point.
     """
+    pos, m = grid.positions, grid.half_width
+    psi = psi_on_grid(ctx.mirrored() if grid.side == "-" else ctx, p, pos, +1)
+    # the trapezoid in s (step 2h) over row i of the triangle: its plain
+    # sum less half of the two ends K(x_i, x_i) and K(x_i, x_{2m-i})
+    i, l = grid.triangle
+    w = grid.values[i + l, l] * psi[i + 2 * l]
+    sums = (np.bincount(i, weights=w.real, minlength=m + 1)
+            + 1j * np.bincount(i, weights=w.imag, minlength=m + 1))
+    ends = grid.values[:, 0] * psi[:m + 1] + grid.values[m, ::-1] * psi[m:][::-1]
+    phi = psi[:m + 1] + 2.0 * grid.h * (sums - 0.5 * ends)
     if grid.side == "-":
-        xs, vals = _jost_profile_plus(ctx.mirrored(), grid, p)
-        return -xs[::-1], vals[::-1]
-    return _jost_profile_plus(ctx, grid, p)
-
-
-def _jost_profile_plus(ctx: WeylContext, grid: KernelGrid, p):
-    pos = grid.positions
-    m = grid.half_width
-    psi = psi_on_grid(ctx, p, pos, +1)
-    phi = np.empty(m + 1, dtype=complex)
-    h2 = 2.0 * grid.h
-    for i in range(m + 1):
-        js = np.arange(m - i + 1)
-        row = grid.values[i + js, js]
-        phi[i] = psi[i] + np.trapezoid(row * psi[i + 2 * js], dx=h2)
-    return pos[: m + 1].copy(), phi
+        return -pos[m::-1], phi[::-1]
+    return pos[:m + 1].copy(), phi
 
 
 def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float,
@@ -708,8 +688,8 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     converged = False
     for _ in range(max_iter):
         if sgn > 0:
-            i1 = _rev_cumtrapz(psi_p * qv * phi, h)
-            i2 = _rev_cumtrapz(psi_m * qv * phi, h)
+            i1 = rev_cumtrapz(psi_p * qv * phi, h)
+            i2 = rev_cumtrapz(psi_m * qv * phi, h)
             phi_new = psi_p - g * (psi_m * i1 - psi_p * i2)
         else:
             i1 = cumulative_trapezoid(psi_p * qv * phi, dx=h, initial=0.0)

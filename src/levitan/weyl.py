@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._numerics import f17, principal_sqrt, removed_products
+from ._numerics import principal_sqrt, removed_products
 from .dubrovin import DivisorTrajectory, potential_on
 from .errors import (
     AmbiguousPole,
@@ -485,19 +485,17 @@ def classify_poles(ctx: WeylContext) -> PoleClassification:
 def probe_csv(ctx: WeylContext, points, xs, path) -> None:
     """CSV sweep of psi_+-, m_+, g over points x positions; one panel-engine
     pass per point, rows in the order of ``xs``."""
-    header = ("re_z,im_z,side,x,re_psi_plus,im_psi_plus,re_psi_minus,"
-              "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g")
+    xs = np.asarray(xs, dtype=float)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for pt in points:
-            pt = as_point(pt)
+        fh.write("re_z,im_z,side,x,re_psi_plus,im_psi_plus,re_psi_minus,"
+                 "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g\n")
+        for pt in map(as_point, points):
             g = eval_green(ctx, pt)
-            pref, w = _psi_parts(ctx, pt, [float(x) for x in xs])
-            rows = zip(xs, (pref * np.exp(w)).tolist(),
-                       (pref * np.exp(-w)).tolist())
-            for x, pp, pm in rows:
-                mp = eval_m(ctx, pt, float(x), +1)
-                row = [f17(pt.z.real), f17(pt.z.imag), pt.side.value, f17(x),
-                       f17(pp.real), f17(pp.imag), f17(pm.real), f17(pm.imag),
-                       f17(mp.real), f17(mp.imag), f17(g.real), f17(g.imag)]
-                fh.write(",".join(row) + "\n")
+            pref, w = _psi_parts(ctx, pt, xs)
+            mp = [eval_m(ctx, pt, x, +1) for x in xs.tolist()]
+            # psi_+, psi_- and m_+, each viewed as its (re, im) column pair
+            vals = np.column_stack([pref * np.exp(w), pref * np.exp(-w), mp])
+            fmt = ("%.17g,%.17g,%s," % (pt.z.real, pt.z.imag, pt.side.value)
+                   + "%.17g," * 7 + "%.17g,%.17g\n" % (g.real, g.imag))
+            rows = np.column_stack([xs, vals.view(float)]).tolist()
+            fh.writelines(fmt % tuple(row) for row in rows)

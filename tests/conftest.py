@@ -1,13 +1,22 @@
 """Shared fixtures: band structures and divisor trajectories reused across
 the suite.  Session-scoped where construction is not free."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
 from levitan import BandStructure, eval_G, eval_sqrtY
-from levitan.kernel import _amplitudes, _edge_denominators, tail_cutoff
+from levitan._numerics import rev_cumtrapz
+from levitan.kernel import (
+    KernelBoundReport,
+    _amplitudes,
+    _edge_denominators,
+    tail_cutoff,
+)
 from levitan.spectral import as_point
+from levitan.weyl import psi_on_grid
 
 
 def richardson(values, ratio=2.0):
@@ -54,11 +63,6 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     in b along each row, reverse trapezoid in a over the rows) but the
     opposite solution order.  Every sweep computes the whole lattice from the
     previous iterate, using two stored (M+1)^2 factor arrays per edge."""
-    def rev_cumtrapz(a, axis=0):
-        acc = cumulative_trapezoid(np.flip(a, axis=axis), dx=h, axis=axis,
-                                   initial=0.0)
-        return np.flip(acc, axis=axis)
-
     x0, h = grid_params.x0, grid_params.h
     x_max = grid_params.x_max
     if x_max is None:
@@ -79,7 +83,7 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     outer, inner = [], []
     for k in range(n_edges):
         a = amps[k]
-        phi_k = rev_cumtrapz(qt[:m_steps + 1] * np.abs(a[:m_steps + 1]) ** 2)
+        phi_k = rev_cumtrapz(qt[:m_steps + 1] * np.abs(a[:m_steps + 1]) ** 2, h)
         o_k = a[idx_m] * np.conj(a)[idx_p]
         outer.append(o_k)
         inner.append(qt[idx_m] * np.conj(a)[idx_m] * a[idx_p])
@@ -92,13 +96,103 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
         for k in range(n_edges):
             w = cumulative_trapezoid(inner[k] * h_cur, dx=h, axis=1,
                                      initial=0.0)
-            acc += cks[k] * outer[k] * rev_cumtrapz(w, axis=0)
+            acc += cks[k] * outer[k] * rev_cumtrapz(w, h)
         h_new = (f_term - 4.0 * acc.real) * tri
         delta = float(np.max(np.abs(h_new - h_cur)))
         h_cur = h_new
         if delta < tol:
             return h_cur
     raise AssertionError("Jacobi sweeps did not converge")
+
+
+def lattice_bound_check(grid, perturbation):
+    """``kernel_bound_check`` in lattice form: a reference that builds the
+    (M+1)^2 x and y lattices of the rotated grid and interpolates the tail
+    integrals at every lattice point.  Its pointwise violations are ordered
+    by u = (x + y)/2 and then v = (y - x)/2."""
+    if grid.side == "-":
+        perturbation = perturbation.mirrored()
+
+    h = grid.h
+    m = grid.half_width
+    pos = grid.positions
+    n_tail = max(2 * m, math.ceil((perturbation.support[1] - pos[0]) / h)) + 1
+    tgrid = pos[0] + h * np.arange(n_tail + 1)
+    aq = np.abs(perturbation(tgrid))
+    r1 = rev_cumtrapz(aq, h)
+    r2 = rev_cumtrapz(tgrid * aq, h)
+
+    def q_plus(w):
+        return np.interp(0.5 * np.asarray(w, dtype=float), tgrid, r1,
+                         left=r1[0], right=0.0)
+
+    def tail_q(x):
+        x = np.asarray(x, dtype=float)
+        a = np.interp(x, tgrid, r1, left=r1[0], right=0.0)
+        b = np.interp(x, tgrid, r2, left=r2[0], right=0.0)
+        return 2.0 * (b - x * a)
+
+    c = grid.c_const
+    xs = pos[:m + 1]
+    c_of_x = 2.0 * c * np.exp(4.0 * c * tail_q(xs))
+
+    mi = np.arange(m + 1)[:, None]
+    li = np.arange(m + 1)[None, :]
+    tri = li <= mi
+    ix = np.clip(mi - li, 0, None)
+    x_lat = pos[ix]
+    y_lat = pos[mi + li]
+    bound = 2.0 * c * np.exp(4.0 * c * tail_q(x_lat)) * q_plus(x_lat + y_lat)
+    kabs = np.abs(grid.values)
+    bad = tri & (kabs > bound + 1e-12)
+    violations = [("pointwise", float(x_lat[i, j]), float(y_lat[i, j]),
+                   float(kabs[i, j]), float(bound[i, j]))
+                  for i, j in zip(*np.nonzero(bad))]
+
+    sums = np.bincount(ix[tri], weights=kabs[tri] ** 2, minlength=m + 1)
+    lhs = 2.0 * h * (sums - 0.5 * (kabs[:, 0] ** 2 + kabs[m, ::-1] ** 2))
+    rhs = c_of_x ** 2 * q_plus(2.0 * xs) * tail_q(xs)
+    violations += [("L2", float(xs[i]), float(lhs[i]), float(rhs[i]))
+                   for i in np.nonzero(lhs > rhs + 1e-12)[0]]
+
+    c1_fit = 0.0
+    if m >= 3:
+        vv = grid.values
+        hu = (vv[2:, 1:-1] - vv[:-2, 1:-1]) / (2.0 * h)
+        hv = (vv[1:-1, 2:] - vv[1:-1, :-2]) / (2.0 * h)
+        dx_k = 0.5 * (hu - hv)
+        dy_k = 0.5 * (hu + hv)
+        ii = np.arange(1, m)[:, None]
+        jj = np.arange(1, m)[None, :]
+        x_in = pos[np.clip(ii - jj, 0, None)]
+        y_in = pos[ii + jj]
+        rhs = (np.abs(perturbation(0.5 * (x_in + y_in)))
+               + q_plus(x_in + y_in))
+        ok = (jj <= ii - 2) & (rhs > 1e-14)
+        if np.any(ok):
+            c1_fit = float(np.max(np.maximum(np.abs(dx_k), np.abs(dy_k))[ok]
+                                  / rhs[ok]))
+
+    mono = bool(np.all(np.diff(c_of_x) <= 1e-12 * max(1.0, c_of_x[0])))
+    q_samples = np.column_stack([2.0 * xs, q_plus(2.0 * xs)])
+    return KernelBoundReport(c_const=c, c_of_x=np.column_stack([xs, c_of_x]),
+                             q_plus=q_samples, violations=violations,
+                             c1_fitted=c1_fit, c_of_x_monotone=mono)
+
+
+def jost_profile_rows(ctx, grid, p):
+    """``jost_profile`` on a + grid by one ``np.trapezoid`` per row of K: a
+    reference for the profile's single row sum over the triangle."""
+    pos = grid.positions
+    m = grid.half_width
+    psi = psi_on_grid(ctx, p, pos, +1)
+    phi = np.empty(m + 1, dtype=complex)
+    h2 = 2.0 * grid.h
+    for i in range(m + 1):
+        js = np.arange(m - i + 1)
+        row = grid.values[i + js, js]
+        phi[i] = psi[i] + np.trapezoid(row * psi[i + 2 * js], dx=h2)
+    return pos[: m + 1].copy(), phi
 
 
 def periodic_edges(n_gaps):

@@ -143,6 +143,34 @@ def test_pipeline_byte_determinism(one_gap_run, tmp_path):
             (out / name).read_bytes(), name
 
 
+def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
+    # both writers format whole arrays at once; the per-value writers below
+    # put every float through f17, one value at a time
+    from levitan._numerics import f17
+    from levitan.cli import _STAGE_FNS
+    from levitan.kernel import jost_profile
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path))
+    st = {}
+    for stage in ("validate", "flow", "potential", "weyl", "kernel", "jost"):
+        _STAGE_FNS[stage](cfg, st, {}, tmp_path)
+    assert len(st["zpts"]) > 1
+
+    ps = st["potential"]
+    lines = ["x,p\n"] + ["%s,%s\n" % (f17(x), f17(p))
+                         for x, p in zip(ps.x_grid, ps.p_values)]
+    assert (tmp_path / "potential.csv").read_text() == "".join(lines)
+
+    lines = ["re_z,im_z,side,x,re_phi,im_phi,abs_phi\n"]
+    for i, pt in enumerate(st["zpts"]):
+        if i:
+            lines.append("\n\n")
+        xs, vals = jost_profile(st["ctx"], st["grid"], pt)
+        lines += [",".join([f17(pt.z.real), f17(pt.z.imag), pt.side.value,
+                            f17(x), f17(v.real), f17(v.imag), f17(abs(v))])
+                  + "\n" for x, v in zip(xs, vals)]
+    assert (tmp_path / "jost.csv").read_text() == "".join(lines)
+
+
 def test_random_divisor_draw_is_seeded(tmp_path):
     base = RunConfig(edges=(0.0, 1.0, 2.0), divisor=None,
                      x_probes=(0.0,), seed=3)

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import jacobi_kernel, periodic_edges, richardson
+from conftest import (
+    jacobi_kernel,
+    jost_profile_rows,
+    lattice_bound_check,
+    periodic_edges,
+    richardson,
+)
 from levitan import cli
 from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
 from levitan.errors import ExtrapolationFailure, MomentViolation, NoConvergence
@@ -21,6 +27,7 @@ from levitan.kernel import (
     eval_D,
     jost_direct,
     jost_from_kernel,
+    jost_profile,
     kernel_bound_check,
     moment_check,
     residue_f_plus,
@@ -603,6 +610,57 @@ def test_bound_l2_rows_match_row_loop(kgap):
                                     rel=1e-12)
 
 
+def _violation_table(violations):
+    # pointwise rows keyed by (x, y), L2 rows by x
+    return {v[:-2]: v[-2:] for v in violations}
+
+
+def test_bound_check_matches_lattice_reference(kpipeline):
+    # the node-vector check against the lattice form, on solved and on
+    # 50x-inflated kernels: the same violations (compared as sets: the
+    # lattice form orders them by u, the check by x and then y), the same
+    # C(x) and Q samples bit for bit
+    cfg, pert, ctx = kpipeline
+    for h in (0.05, 0.025):
+        grid = solve_kernel(ctx, pert, "+", GridParams(cfg.x0, h, None, 1e-12))
+        for scale in (1.0, 50.0):
+            grid.values = grid.values * scale
+            report = kernel_bound_check(ctx, grid, pert)
+            ref = lattice_bound_check(grid, pert)
+            assert np.array_equal(report.c_of_x, ref.c_of_x)
+            assert np.array_equal(report.q_plus, ref.q_plus)
+            assert report.c_of_x_monotone == ref.c_of_x_monotone
+            assert report.c1_fitted == pytest.approx(ref.c1_fitted, rel=1e-13)
+            assert len(report.violations) == len(ref.violations)
+            got = _violation_table(report.violations)
+            want = _violation_table(ref.violations)
+            assert got.keys() == want.keys()
+            for key, vals in want.items():
+                assert got[key] == pytest.approx(vals, rel=1e-13)
+            points = [v[1:3] for v in report.violations if v[0] == "pointwise"]
+            assert points == sorted(points)
+            assert (len(ref.violations) > 0) == (scale > 1.0)
+
+
+def test_bound_check_memory_stays_below_lattice(tmp_path):
+    # one_gap at h = 0.0125 (M = 458), where the lattice form of the check
+    # peaks at 25.8 MB in its (M+1)^2 temporaries
+    cfg, st, ctx = _flow_context("one_gap", 0, 0, tmp_path)
+    pert = st["pert"]
+    grid = solve_kernel(ctx, pert, "+", GridParams(cfg.x0, 0.0125, None, 1e-12))
+    kernel_bound_check(ctx, grid, pert)         # first-call costs
+    grid = replace(grid)                        # a fresh triangle map
+    tracemalloc.start()
+    try:
+        report = kernel_bound_check(ctx, grid, pert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.half_width > 450
+    assert report.violations == []
+    assert peak < 13e6
+
+
 # ---------------------------------------------------------------------------
 # Jost solutions, two routes
 # ---------------------------------------------------------------------------
@@ -641,6 +699,37 @@ def test_jost_minus_side(kgap):
         assert abs(a - b) <= 5e-3 * max(1.0, abs(b))
     with pytest.raises(ValueError):
         jost_from_kernel(kgap, grid, z, 0.0, "+")
+
+
+def test_jost_profile_matches_row_reference(kgap):
+    z = SpectralPoint(-0.5 + 0.8j)
+    for side in ("+", "-"):
+        grid = solve_kernel(kgap, BUMP_NARROW, side,
+                            GridParams(x0=-1.5, h=0.05), tol=1e-10)
+        xs, vals = jost_profile(kgap, grid, z)
+        if side == "+":
+            ref_xs, ref = jost_profile_rows(kgap, grid, z)
+        else:
+            ref_xs, ref = jost_profile_rows(kgap.mirrored(), grid, z)
+            ref_xs, ref = -ref_xs[::-1], ref[::-1]
+        assert np.array_equal(xs, ref_xs)
+        assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_jost_from_kernel_refuses_points_left_of_lattice(kgap):
+    z = SpectralPoint(-1.0 + 0.0j)
+    grid = solve_kernel(kgap, BUMP_NARROW, "+", GridParams(x0=-1.5, h=0.05),
+                        tol=1e-10)
+    assert np.isfinite(jost_from_kernel(kgap, grid, z, -1.5, "+"))
+    for x in (-1.53, -1.55, -1.99):
+        with pytest.raises(ValueError, match="left of the kernel lattice"):
+            jost_from_kernel(kgap, grid, z, x, "+")
+    grid = solve_kernel(kgap, BUMP_NARROW, "-", GridParams(x0=-1.5, h=0.05),
+                        tol=1e-10)
+    assert np.isfinite(jost_from_kernel(kgap, grid, z, 1.5, "-"))
+    for x in (1.53, 1.55, 1.99):
+        with pytest.raises(ValueError, match="right of the kernel lattice"):
+            jost_from_kernel(kgap, grid, z, x, "-")
 
 
 def test_jost_equals_psi_beyond_support(kgap):

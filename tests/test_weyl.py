@@ -595,3 +595,27 @@ def test_probe_csv_keeps_row_order(tmp_path, gap1_ctx):
             want = eval_psi_product(gap1_ctx, -1.0 + 0.5j, x, sgn)
             got = complex(float(r[col]), float(r[col + 1]))
             assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_probe_csv_matches_per_value_writer(tmp_path, gap1_ctx):
+    # the writer formats each point's rows at once; this one puts every
+    # float through f17, one value at a time
+    from levitan._numerics import f17
+    from levitan.weyl import _psi_parts, eval_m
+    points = [SpectralPoint.upper(0.45), SpectralPoint.lower(0.45),
+              -1.0 + 0.5j]
+    xs = [1.0, -0.5, 1.0, 0, 0.25]
+    probe_csv(gap1_ctx, points, xs, tmp_path / "fast.csv")
+    lines = [("re_z,im_z,side,x,re_psi_plus,im_psi_plus,re_psi_minus,"
+              "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g\n")]
+    for pt in map(as_point, points):
+        g = eval_green(gap1_ctx, pt)
+        pref, w = _psi_parts(gap1_ctx, pt, [float(x) for x in xs])
+        for x, pp, pm in zip(xs, (pref * np.exp(w)).tolist(),
+                             (pref * np.exp(-w)).tolist()):
+            mp = eval_m(gap1_ctx, pt, float(x), +1)
+            row = [f17(pt.z.real), f17(pt.z.imag), pt.side.value, f17(x),
+                   f17(pp.real), f17(pp.imag), f17(pm.real), f17(pm.imag),
+                   f17(mp.real), f17(mp.imag), f17(g.real), f17(g.imag)]
+            lines.append(",".join(row) + "\n")
+    assert (tmp_path / "fast.csv").read_text() == "".join(lines)
