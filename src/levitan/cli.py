@@ -140,20 +140,31 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base: Path | None = None) -> "RunConfig":
+        """Parse a config document; raises ValueError naming the key path of
+        any key this schema does not know (the perturbation's own keys
+        excepted), so a typo fails instead of running on a default."""
+        _known_keys(doc, "", ("band", "divisor", "perturbation", "grid",
+                              "flow", "probes", "out_dir", "seed"))
         band = doc["band"]
         if isinstance(band, str):
             path = Path(band)
             if base is not None and not path.is_absolute():
                 path = base / path
             band = json.loads(path.read_text())
+        _known_keys(band, "band.", ("edges", "l", "C", "alpha"))
         div = doc.get("divisor", "random")
         if div == "random":
             divisor = None
         else:
             divisor = tuple((float(m), int(s)) for m, s in div["entries"])
         grid = doc.get("grid", {})
+        _known_keys(grid, "grid.", ("h", "x0", "x_max", "tol", "max_iter"))
         flow = doc.get("flow", {})
+        _known_keys(flow, "flow.", ("step", "tol"))
         probes = doc.get("probes", {})
+        _known_keys(probes, "probes.", ("z", "x"))
+        for i, p in enumerate(probes.get("z", ())):
+            _known_keys(p, "probes.z[%d]." % i, ("re", "im", "side"))
         zp = tuple((float(p["re"]), float(p.get("im", 0.0)),
                     str(p.get("side", "off_axis")))
                    for p in probes.get("z", ()))
@@ -185,6 +196,14 @@ class RunConfig:
     def write(self, path) -> None:
         Path(path).write_text(
             json.dumps(self.to_json_dict(), indent=1, sort_keys=True) + "\n")
+
+
+def _known_keys(doc: dict, where: str, known: tuple) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError("unknown config key%s %s" % (
+            "s" if len(unknown) > 1 else "",
+            ", ".join(repr(where + k) for k in unknown)))
 
 
 def _build_perturbation(params: dict) -> PerturbationProfile:

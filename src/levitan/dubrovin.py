@@ -18,6 +18,15 @@ construction.  The sheet sign is derived, never stored: sigma_j = +1 exactly
 when sin(theta_j) > 0, with the right-limit convention at touch points
 (theta at an even multiple of pi, i.e. the lower edge, flips to +1; at an odd
 multiple, the upper edge, to -1).
+
+The flow is integrated on Chebyshev-Picard panels (Clenshaw & Norton,
+Comput. J. 6, 1963).  On a panel [a, a + L] the angles are sampled at the
+49 Chebyshev-Lobatto nodes, and each Picard sweep evaluates Omega once on
+all of them and integrates it spectrally, theta <- theta(a) + int_a^x
+Omega(theta).  Sweeps stop once they change theta by at most the panel
+target; the panel is accepted when the trailing Chebyshev coefficients of
+Omega, times L, are below the same target, and is halved otherwise.  Node
+values reach the output grid by barycentric interpolation.
 """
 
 from __future__ import annotations
@@ -28,11 +37,18 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateGap, StepTooLarge, WindowTooShort
+from ._numerics import barycentric_matrix, cheb_lobatto
+from .errors import (
+    DegenerateGap,
+    NoConvergence,
+    QuadratureFailure,
+    StepTooLarge,
+    WindowTooShort,
+)
 from .spectral import BandStructure
 
 __all__ = [
@@ -47,10 +63,24 @@ __all__ = [
 ]
 
 _DEGENERATE_WIDTH = 1e-12
-# integrator tolerance = flow tolerance / _TOL_SAFETY, never below the
-# floor under which scipy's error control stops being meaningful
+# panel target = flow tolerance / _TOL_SAFETY, never below the floor under
+# which sweep changes and series tails are rounding noise
 _TOL_SAFETY = 100.0
 _TOL_FLOOR = 100.0 * np.finfo(float).eps
+# Chebyshev-Picard panels: _PANEL_DEGREE + 1 Lobatto nodes on panels of at
+# most _PANEL_LENGTH, halved down to _PANEL_FLOOR; at most _MAX_SWEEPS
+# Picard sweeps per attempt; _TAIL trailing coefficients tested; warm
+# starts from the previous panel's series truncated to _WARM_DEGREE (a
+# longer series only amplifies its rounding noise beyond the panel)
+_PANEL_DEGREE = 48
+_PANEL_LENGTH = 1.0
+_PANEL_FLOOR = 1e-6
+_MAX_SWEEPS = 40
+_TAIL = 3
+_WARM_DEGREE = 8
+_S, _COEF, _INTEG = cheb_lobatto(_PANEL_DEGREE)
+# node values of a panel -> node values of its first half
+_BISECT = barycentric_matrix(0.5 * (_S - 1.0), _S)
 
 
 @dataclass(frozen=True)
@@ -327,6 +357,67 @@ class DivisorTrajectory:
         return self._mirror
 
 
+def _flow_panels(band: BandStructure, theta0: np.ndarray, x_end: float,
+                 target: float) -> list:
+    """Chebyshev-Picard panels of the angle flow from theta0 at x = 0 to
+    ``x_end``.
+
+    Returns ``(a, span, theta_nodes)`` per accepted panel, in order of
+    integration; ``span`` carries the direction of ``x_end``.  The first
+    panel's sweeps start from theta0 throughout, each later one's from the
+    previous panel's extrapolation, and a halved one's from its first
+    half's interpolant.  Raises NoConvergence (sweeps) or
+    QuadratureFailure (tail) once a panel would be halved below
+    _PANEL_FLOOR.
+    """
+    direction = math.copysign(1.0, x_end)
+    a, length, theta_a = 0.0, _PANEL_LENGTH, theta0
+    guess = np.broadcast_to(theta0, (len(_S), len(theta0)))
+    panels = []
+    while direction * (x_end - a) > 0.0:
+        last = abs(x_end - a) <= length
+        span = (x_end - a) if last else direction * length
+        if guess is None:
+            _, prev_span, prev = panels[-1]
+            guess = _extrapolate(prev, 1.0 + (_S + 1.0) * span / prev_span)
+        deltas = []
+        for _ in range(_MAX_SWEEPS):
+            om = _omega(band, guess)
+            theta = theta_a + (0.5 * span) * (_INTEG @ om)
+            deltas.append(float(np.abs(theta - guess).max()))
+            guess = theta
+            if deltas[-1] <= target:
+                break
+        settled = deltas[-1] <= target
+        tail = np.abs((_COEF @ om)[-_TAIL:]).max() * abs(span)
+        if settled and tail <= target:
+            panels.append((a, span, theta))
+            a = x_end if last else a + span
+            theta_a = theta[-1]
+            length = min(_PANEL_LENGTH, 2.0 * abs(span))
+            guess = None
+            continue
+        length = 0.5 * abs(span)
+        if length < _PANEL_FLOOR:
+            where = "x in [%g, %g]" % tuple(sorted((a, a + span)))
+            if not settled:
+                raise NoConvergence(
+                    "divisor flow: Picard sweeps did not settle below %.3g "
+                    "on %s" % (target, where), deltas)
+            raise QuadratureFailure(
+                "divisor flow: Chebyshev tail %.3g above %.3g on a panel "
+                "of length %.3g at %s" % (tail, target, abs(span), where))
+        guess = _BISECT @ theta
+    return panels
+
+
+def _extrapolate(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A panel's angles continued to t >= 1 by the first _WARM_DEGREE + 1
+    terms of their Chebyshev series, pinned to the panel's end value."""
+    c = (_COEF @ theta)[:_WARM_DEGREE + 1]
+    return theta[-1] + (chebyshev.chebvander(t, _WARM_DEGREE) - 1.0) @ c
+
+
 def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
                        x_min: float, x_max: float, step: float,
                        tol: float = 1e-10) -> DivisorTrajectory:
@@ -335,10 +426,24 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
     The initial divisor lives at x = 0, so the window must contain it.  The
     output grid is uniform with the given step (the window ends snap to the
     nearest multiple) and doubles as the knot set of the Hermite spline.
-    The DOP853 integrator chooses its own steps, error-controlled with
-    ``rtol = atol = max(tol / 100, 100 eps)`` and sampled on the grid through
-    its dense output; the factor 100 keeps the accumulated global error over
-    a window of a few dozen units near ``tol``.
+
+    Each half is integrated from x = 0 on Chebyshev-Picard panels of
+    _PANEL_DEGREE + 1 = 49 Lobatto nodes and length at most _PANEL_LENGTH
+    = 1, against the target ``max(tol / 100, 100 eps)``; the factor 100
+    keeps the accumulated global error over a window of a few dozen units
+    well below ``tol``.  Picard sweeps on a panel stop once the sup-norm
+    change of the node angles is at most the target; the panel is accepted
+    when its three trailing Chebyshev coefficients of Omega, times the
+    panel length, are too.  Otherwise it is halved (an accepted panel lets
+    the next one double again, up to _PANEL_LENGTH).  The node angles reach
+    the grid by barycentric interpolation, and the grid derivatives are
+    Omega itself.
+
+    Raises NoConvergence when the sweeps of a panel do not settle within
+    _MAX_SWEEPS, and QuadratureFailure when its Chebyshev tail stays above
+    the target, once halving would take the panel below _PANEL_FLOOR;
+    DegenerateGap for a gap too thin to integrate and StepTooLarge when
+    the output step is too coarse for the spline.
     """
     if step <= 0.0 or tol <= 0.0:
         raise ValueError("step and tol must be positive")
@@ -365,20 +470,23 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
     theta0 = np.arccos(c)
     theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - theta0, theta0)
 
-    rhs = lambda x, th: _omega(band, th)
-    rtol = max(tol / _TOL_SAFETY, _TOL_FLOOR)
-    parts = []
-    for lo, hi, t_eval in ((0.0, x_grid[-1], x_grid[n0:]),
-                           (0.0, x_grid[0], x_grid[n0::-1])):
-        if hi == lo:
-            parts.append(theta0[None, :] * np.ones((len(t_eval), 1)))
+    target = max(tol / _TOL_SAFETY, _TOL_FLOOR)
+    theta = np.empty((len(x_grid), band.gap_count))
+    theta[n0] = theta0
+    # each half's rows in order of distance from x = 0
+    for rows in (np.arange(n0 + 1, len(x_grid)), np.arange(n0 - 1, -1, -1)):
+        if not len(rows):
             continue
-        sol = solve_ivp(rhs, (lo, hi), theta0, method="DOP853",
-                        t_eval=t_eval, rtol=rtol, atol=rtol)
-        if not sol.success:
-            raise RuntimeError("divisor integration failed: %s" % sol.message)
-        parts.append(sol.y.T)
-    theta = np.vstack([parts[1][::-1][:-1], parts[0]])
+        xs = x_grid[rows]
+        panels = _flow_panels(band, theta0, xs[-1], target)
+        # panel k starts at distance starts[k] from x = 0
+        starts = np.array([abs(a) for a, _, _ in panels])
+        owner = np.searchsorted(starts, np.abs(xs), side="right") - 1
+        for k, (a, span, nodes) in enumerate(panels):
+            sel = owner == k
+            if np.any(sel):
+                t = 2.0 * (xs[sel] - a) / span - 1.0
+                theta[rows[sel]] = barycentric_matrix(t, _S) @ nodes
 
     jump = np.abs(np.diff(theta, axis=0)).max(initial=0.0)
     if jump > 0.5 * math.pi:

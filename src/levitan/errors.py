@@ -63,7 +63,8 @@ class TooCloseToGap(LevitanError):
 
 
 class QuadratureFailure(LevitanError):
-    """An adaptive quadrature failed to reach its error target."""
+    """An adaptive quadrature or ODE integrator failed to reach its error
+    target."""
 
 
 class AmbiguousPole(LevitanError):

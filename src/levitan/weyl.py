@@ -345,6 +345,7 @@ def _ode_cs(ctx: WeylContext, z: complex, x: float):
     """Integrate -y'' + p y = z y from 0 to x for the (c, s) basis.
 
     Returns (c, c', s, s') at x.  c(0)=1, c'(0)=0, s(0)=0, s'(0)=1.
+    Raises QuadratureFailure when the integrator gives up.
     """
     if x == 0.0:
         return 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j
@@ -357,7 +358,8 @@ def _ode_cs(ctx: WeylContext, z: complex, x: float):
     sol = solve_ivp(rhs, (0.0, x), y0, method="DOP853",
                     rtol=ctx.ode_tol, atol=ctx.ode_tol)
     if not sol.success:
-        raise RuntimeError("ODE integration failed: %s" % sol.message)
+        raise QuadratureFailure("ODE integration to x = %g failed: %s"
+                                % (x, sol.message))
     c, cp, s, sp = sol.y[:, -1]
     return complex(c), complex(cp), complex(s), complex(sp)
 

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 
 from levitan import BandStructure, eval_G, eval_sqrtY
 from levitan._numerics import rev_cumtrapz
+from levitan.dubrovin import _omega
 from levitan.kernel import (
     KernelBoundReport,
     _amplitudes,
@@ -55,6 +56,31 @@ def flow_integral_quad(ctx, p, x):
                   points=cuts, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
              for part in (np.real, np.imag)]
     return complex(*parts)
+
+
+def dop853_flow(band, divisor, x_min, x_max, step, tol):
+    """Angles theta_j on ``integrate_dubrovin``'s output grid by scipy's
+    DOP853 with ``rtol = atol = max(tol / 100, 100 eps)``, sampled through
+    its dense output: a reference for the Chebyshev-Picard panels that
+    shares only the right-hand side with them.  Returns (x_grid, theta)."""
+    k_lo, k_hi = round(x_min / step), round(x_max / step)
+    x_grid = step * np.arange(k_lo, k_hi + 1)
+    n0 = -k_lo
+    c = np.clip((band.gap_mid - divisor.mu) / band.gap_half, -1.0, 1.0)
+    theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - np.arccos(c),
+                      np.arccos(c))
+    rtol = max(tol / 100.0, 100.0 * np.finfo(float).eps)
+    parts = []
+    for t_eval in (x_grid[n0:], x_grid[n0::-1]):
+        if len(t_eval) == 1:
+            parts.append(theta0[None, :])
+            continue
+        sol = solve_ivp(lambda x, th: _omega(band, th), (0.0, t_eval[-1]),
+                        theta0, method="DOP853", t_eval=t_eval, rtol=rtol,
+                        atol=rtol)
+        assert sol.success, sol.message
+        parts.append(sol.y.T)
+    return x_grid, np.vstack([parts[1][::-1][:-1], parts[0]])
 
 
 def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):

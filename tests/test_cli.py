@@ -4,6 +4,7 @@ verification summaries, exit codes, plot scripts, and byte determinism."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ from levitan import (
     validate_band_structure,
 )
 from levitan.cli import STAGES, _apply_thread_budget, main
-from levitan.errors import MissingArtifact
+from levitan.errors import MissingArtifact, QuadratureFailure
 
 ARTIFACTS = ("band.json", "trajectory.csv", "potential.csv",
              "weyl_probes.csv", "kernel.csv", "kernel_meta.json",
@@ -87,6 +88,26 @@ def test_config_json_roundtrip(kind, kwargs):
     cfg = generate_fixture(kind, **kwargs)
     doc = json.loads(json.dumps(cfg.to_json_dict()))
     assert RunConfig.from_json_dict(doc) == cfg
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d.update(perturbaton={"form": "zero"}), "'perturbaton'"),
+    (lambda d: d["grid"].update(hh=0.01), "'grid.hh'"),
+    (lambda d: d["band"].update(alfa=1.0), "'band.alfa'"),
+    (lambda d: d["flow"].update(tol_=1e-9), "'flow.tol_'"),
+    (lambda d: d["probes"].update(xs=[0.0]), "'probes.xs'"),
+    (lambda d: d["probes"]["z"][1].update(sid="upper"), "'probes.z[1].sid'"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
+    doc = generate_fixture("one_gap").to_json_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        RunConfig.from_json_dict(doc)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_band_file_reference(tmp_path):
@@ -227,6 +248,34 @@ def test_unknown_perturbation_form_is_a_flow_error(tmp_path):
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
     assert err["stage"] == "flow"
     assert err["type"] == "ValueError"
+
+
+def test_flow_failure_writes_error_json(tmp_path, monkeypatch, capsys):
+    # an Omega with a jump: no Chebyshev panel can resolve it
+    monkeypatch.setattr("levitan.dubrovin._omega",
+                        lambda band, theta: 1.0 + (theta > 2.0))
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"))
+    path = tmp_path / "cfg.json"
+    cfg.write(path)
+    assert main(["all", str(path)]) == 2
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert err["stage"] == "flow"
+    assert err["type"] == "QuadratureFailure"
+    assert "QuadratureFailure" in capsys.readouterr().err
+
+
+def test_ode_failure_writes_error_json(tmp_path, monkeypatch):
+    class Failed:
+        success = False
+        message = "step size became too small"
+
+    monkeypatch.setattr("levitan.weyl.solve_ivp", lambda *a, **k: Failed())
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"))
+    with pytest.raises(QuadratureFailure, match="too small"):
+        run_pipeline(cfg)
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert err["stage"] == "weyl"
+    assert err["type"] == "QuadratureFailure"
 
 
 def test_error_json_cleared_on_success(tmp_path):

@@ -1,6 +1,7 @@
 """Divisor flow: integration, confinement, trace formula, recurrence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,16 @@ from levitan.dubrovin import (
     trace_potential,
     trajectory_to_csv,
 )
-from levitan.errors import DegenerateGap, StepTooLarge, WindowTooShort
+from levitan.cli import run_pipeline
+from levitan.errors import (
+    DegenerateGap,
+    NoConvergence,
+    QuadratureFailure,
+    StepTooLarge,
+    WindowTooShort,
+)
 
-from conftest import periodic_edges
+from conftest import dop853_flow, periodic_edges
 
 
 ONE_GAP_DMU0 = 1.2247448713915892  # sqrt(1.5): hand-evaluated flow at mu=1.5
@@ -389,6 +397,78 @@ def test_rhs_budget_follows_tol(monkeypatch, edges, entries):
         counts[tol] = len(calls)
     assert counts[1e-11] <= 8000
     assert counts[1e-11] > counts[1e-10]
+
+
+@pytest.mark.parametrize("edges,entries", [
+    ((0.0, 1.0, 2.0), ((1.5, 1),)),
+    (periodic_edges(3), ((0.95, -1), (4.01, 1), (9.0, -1))),
+])
+def test_panel_rhs_cap(monkeypatch, edges, entries):
+    # one Omega call per Picard sweep over 49 nodes: a few hundred calls
+    # over [-20, 20], where DOP853 (15 calls per step) took 4-6k
+    band = BandStructure(edges)
+    calls = []
+    omega = dubrovin._omega
+
+    def counting(band, theta):
+        calls.append(1)
+        return omega(band, theta)
+
+    monkeypatch.setattr(dubrovin, "_omega", counting)
+    integrate_dubrovin(band, DirichletDivisor(entries), -20.0, 20.0, 0.01,
+                       tol=1e-11)
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("omega,error", [
+    # a jump in Omega: sweeps settle, but no panel resolves it
+    (lambda band, theta: 1.0 + (theta > 2.0), QuadratureFailure),
+    # a right-hand side that changes on every call: sweeps never settle
+    (lambda band, theta, rng=np.random.default_rng(0):
+        1.0 + rng.uniform(size=np.shape(theta)), NoConvergence),
+])
+def test_unresolvable_panel_raises(monkeypatch, one_gap_band, omega, error):
+    monkeypatch.setattr(dubrovin, "_omega", omega)
+    with pytest.raises(error, match="divisor flow"):
+        integrate_dubrovin(one_gap_band, DirichletDivisor(((1.5, 1),)),
+                           -1.0, 1.0, 0.01, tol=1e-11)
+
+
+def _flow_against_dop853(tmp_path, monkeypatch, kind, n, seed):
+    """Run the pipeline's flow stage and compare its trajectory with the
+    DOP853 reference on the same window, grid and tolerance."""
+    cfg = generate_fixture(kind, n=n, seed=seed)
+    seen = []
+    flow = dubrovin.integrate_dubrovin
+
+    def recording(*args, **kwargs):
+        seen.append((args, kwargs, flow(*args, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr("levitan.cli.integrate_dubrovin", recording)
+    run_pipeline(replace(cfg, out_dir=str(tmp_path / "run")), upto="flow")
+    (band, div, lo, hi, step), kwargs, tr = seen[0]
+    x_grid, theta = dop853_flow(band, div, lo, hi, step, **kwargs)
+    assert np.array_equal(x_grid, tr.x_grid)
+    assert np.abs(tr.theta - theta).max(initial=0.0) <= 10.0 * cfg.flow_tol
+
+
+@pytest.mark.parametrize("kind,n,seed", [
+    ("free", 0, 0), ("one_gap", 0, 0), ("periodic_like", 4, 0),
+    ("periodic_like", 10, 0),
+    # the random n=6 seeds of the benchmark's pipeline workload
+    *[("random", 6, s) for s in (1, 4, 12, 23, 26, 27, 28, 32)],
+])
+def test_panel_flow_matches_dop853_pipeline_fixtures(tmp_path, monkeypatch,
+                                                     kind, n, seed):
+    _flow_against_dop853(tmp_path, monkeypatch, kind, n, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_panel_flow_matches_dop853_random(tmp_path, monkeypatch, n):
+    for seed in range(8):
+        _flow_against_dop853(tmp_path / str(seed), monkeypatch, "random", n,
+                             seed)
 
 
 # ---------------------------------------------------------------------------
