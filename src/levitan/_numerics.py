@@ -2,8 +2,9 @@
 square roots, the removed-factor products of a root list, the reverse
 cumulative trapezoid, and the Chebyshev-Lobatto panel toolkit (nodes, the
 values-to-coefficients map, the spectral integration matrix and barycentric
-interpolation) behind the divisor flow in :mod:`levitan.dubrovin`.  The
-panel engine of the flow integral behind psi lives in :mod:`levitan.weyl`."""
+interpolation) behind both panel solvers: the divisor flow in
+:mod:`levitan.dubrovin` and the flow integral behind psi in
+:mod:`levitan.weyl`."""
 
 from __future__ import annotations
 

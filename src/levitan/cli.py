@@ -141,8 +141,9 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, doc: dict, base: Path | None = None) -> "RunConfig":
         """Parse a config document; raises ValueError naming the key path of
-        any key this schema does not know (the perturbation's own keys
-        excepted), so a typo fails instead of running on a default."""
+        any key this schema does not know, of a perturbation key its form
+        needs but lacks, and of an unknown perturbation form, so a typo fails
+        instead of running on a default."""
         _known_keys(doc, "", ("band", "divisor", "perturbation", "grid",
                               "flow", "probes", "out_dir", "seed"))
         band = doc["band"]
@@ -165,6 +166,13 @@ class RunConfig:
         _known_keys(probes, "probes.", ("z", "x"))
         for i, p in enumerate(probes.get("z", ())):
             _known_keys(p, "probes.z[%d]." % i, ("re", "im", "side"))
+        pert = dict(doc.get("perturbation", {"form": "zero"}))
+        form = pert.get("form", "zero")
+        if form not in _PERTURBATIONS:
+            raise ValueError("unknown perturbation form %r at "
+                             "'perturbation.form'" % (form,))
+        keys = _PERTURBATIONS[form][0]
+        _known_keys(pert, "perturbation.", ("form",) + keys, required=keys)
         zp = tuple((float(p["re"]), float(p.get("im", 0.0)),
                     str(p.get("side", "off_axis")))
                    for p in probes.get("z", ()))
@@ -174,7 +182,7 @@ class RunConfig:
             hyp_C=float(band.get("C", 1.0)),
             hyp_alpha=float(band.get("alpha", 1.0)),
             divisor=divisor,
-            perturbation=dict(doc.get("perturbation", {"form": "zero"})),
+            perturbation=pert,
             h=float(grid.get("h", 0.05)),
             x0=float(grid.get("x0", -1.0)),
             x_max=(None if grid.get("x_max") is None else float(grid["x_max"])),
@@ -198,31 +206,38 @@ class RunConfig:
             json.dumps(self.to_json_dict(), indent=1, sort_keys=True) + "\n")
 
 
-def _known_keys(doc: dict, where: str, known: tuple) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise ValueError("unknown config key%s %s" % (
-            "s" if len(unknown) > 1 else "",
-            ", ".join(repr(where + k) for k in unknown)))
+def _known_keys(doc: dict, where: str, known: tuple,
+                required: tuple = ()) -> None:
+    for what, keys in (("unknown", sorted(set(doc) - set(known))),
+                       ("missing", [k for k in required if k not in doc])):
+        if keys:
+            raise ValueError("%s config key%s %s" % (
+                what, "s" if len(keys) > 1 else "",
+                ", ".join(repr(where + k) for k in keys)))
+
+
+# each perturbation form: its keys besides "form", in the order its
+# constructor takes them, and the constructor
+_PERTURBATIONS = {
+    "zero": ((), PerturbationProfile.zero),
+    "gaussian_bump": (("amplitude", "center", "width"),
+                      lambda a, c, w: PerturbationProfile.gaussian_bump(
+                          float(a), float(c), float(w))),
+    "compact_poly": (("coeffs", "support"),
+                     lambda c, s: PerturbationProfile.compact_poly(
+                         tuple(map(float, c)), (float(s[0]), float(s[1])))),
+    "table": (("xs", "vals"),
+              lambda xs, vals: PerturbationProfile.from_table(
+                  np.asarray(xs, dtype=float), np.asarray(vals, dtype=float))),
+}
 
 
 def _build_perturbation(params: dict) -> PerturbationProfile:
     form = params.get("form", "zero")
-    if form == "zero":
-        return PerturbationProfile.zero()
-    if form == "gaussian_bump":
-        return PerturbationProfile.gaussian_bump(
-            float(params["amplitude"]), float(params["center"]),
-            float(params["width"]))
-    if form == "compact_poly":
-        return PerturbationProfile.compact_poly(
-            tuple(float(c) for c in params["coeffs"]),
-            (float(params["support"][0]), float(params["support"][1])))
-    if form == "table":
-        return PerturbationProfile.from_table(
-            np.asarray(params["xs"], dtype=float),
-            np.asarray(params["vals"], dtype=float))
-    raise ValueError("unknown perturbation form %r" % (form,))
+    if form not in _PERTURBATIONS:
+        raise ValueError("unknown perturbation form %r" % (form,))
+    keys, build = _PERTURBATIONS[form]
+    return build(*(params[k] for k in keys))
 
 
 def _build_point(triple) -> SpectralPoint:
@@ -644,7 +659,8 @@ def emit_plots(out_dir) -> tuple:
     written.append(script)
 
     script = out / "plot_jost.gp"
-    n_blocks = _count_blocks(out / "jost.csv")
+    # one block per z probe, each after the first behind a double blank line
+    n_blocks = (out / "jost.csv").read_text().count("\n\n\n") + 1
     parts = []
     for i in range(n_blocks):
         skip = " skip 1" if i == 0 else ""
@@ -659,19 +675,6 @@ def emit_plots(out_dir) -> tuple:
     master.write_text("".join('load "%s"\n' % s.name for s in written))
     written.append(master)
     return tuple(str(p) for p in written)
-
-
-def _count_blocks(path: Path) -> int:
-    blocks, blank_run = 1, 0
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                if blank_run >= 2:
-                    blocks += 1
-                blank_run = 0
-            else:
-                blank_run += 1
-    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ the Weyl solutions
 
     psi_+-(z, x) = (G(z,x)/G(z,0))^{1/2} exp( +- int_0^x Y^{1/2}(z)/G(z,t) dt )
 
-normalized to 1 at x = 0.  The flow integral has one implementation, a
-Gauss-Kronrod 7/15 panel engine with bisection of the panels whose error
-estimate fails; the one-point ``eval_psi_product``, the grid pass
-``psi_on_grid`` and ``probe_csv`` all call it, and each raises
-QuadratureFailure when the summed error estimate exceeds
+normalized to 1 at x = 0.  The flow integral has one implementation, on
+the Chebyshev-Lobatto panel toolkit of :mod:`levitan._numerics` that the
+divisor flow uses too: fixed base panels from x = 0, each with its spectral
+indefinite integral, bisected where the Chebyshev tail fails, and read at
+any x by barycentric interpolation.  The one-point ``eval_psi_product``, the
+grid pass ``psi_on_grid`` and ``probe_csv`` all call it, and each raises
+QuadratureFailure when the summed tail estimate exceeds
 quad_tol (1 + |integral|).  A second, independent route builds psi from the
 cosine/sine-type solutions of -y'' + p y = z y via an initial-value solve:
 psi = c + m+-(z, 0) s.  The two routes share nothing numerically (quadrature
@@ -38,7 +40,12 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._numerics import principal_sqrt, removed_products
+from ._numerics import (
+    barycentric_matrix,
+    cheb_lobatto,
+    principal_sqrt,
+    removed_products,
+)
 from .dubrovin import DivisorTrajectory, potential_on
 from .errors import (
     AmbiguousPole,
@@ -199,40 +206,16 @@ def eval_green(ctx: WeylContext, p) -> complex:
 # psi: product representation
 # ---------------------------------------------------------------------------
 
-# Gauss-Kronrod 7/15 on [-1, 1] (Piessens et al., QUADPACK, 1983): one row
-# per node x >= 0 with its Kronrod and Gauss weight (0: a Kronrod-only node)
-_GK15 = np.array([
-    [0.9914553711208126, 0.022935322010529224, 0.0],
-    [0.9491079123427585, 0.06309209262997856, 0.1294849661688697],
-    [0.8648644233597691, 0.10479001032225019, 0.0],
-    [0.7415311855993945, 0.14065325971552592, 0.27970539148927664],
-    [0.5860872354676911, 0.1690047266392679, 0.0],
-    [0.4058451513773972, 0.19035057806478542, 0.3818300505051189],
-    [0.20778495500789848, 0.20443294007529889, 0.0],
-    [0.0, 0.20948214108472782, 0.4179591836734694]])
-_NODES, _WK, _WG = np.concatenate([_GK15[:-1] * [-1, 1, 1], _GK15[::-1]]).T
-
-_PANEL = 0.05          # base panel width; breakpoints at its multiples from 0
-_PANEL_TOL = 1e-13     # a panel is accepted at err <= _PANEL_TOL (|I| + width)
+# the flow integral's panels: _DEGREE + 1 Chebyshev-Lobatto nodes on base
+# panels of width _PANEL from x = 0; a panel whose _TAIL trailing Chebyshev
+# coefficients, times its width, exceed _PANEL_TOL (|I| + width) is bisected
+_DEGREE = 24
+_TAIL = 3
+_PANEL = 0.05
+_PANEL_TOL = 1e-13
 _MAX_DEPTH = 16        # bisection levels below a base panel
 _MAX_LIVE = 4096       # panels one refinement level may evaluate
-
-
-def _gk15(f, a: np.ndarray, b: np.ndarray):
-    """Kronrod integral and QUADPACK error estimate of f on every [a, b],
-    from one vectorized call of f."""
-    half = 0.5 * (b - a)
-    vals = f((a + half)[:, None] + half[:, None] * _NODES)
-    kron = vals @ _WK
-    mean = 0.5 * kron[:, None]
-    resabs = half * (np.abs(vals) @ _WK)
-    resasc = half * (np.abs(vals - mean) @ _WK)
-    err = np.abs(half * (kron - vals @ _WG))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        err = np.where((resasc > 0.0) & (err > 0.0),
-                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5),
-                       err)
-    return half * kron, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+_S, _COEF, _INTEG = cheb_lobatto(_DEGREE)
 
 
 def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
@@ -240,48 +223,59 @@ def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
     """W(x) = int_0^x Y^{1/2}(z) / G(z, t) dt at every x of a sorted, unique
     array: the panel engine behind every product-route psi.
 
-    The base panels break at the multiples of _PANEL counted from x = 0, at
-    the sigma-flip points and at every requested x.  Each panel gets a
-    Gauss-Kronrod 7/15 pair; a panel whose error estimate fails is bisected,
-    level by level, each level one vectorized ``mu_at`` call, until
-    _MAX_DEPTH levels or a level of more than _MAX_LIVE panels.  Below that
-    budget the refinement of a base panel depends on its end points only, so
-    calls that share panels share their quadrature history.  W is summed
-    outward from 0 and so is its error estimate; QuadratureFailure if that
-    estimate exceeds quad_tol (1 + |W|) at any x.
+    The base panels break at the multiples of _PANEL from x = 0 and at the
+    span ends only: no x and no edge touch cuts them (mu_j = m_j - w_j cos
+    theta_j is as smooth at a touch as anywhere).  Failing panels are
+    bisected, one vectorized ``mu_at`` call per level, up to _MAX_DEPTH
+    levels or a level over _MAX_LIVE panels; below that a base panel's
+    refinement depends on its end points only.  W at x sums the leaf
+    integrals from 0 out to x's leaf and adds that leaf's indefinite
+    integral at x, from its node values through the spectral integration
+    matrix and the barycentric row of x.  Its estimate sums the tails out
+    to and including that leaf; QuadratureFailure above quad_tol (1 + |W|).
     """
     lo, hi = min(xs[0], 0.0), max(xs[-1], 0.0)
+    if lo == hi:
+        return np.zeros(len(xs), dtype=complex)
     sq = eval_sqrtY(ctx.band, pt)
     z, norm, traj = pt.z, ctx.band.gap_norm, ctx.trajectory
     inv_g = lambda ts: sq / (np.prod(z - traj.mu_at(ts), axis=-1) / norm)
     fill = _PANEL * np.arange(math.ceil(lo / _PANEL),
                               math.floor(hi / _PANEL) + 1)
-    cuts = np.unique(np.concatenate([fill, traj.flip_points(), xs, [0.0]]))
+    cuts = np.unique(np.concatenate([fill, [lo, 0.0, hi]]))
     cuts = cuts[(cuts >= lo) & (cuts <= hi)]
 
-    vals = np.zeros(len(cuts) - 1, dtype=complex)
-    errs = np.zeros(len(cuts) - 1)
-    owner = np.arange(len(cuts) - 1)
+    leaves = []   # (a, b, integrand at the nodes, integral, tail) per level
     a, b = cuts[:-1], cuts[1:]
     for depth in range(_MAX_DEPTH + 1):
-        val, err = _gk15(inv_g, a, b)
-        done = err <= _PANEL_TOL * (np.abs(val) + (b - a))
+        half = 0.5 * (b - a)
+        f = inv_g((a + half)[:, None] + half[:, None] * _S)
+        val = half * (f @ _INTEG[-1])
+        tail = np.abs(f @ _COEF[-_TAIL:].T).max(axis=1) * (b - a)
+        done = tail <= _PANEL_TOL * (np.abs(val) + (b - a))
         if depth == _MAX_DEPTH or 2 * np.count_nonzero(~done) > _MAX_LIVE:
             done[:] = True
-        np.add.at(vals, owner[done], val[done])
-        np.add.at(errs, owner[done], err[done])
+        leaves.append((a[done], b[done], f[done], val[done], tail[done]))
         if done.all():
             break
-        a, b, owner = a[~done], b[~done], owner[~done]
-        mid = 0.5 * (a + b)
-        a, b, owner = (np.concatenate([a, mid]), np.concatenate([mid, b]),
-                       np.concatenate([owner, owner]))
+        mid = 0.5 * (a[~done] + b[~done])
+        a, b = np.concatenate([a[~done], mid]), np.concatenate([mid, b[~done]])
+    order = np.argsort(np.concatenate([leaf[0] for leaf in leaves]))
+    a, b, f, val, tail = (np.concatenate(part)[order] for part in zip(*leaves))
 
-    i0 = int(np.searchsorted(cuts, 0.0))
+    # outward sums from 0 to every leaf end; x's leaf k adds -int_x^b left
+    # of 0 (its inner end is b) and int_a^x right of it
+    i0 = int(np.searchsorted(a, 0.0))
     outward = lambda v: np.concatenate([-np.cumsum(v[:i0][::-1])[::-1], [0.0],
                                         np.cumsum(v[i0:])])
-    at = np.searchsorted(cuts, xs)
-    w, e = outward(vals)[at], np.abs(outward(errs))[at]
+    k = np.minimum(np.searchsorted(a, xs, side="right") - 1, len(a) - 1)
+    neg = k < i0
+    rows = barycentric_matrix(2.0 * (xs - a[k]) / (b - a)[k] - 1.0,
+                              _S) @ _INTEG
+    rows[neg] -= _INTEG[-1]
+    part = 0.5 * (b - a)[k] * np.einsum("ij,ij->i", rows, f[k])
+    w = outward(val)[k + neg] + part
+    e = np.abs(outward(tail))[k + ~neg]
     bad = e > ctx.quad_tol * (1.0 + np.abs(w))
     if bad.any():
         i = int(np.argmax(bad))
@@ -324,8 +318,10 @@ def eval_psi_product(ctx: WeylContext, p, x: float, sign) -> complex:
 def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign) -> np.ndarray:
     """psi_+- at every point of a strictly increasing grid in one pass.
 
-    One panel partition covers the whole span, so neighboring grid values
-    share their quadrature history; errors are correlated instead of
+    One panel partition covers the whole span and does not depend on the
+    grid: the grid points are read off the panels' indefinite integrals, so
+    a finer grid costs no more integrand samples, and neighboring grid
+    values share their quadrature history; errors are correlated instead of
     independent, which downstream finite differences rely on.  Raises like
     :func:`eval_psi_product`.
     """

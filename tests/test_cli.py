@@ -97,6 +97,11 @@ def test_config_json_roundtrip(kind, kwargs):
     (lambda d: d["flow"].update(tol_=1e-9), "'flow.tol_'"),
     (lambda d: d["probes"].update(xs=[0.0]), "'probes.xs'"),
     (lambda d: d["probes"]["z"][1].update(sid="upper"), "'probes.z[1].sid'"),
+    (lambda d: d["perturbation"].update(widht=0.6), "'perturbation.widht'"),
+    (lambda d: d["perturbation"].update(amplitud=d["perturbation"].pop(
+        "amplitude")), "'perturbation.amplitud'"),
+    (lambda d: d["perturbation"].pop("center"), "'perturbation.center'"),
+    (lambda d: d["perturbation"].update(form="bogus"), "'perturbation.form'"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
     doc = generate_fixture("one_gap").to_json_dict()

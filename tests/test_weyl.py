@@ -325,7 +325,14 @@ def test_psi_quad_guard_wiring(gap1_ctx):
 
 
 def test_psi_on_grid_matches_pointwise(free_ctx, gap1_ctx, gap2_ctx):
-    xs = 0.05 * np.arange(-40, 41)
+    # panel ends (multiples of 0.05), points inside panels (0.0125 * odd)
+    # and an edge touch of gap2_ctx, exactly and 1e-6 past it
+    flips = gap2_ctx.trajectory.flip_points()
+    touch = float(flips[np.argmin(np.abs(flips - 0.75))])
+    inside = 0.0125 * np.array([-157.0, -3.0, 1.0, 45.0, 131.0])
+    probes = np.concatenate([0.05 * np.array([-40.0, -29.0, 0.0, 17.0, 40.0]),
+                             inside, [touch, touch + 1e-6]])
+    xs = np.unique(np.concatenate([0.05 * np.arange(-40, 41), probes]))
     # free case against the exponential
     z = 2.0 + 1.5j
     vals = psi_on_grid(free_ctx, z, xs, +1)
@@ -337,11 +344,41 @@ def test_psi_on_grid_matches_pointwise(free_ctx, gap1_ctx, gap2_ctx):
                    (gap2_ctx, 2.6 + 0.3j)):
         for sgn in (+1, -1):
             vals = psi_on_grid(ctx, z, xs, sgn)
-            for i in (0, 11, 40, 57, 80):
+            for i in np.searchsorted(xs, probes):
                 ref = psi_quad(ctx, z, float(xs[i]), sgn)
                 assert abs(vals[i] - ref) < 1e-9 * abs(ref)
                 point = eval_psi_product(ctx, z, float(xs[i]), sgn)
                 assert abs(point - ref) < 1e-9 * abs(ref)
+            # a grid ending at 0 from the left: exactly 1 there
+            assert psi_on_grid(ctx, z, xs[xs <= 0.0], sgn)[-1] == 1.0
+
+
+def test_psi_on_grid_nodes_independent_of_grid(monkeypatch):
+    # the flow integral samples mu on fixed base panels, not at the grid
+    # points: beyond the prefactor's one sample per grid point, refining
+    # the grid fourfold must not add trajectory samples
+    band = BandStructure(periodic_edges(10))
+    div = DirichletDivisor(tuple(
+        (0.5 * (lo + hi), 1 if j % 2 == 0 else -1)
+        for j, (lo, hi) in enumerate(band.gaps)))
+    traj = integrate_dubrovin(band, div, -1.0, 17.0, 0.01, tol=1e-11)
+    ctx = WeylContext(band, traj)
+    seen = [0]
+    mu_at = traj.mu_at
+
+    def counted(x):
+        seen[0] += np.size(x)
+        return mu_at(x)
+
+    monkeypatch.setattr(traj, "mu_at", counted)
+    counts = []
+    for h in (0.05, 0.0125):
+        xs = h * np.arange(round(-1.0 / h), round(17.0 / h) + 1)
+        seen[0] = 0
+        for z in (-1.0, 0.3 + 0.7j, SpectralPoint.upper(0.5)):
+            psi_on_grid(ctx, z, xs, +1)
+        counts.append(seen[0] - 3 * len(xs))
+    assert 0 < counts[1] <= 1.05 * counts[0]
 
 
 def psi_quad(ctx, p, x, sign):
