@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,8 +52,11 @@ from .dubrovin import (
 )
 from .weyl import (
     WeylContext,
+    _ode_cs,
     classify_poles,
     eval_green,
+    eval_m,
+    eval_psi_product,
     probe_csv,
     structural_identity_check,
     wronskian_check,
@@ -141,38 +145,40 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, doc: dict, base: Path | None = None) -> "RunConfig":
         """Parse a config document; raises ValueError naming the key path of
-        any key this schema does not know, of a perturbation key its form
-        needs but lacks, and of an unknown perturbation form, so a typo fails
-        instead of running on a default."""
-        _known_keys(doc, "", ("band", "divisor", "perturbation", "grid",
-                              "flow", "probes", "out_dir", "seed"))
+        any key this schema does not know, of a key that is required but
+        absent, of a value not of its key's JSON type (a section that is not
+        an object, a divisor entry that is not a (mu, sigma) pair, a
+        perturbation value that is not a number or a list of numbers), and
+        of an unknown perturbation form, so a typo fails instead of running
+        on a default."""
+        if not isinstance(doc, dict):
+            raise ValueError("a config must be a JSON object")
+        _check_keys(doc, "", _TOP_KEYS, required=("band",))
         band = doc["band"]
         if isinstance(band, str):
             path = Path(band)
             if base is not None and not path.is_absolute():
                 path = base / path
             band = json.loads(path.read_text())
-        _known_keys(band, "band.", ("edges", "l", "C", "alpha"))
+        _check_keys(_expect(band, "band", _OBJ), "band.", _BAND_KEYS,
+                    required=("edges",))
         div = doc.get("divisor", "random")
         if div == "random":
             divisor = None
         else:
-            divisor = tuple((float(m), int(s)) for m, s in div["entries"])
-        grid = doc.get("grid", {})
-        _known_keys(grid, "grid.", ("h", "x0", "x_max", "tol", "max_iter"))
-        flow = doc.get("flow", {})
-        _known_keys(flow, "flow.", ("step", "tol"))
-        probes = doc.get("probes", {})
-        _known_keys(probes, "probes.", ("z", "x"))
+            _check_keys(_expect(div, "divisor", _OBJ), "divisor.",
+                        {"entries": _LIST}, required=("entries",))
+            pairs = [_expect(e, "divisor.entries[%d]" % i, _MU_SIGMA)
+                     for i, e in enumerate(div["entries"])]
+            divisor = tuple((float(m), int(s)) for m, s in pairs)
+        for name, kinds in _SECTIONS.items():
+            _check_keys(doc.get(name, {}), name + ".", kinds)
+        grid, flow, probes = (doc.get(k, {}) for k in _SECTIONS)
         for i, p in enumerate(probes.get("z", ())):
-            _known_keys(p, "probes.z[%d]." % i, ("re", "im", "side"))
+            _check_keys(_expect(p, "probes.z[%d]" % i, _OBJ),
+                        "probes.z[%d]." % i, _PROBE_KEYS, required=("re",))
         pert = dict(doc.get("perturbation", {"form": "zero"}))
-        form = pert.get("form", "zero")
-        if form not in _PERTURBATIONS:
-            raise ValueError("unknown perturbation form %r at "
-                             "'perturbation.form'" % (form,))
-        keys = _PERTURBATIONS[form][0]
-        _known_keys(pert, "perturbation.", ("form",) + keys, required=keys)
+        _check_perturbation(pert)
         zp = tuple((float(p["re"]), float(p.get("im", 0.0)),
                     str(p.get("side", "off_axis")))
                    for p in probes.get("z", ()))
@@ -206,38 +212,102 @@ class RunConfig:
             json.dumps(self.to_json_dict(), indent=1, sort_keys=True) + "\n")
 
 
-def _known_keys(doc: dict, where: str, known: tuple,
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
+# the JSON types of config values, by the name an error message gives them
+_OBJ, _NUM, _INT, _STR = "an object", "a number", "an integer", "a string"
+_NUM_OR_NULL, _LIST = "a number or null", "a list"
+_NUMS, _PAIR = "a list of numbers", "a pair of numbers"
+_MU_SIGMA = "a [mu, sigma] pair with sigma +1 or -1"
+_KINDS = {
+    _OBJ: lambda v: isinstance(v, dict),
+    _NUM: _is_number,
+    _NUM_OR_NULL: lambda v: v is None or _is_number(v),
+    _INT: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    _STR: lambda v: isinstance(v, str),
+    _LIST: lambda v: isinstance(v, (list, tuple)),
+    _NUMS: _is_numbers,
+    _PAIR: lambda v: _is_numbers(v) and len(v) == 2,
+    _MU_SIGMA: lambda v: _is_numbers(v) and len(v) == 2 and v[1] in (1, -1),
+}
+
+# every config key with the type of its value; "band" may also name a file
+# and "divisor" may also be "random", so both are checked where parsed
+_TOP_KEYS = {"band": None, "divisor": None, "perturbation": _OBJ,
+             "grid": _OBJ, "flow": _OBJ, "probes": _OBJ, "out_dir": _STR,
+             "seed": _INT}
+_BAND_KEYS = {"edges": _NUMS, "l": _NUM, "C": _NUM, "alpha": _NUM}
+_SECTIONS = {
+    "grid": {"h": _NUM, "x0": _NUM, "x_max": _NUM_OR_NULL, "tol": _NUM,
+             "max_iter": _INT},
+    "flow": {"step": _NUM, "tol": _NUM},
+    "probes": {"z": _LIST, "x": _NUMS},
+}
+_PROBE_KEYS = {"re": _NUM, "im": _NUM, "side": _STR}
+
+
+def _expect(value, path: str, kind: str):
+    """``value`` if it is of the JSON type ``kind``, else ValueError naming
+    its key path."""
+    if not _KINDS[kind](value):
+        raise ValueError("config key %r must be %s, got %r"
+                         % (path, kind, value))
+    return value
+
+
+def _check_keys(doc: dict, where: str, kinds: dict,
                 required: tuple = ()) -> None:
-    for what, keys in (("unknown", sorted(set(doc) - set(known))),
+    """ValueError naming the key path of a key of ``doc`` not in ``kinds``,
+    of a ``required`` key it lacks, or of a value not of its key's type."""
+    for what, keys in (("unknown", sorted(set(doc) - set(kinds))),
                        ("missing", [k for k in required if k not in doc])):
         if keys:
             raise ValueError("%s config key%s %s" % (
                 what, "s" if len(keys) > 1 else "",
                 ", ".join(repr(where + k) for k in keys)))
+    for key, kind in kinds.items():
+        if kind is not None and key in doc:
+            _expect(doc[key], where + key, kind)
 
 
-# each perturbation form: its keys besides "form", in the order its
-# constructor takes them, and the constructor
+# each perturbation form: its keys besides "form" with their types, in the
+# order its constructor takes them, and the constructor
 _PERTURBATIONS = {
-    "zero": ((), PerturbationProfile.zero),
-    "gaussian_bump": (("amplitude", "center", "width"),
+    "zero": ({}, PerturbationProfile.zero),
+    "gaussian_bump": ({"amplitude": _NUM, "center": _NUM, "width": _NUM},
                       lambda a, c, w: PerturbationProfile.gaussian_bump(
                           float(a), float(c), float(w))),
-    "compact_poly": (("coeffs", "support"),
+    "compact_poly": ({"coeffs": _NUMS, "support": _PAIR},
                      lambda c, s: PerturbationProfile.compact_poly(
                          tuple(map(float, c)), (float(s[0]), float(s[1])))),
-    "table": (("xs", "vals"),
+    "table": ({"xs": _NUMS, "vals": _NUMS},
               lambda xs, vals: PerturbationProfile.from_table(
                   np.asarray(xs, dtype=float), np.asarray(vals, dtype=float))),
 }
 
 
-def _build_perturbation(params: dict) -> PerturbationProfile:
+def _check_perturbation(params: dict) -> None:
+    """ValueError naming the key path of an unknown form, of a key the form
+    does not know or needs but lacks, or of a value of the wrong type."""
     form = params.get("form", "zero")
     if form not in _PERTURBATIONS:
-        raise ValueError("unknown perturbation form %r" % (form,))
-    keys, build = _PERTURBATIONS[form]
-    return build(*(params[k] for k in keys))
+        raise ValueError("unknown perturbation form %r at "
+                         "'perturbation.form'" % (form,))
+    kinds = _PERTURBATIONS[form][0]
+    _check_keys(params, "perturbation.", {"form": None, **kinds},
+                required=tuple(kinds))
+
+
+def _build_perturbation(params: dict) -> PerturbationProfile:
+    _check_perturbation(params)
+    kinds, build = _PERTURBATIONS[params.get("form", "zero")]
+    return build(*(params[k] for k in kinds))
 
 
 def _build_point(triple) -> SpectralPoint:
@@ -441,11 +511,25 @@ def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     probe_csv(ctx, zpts, xs, out / "weyl_probes.csv")
     classify_poles(ctx)
 
+    x1 = float(xs[0])
     worst = 0.0
     for pt in zpts:
-        resid = wronskian_check(ctx, pt, float(xs[0]))
+        resid = wronskian_check(ctx, pt, x1)
         worst = max(worst, resid * abs(eval_green(ctx, pt)))
     checks["wronskian"] = _check(worst, 1e-6)
+
+    # the two psi routes at the first x probe, for every z probe the
+    # product route accepts: one (c, s) solve gives both signs
+    worst = 0.0
+    for pt in zpts:
+        if band.gap_distance(pt.z) < ctx.eps_gap:
+            continue
+        c, _, s, _ = _ode_cs(ctx, pt.z, x1)
+        for sign in (1, -1):
+            a = eval_psi_product(ctx, pt, x1, sign)
+            b = c + eval_m(ctx, pt, 0.0, sign) * s
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    checks["weyl_routes"] = _check(worst, 1e-6)
 
     min_re = math.inf
     for a, b in band.bands():

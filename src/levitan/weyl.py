@@ -21,10 +21,11 @@ any x by barycentric interpolation.  The one-point ``eval_psi_product``, the
 grid pass ``psi_on_grid`` and ``probe_csv`` all call it, and each raises
 QuadratureFailure when the summed tail estimate exceeds
 quad_tol (1 + |integral|).  A second, independent route builds psi from the
-cosine/sine-type solutions of -y'' + p y = z y via an initial-value solve:
-psi = c + m+-(z, 0) s.  The two routes share nothing numerically (quadrature
-plus square roots versus an ODE integrator), which is what makes their
-agreement a meaningful check; do not "simplify" one in terms of the other.
+cosine/sine-type solutions of -y'' + p y = z y, propagated from x = 0 by a
+fourth-order Magnus method on p(x) alone: psi = c + m+-(z, 0) s.  The two
+routes share nothing numerically (quadrature plus square roots versus a
+Magnus propagator), which is what makes their agreement a meaningful check;
+do not "simplify" one in terms of the other.
 
 The product representation needs z away from the gaps (the square-root
 prefactor degenerates as z approaches a moving mu_j); within eps_gap of a gap
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._numerics import (
     barycentric_matrix,
@@ -337,34 +337,92 @@ def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign) -> np.ndarray:
 # psi: initial-value (cosine/sine) representation
 # ---------------------------------------------------------------------------
 
-def _ode_cs(ctx: WeylContext, z: complex, x: float):
-    """Integrate -y'' + p y = z y from 0 to x for the (c, s) basis.
+# the (c, s) propagator: a pass of n equal steps samples p at both Gauss
+# points of _ODE_BATCH steps at a time and multiplies each batch into one
+# running 2x2 product, so its memory does not grow with n.  The first pass
+# takes steps of at most _ODE_STEP; passes double until two agree, and a
+# pass past _ODE_MAX_STEPS steps is not tried
+_ODE_STEP = 0.05
+_ODE_BATCH = 512
+_ODE_MAX_STEPS = 1 << 18
+_GAUSS = np.array([-0.5, 0.5]) / math.sqrt(3.0)
 
-    Returns (c, c', s, s') at x.  c(0)=1, c'(0)=0, s(0)=0, s'(0)=1.
-    Raises QuadratureFailure when the integrator gives up.
+
+def _mul2(a, b):
+    """a @ b for stacks of 2x2 matrices laid out as (2, 2, k)."""
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def _magnus_pass(ctx: WeylContext, z: complex, x: float,
+                 n: int) -> np.ndarray:
+    """Y(x) = [[c, s], [c', s']] from n equal fourth-order Magnus steps
+    for y' = [[0, 1], [p - z, 0]] y, Y(0) = I.
+
+    A step of signed length h samples q = p - z at the Gauss points
+    t_mid -+ h / (2 sqrt 3), giving Omega = [[g, h], [h qbar, -g]] with
+    qbar = (q_1 + q_2) / 2 and g = (sqrt 3 / 12) h^2 (q_1 - q_2).  Omega is
+    traceless, so exp(Omega) = cosh(r) I + (sinh(r) / r) Omega with
+    r^2 = g^2 + h^2 qbar.  Each batch is reduced by a pairwise tree, later
+    steps on the left.  Raises QuadratureFailure on a non-finite result.
+    """
+    h = x / n
+    acc = np.eye(2, dtype=complex)
+    for k0 in range(0, n, _ODE_BATCH):
+        mid = h * (np.arange(k0, min(k0 + _ODE_BATCH, n)) + 0.5)
+        q = ctx.p_of(mid[:, None] + h * _GAUSS) - z
+        hq = 0.5 * h * (q[:, 0] + q[:, 1])
+        g = (math.sqrt(3.0) / 12.0) * h * h * (q[:, 0] - q[:, 1])
+        r = np.sqrt(g * g + h * hq)
+        ch = np.cosh(r)
+        with np.errstate(invalid="ignore"):
+            sh = np.where(r == 0.0, 1.0, np.sinh(r) / r)
+        m = np.array([[ch + sh * g, sh * h], [sh * hq, ch - sh * g]])
+        while m.shape[-1] > 1:
+            k = m.shape[-1] // 2 * 2
+            m = np.concatenate([_mul2(m[..., 1:k:2], m[..., 0:k:2]),
+                                m[..., k:]], axis=-1)
+        acc = m[..., 0] @ acc
+    if not np.all(np.isfinite(acc)):
+        raise QuadratureFailure("ODE integration to x = %g failed: "
+                                "non-finite solution from %d steps" % (x, n))
+    return acc
+
+
+def _ode_cs(ctx: WeylContext, z: complex, x: float):
+    """Solve -y'' + p y = z y from 0 to x for the (c, s) basis.
+
+    Returns (c, c', s, s') at x.  c(0)=1, c'(0)=0, s(0)=0, s'(0)=1.  The
+    solution is a fourth-order Magnus propagator (Iserles & Norsett, Phil.
+    Trans. R. Soc. A 357, 1999) on equal steps; it uses p(x) only.  The
+    first pass takes steps of at most _ODE_STEP, and the step count
+    doubles until two passes, n and 2n steps, agree:
+    max |Y_2n - Y_n| <= ode_tol (1 + max |Y_2n|); the finer one is
+    returned.  Raises QuadratureFailure on a non-finite pass or when the
+    next pass would exceed _ODE_MAX_STEPS steps.
     """
     if x == 0.0:
         return 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j
-
-    def rhs(t, y):
-        q = ctx.p_of(float(t)) - z
-        return [y[1], q * y[0], y[3], q * y[2]]
-
-    y0 = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-    sol = solve_ivp(rhs, (0.0, x), y0, method="DOP853",
-                    rtol=ctx.ode_tol, atol=ctx.ode_tol)
-    if not sol.success:
-        raise QuadratureFailure("ODE integration to x = %g failed: %s"
-                                % (x, sol.message))
-    c, cp, s, sp = sol.y[:, -1]
-    return complex(c), complex(cp), complex(s), complex(sp)
+    n = math.ceil(abs(x) / _ODE_STEP)
+    fine = _magnus_pass(ctx, z, x, n)
+    while 2 * n <= _ODE_MAX_STEPS:
+        coarse, n = fine, 2 * n
+        fine = _magnus_pass(ctx, z, x, n)
+        if np.max(np.abs(fine - coarse)) <= \
+                ctx.ode_tol * (1.0 + np.max(np.abs(fine))):
+            return (complex(fine[0, 0]), complex(fine[1, 0]),
+                    complex(fine[0, 1]), complex(fine[1, 1]))
+    raise QuadratureFailure(
+        "ODE integration to x = %g failed: no two passes of up to %d steps "
+        "agree within ode_tol = %g" % (x, n, ctx.ode_tol))
 
 
 def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
-    """psi_+- as c + m_+-(z, 0) s with (c, s) from the initial-value solve.
+    """psi_+- as c + m_+-(z, 0) s with (c, s) from the Magnus propagator
+    of :func:`_ode_cs`.
 
     Valid arbitrarily close to the gaps (no square-root prefactor), as long
-    as z is not an actual pole of m_+-(., 0).
+    as z is not an actual pole of m_+-(., 0).  Raises QuadratureFailure
+    when the propagator fails.
     """
     sgn = _check_sign(sign)
     pt = as_point(p)
@@ -378,13 +436,15 @@ def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
 # ---------------------------------------------------------------------------
 
 def wronskian_check(ctx: WeylContext, p, x_probe: float) -> float:
-    """|W(psi_-, psi_+)(x_probe) + 1/g(z)|.
+    """|W(psi_-, psi_+)(x_probe) + 1/g(z)|, from the (c, s) solve.
 
-    The Wronskian is computed from the initial-value representation,
-    including its derivative components, so the residual measures genuine
-    integrator drift.  (Through the product representation the identity
-    collapses to algebra that holds to machine precision no matter how wrong
-    the trajectory is -- that form would test nothing.)
+    Since W(psi_-, psi_+) = (m_+ - m_-)(c s' - c' s) and (m_+ - m_-) g = -1,
+    the residual is |c s' - c' s - 1| / |g| up to rounding: it measures the
+    propagator's Liouville drift.  Every Magnus step has determinant 1, so
+    the residual reads rounding; the accuracy of the ODE route is checked
+    against the product route instead (the pipeline's ``weyl_routes`` row).
+    (Through the product representation the identity collapses to algebra
+    that holds no matter how wrong the trajectory is.)
     """
     pt = as_point(p)
     m_plus = eval_m(ctx, pt, 0.0, +1)

@@ -83,6 +83,21 @@ def dop853_flow(band, divisor, x_min, x_max, step, tol):
     return x_grid, np.vstack([parts[1][::-1][:-1], parts[0]])
 
 
+def dop853_cs(ctx, z, x, tol=1e-13):
+    """(c, c', s, s') at x for -y'' + p y = z y by scipy's DOP853 at
+    ``rtol = atol = tol``, with one ``ctx.p_of`` call per stage: a reference
+    for the Magnus propagator behind ``weyl._ode_cs`` that shares only p(x)
+    with it."""
+    def rhs(t, y):
+        q = ctx.p_of(float(t)) - z
+        return [y[1], q * y[0], y[3], q * y[2]]
+
+    sol = solve_ivp(rhs, (0.0, x), np.array([1.0, 0.0, 0.0, 1.0], dtype=complex),
+                    method="DOP853", rtol=tol, atol=tol)
+    assert sol.success, sol.message
+    return sol.y[:, -1]
+
+
 def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     """H on the rotated lattice by full-lattice Jacobi sweeps: a reference
     for ``solve_kernel``'s row march with the same discretization (trapezoid

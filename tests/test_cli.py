@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levitan
@@ -102,6 +103,22 @@ def test_config_json_roundtrip(kind, kwargs):
         "amplitude")), "'perturbation.amplitud'"),
     (lambda d: d["perturbation"].pop("center"), "'perturbation.center'"),
     (lambda d: d["perturbation"].update(form="bogus"), "'perturbation.form'"),
+    (lambda d: d.update(grid=5), "'grid'"),
+    (lambda d: d.update(probes=[0.0]), "'probes'"),
+    (lambda d: d.update(divisor={"entries": [[1.5]]}), "'divisor.entries[0]'"),
+    (lambda d: d.update(divisor={"entries": [[1.5, 1], [4.0, -1.5]]}),
+     "'divisor.entries[1]'"),
+    (lambda d: d.update(divisor=[[1.5, 1]]), "'divisor'"),
+    (lambda d: d["perturbation"].update(amplitude="abc"),
+     "'perturbation.amplitude'"),
+    (lambda d: d.update(perturbation={"form": "compact_poly", "coeffs": [1.0],
+                                      "support": [-1.0]}),
+     "'perturbation.support'"),
+    (lambda d: d.update(perturbation={"form": "table", "xs": [0.0, "1"],
+                                      "vals": [0.0, 0.0]}),
+     "'perturbation.xs'"),
+    (lambda d: d["grid"].update(h="0.05"), "'grid.h'"),
+    (lambda d: d["probes"]["z"][0].update(re=None), "'probes.z[0].re'"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
     doc = generate_fixture("one_gap").to_json_dict()
@@ -144,8 +161,8 @@ def test_free_pipeline_all_checks_pass(tmp_path):
 def test_one_gap_summary_rows(one_gap_run):
     _, _, summary = one_gap_run
     assert summary.passed
-    for name in ("confinement", "potential_bounds", "wronskian", "green_sign",
-                 "kernel_bound", "kernel_diagonal", "oracle_equivalence",
+    for name in ("confinement", "potential_bounds", "wronskian", "weyl_routes",
+                 "green_sign", "kernel_bound", "kernel_diagonal", "oracle_equivalence",
                  "D_diagonal", "D_symmetry", "structural_identity",
                  "reversibility", "moment"):
         assert summary.checks[name]["pass"], name
@@ -270,17 +287,35 @@ def test_flow_failure_writes_error_json(tmp_path, monkeypatch, capsys):
 
 
 def test_ode_failure_writes_error_json(tmp_path, monkeypatch):
-    class Failed:
-        success = False
-        message = "step size became too small"
+    # a NaN potential makes the first Magnus pass non-finite: the solve
+    # stops there instead of refining up to the step cap
+    calls = []
 
-    monkeypatch.setattr("levitan.weyl.solve_ivp", lambda *a, **k: Failed())
+    def nan_potential(band, traj, x):
+        calls.append(np.size(x))
+        return np.full(np.shape(x), np.nan)
+
+    monkeypatch.setattr("levitan.weyl.potential_on", nan_potential)
     cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"))
-    with pytest.raises(QuadratureFailure, match="too small"):
+    with pytest.raises(QuadratureFailure, match="non-finite"):
         run_pipeline(cfg)
+    assert len(calls) == 1
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
     assert err["stage"] == "weyl"
     assert err["type"] == "QuadratureFailure"
+
+
+def test_python_config_missing_perturbation_key_writes_error_json(tmp_path):
+    # a RunConfig built in Python skips the loader's checks; the flow stage
+    # makes them, so the failure is a stage error
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"),
+                  perturbation={"form": "gaussian_bump", "amplitude": 0.2,
+                                "center": 0.0})
+    with pytest.raises(ValueError, match="'perturbation.width'"):
+        run_pipeline(cfg)
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert err["stage"] == "flow"
+    assert err["type"] == "ValueError"
 
 
 def test_error_json_cleared_on_success(tmp_path):

@@ -4,6 +4,7 @@ polynomial structure identity."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +39,10 @@ from levitan.errors import (
 )
 from levitan._numerics import principal_sqrt
 from levitan.spectral import as_point
-from levitan.weyl import probe_csv
+from levitan.dubrovin import potential_on
+from levitan.weyl import _magnus_pass, _ode_cs, probe_csv
 
-from conftest import flow_integral_quad, periodic_edges
+from conftest import dop853_cs, flow_integral_quad, periodic_edges
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,16 @@ def gap1_ctx():
 def gap2_ctx():
     band = BandStructure(periodic_edges(2))
     div = DirichletDivisor(((1.0, 1), (4.0, -1)))
+    traj = integrate_dubrovin(band, div, -3.0, 3.0, 0.01, tol=1e-11)
+    return WeylContext(band, traj)
+
+
+@pytest.fixture(scope="module")
+def gap10_ctx():
+    # the periodic_like n = 10 fixture's band and divisor
+    band = BandStructure(periodic_edges(10))
+    div = DirichletDivisor(tuple((float(band.gap_mid[j]), 1 - 2 * (j % 2))
+                                 for j in range(10)))
     traj = integrate_dubrovin(band, div, -3.0, 3.0, 0.01, tol=1e-11)
     return WeylContext(band, traj)
 
@@ -109,13 +121,79 @@ def test_free_green(free_ctx):
 
 
 def test_free_cs_solution_values(free_ctx):
-    from levitan.weyl import _ode_cs
     c, cp, s, sp = _ode_cs(free_ctx, 4.0 + 0j, math.pi / 2)
     # c = cos(2x), s = sin(2x)/2 at z = 4
     assert abs(c + 1.0) < 1e-9
     assert abs(s) < 1e-9
     assert abs(cp) < 2e-9          # -2 sin(2x) = 0 at x = pi/2
     assert abs(sp + 1.0) < 1e-9    # cos(2x) = -1
+
+
+# ---------------------------------------------------------------------------
+# the (c, s) propagator
+# ---------------------------------------------------------------------------
+
+def test_magnus_pass_fourth_order(gap2_ctx):
+    # each doubling of the step count cuts the pass difference 16-fold
+    for z in (-1.0, 2.5 + 0.3j):
+        ys = [_magnus_pass(gap2_ctx, z, 1.5, n) for n in (30, 60, 120)]
+        d1, d2 = (np.max(np.abs(b - a)) for a, b in zip(ys, ys[1:]))
+        assert 10.0 <= d1 / d2 <= 22.0
+
+
+def test_ode_cs_matches_dop853(gap1_ctx, gap2_ctx, gap10_ctx):
+    for ctx in (gap1_ctx, gap2_ctx, gap10_ctx):
+        top = ctx.band.edges[-1]
+        # the last z is within eps_gap of the first gap: the product route
+        # refuses there, so this route is the only one
+        near = ctx.band.gaps[0][1] + 0.5j * ctx.eps_gap
+        with pytest.raises(TooCloseToGap):
+            eval_psi_product(ctx, near, 1.0, +1)
+        for z in (-1.0, 1.5 + 0.9j, top + 2.0 + 1.4j, near):
+            for x in (-2.0, 1.5):
+                want = dop853_cs(ctx, z, x)
+                got = np.array(_ode_cs(ctx, z, x))
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_ode_tol_sets_the_sample_count(gap2_ctx, monkeypatch):
+    from levitan import weyl
+    counts = []
+
+    def counted(band, traj, x):
+        counts[-1] += np.size(x)
+        return potential_on(band, traj, x)
+
+    monkeypatch.setattr(weyl, "potential_on", counted)
+    vals = []
+    for tol in (1e-8, 1e-12):
+        counts.append(0)
+        ctx = WeylContext(gap2_ctx.band, gap2_ctx.trajectory, ode_tol=tol)
+        vals.append(np.array(_ode_cs(ctx, 1.5 + 0.9j, 2.0)))
+    assert counts[0] < counts[1]
+    assert np.max(np.abs(vals[0] - vals[1])) <= 1e-8 * np.max(np.abs(vals[1]))
+
+
+def test_ode_cs_step_cap(gap1_ctx):
+    # ode_tol below rounding: no two passes agree before the step cap
+    strict = WeylContext(gap1_ctx.band, gap1_ctx.trajectory, ode_tol=1e-18)
+    with pytest.raises(QuadratureFailure, match="no two passes"):
+        _ode_cs(strict, -1.0, 2.0)
+
+
+def test_ode_cs_memory_does_not_grow_with_steps(gap10_ctx):
+    # x = +-3 at ode_tol 1e-12 takes thousands of steps per pass; only one
+    # batch of them is held at a time
+    z = gap10_ctx.band.edges[-1] + 2.0 + 1.4j
+    gap10_ctx.p_of(0.0)   # build the trajectory spline outside the trace
+    for x in (-3.0, 3.0):
+        tracemalloc.start()
+        try:
+            _ode_cs(gap10_ctx, z, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
