@@ -144,13 +144,14 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, base: Path | None = None) -> "RunConfig":
-        """Parse a config document; raises ValueError naming the key path of
-        any key this schema does not know, of a key that is required but
-        absent, of a value not of its key's JSON type (a section that is not
-        an object, a divisor entry that is not a (mu, sigma) pair, a
-        perturbation value that is not a number or a list of numbers), and
-        of an unknown perturbation form, so a typo fails instead of running
-        on a default."""
+        """Parse a config document; absent keys take the field defaults.
+
+        Raises ValueError naming the key path of a key this schema does not
+        know, of a required key that is absent, of a value not of its key's
+        JSON type (a number must be finite, grid.h and flow.step positive, a
+        probe side off_axis, upper or lower, with im 0 on a rim), and of an
+        unknown perturbation form, so a typo fails instead of running on a
+        default."""
         if not isinstance(doc, dict):
             raise ValueError("a config must be a JSON object")
         _check_keys(doc, "", _TOP_KEYS, required=("band",))
@@ -177,29 +178,27 @@ class RunConfig:
         for i, p in enumerate(probes.get("z", ())):
             _check_keys(_expect(p, "probes.z[%d]" % i, _OBJ),
                         "probes.z[%d]." % i, _PROBE_KEYS, required=("re",))
-        pert = dict(doc.get("perturbation", {"form": "zero"}))
-        _check_perturbation(pert)
-        zp = tuple((float(p["re"]), float(p.get("im", 0.0)),
-                    str(p.get("side", "off_axis")))
-                   for p in probes.get("z", ()))
+            if p.get("side", "off_axis") != "off_axis" and p.get("im", 0.0):
+                raise ValueError("config key 'probes.z[%d].im' must be 0 on "
+                                 "a rim, got %r" % (i, p["im"]))
+        # each plain value sets its field; absent keys keep the defaults
+        kw = {_FIELDS.get(where + key, key): _CAST[kinds[key]](value)
+              for where, sec, kinds in (("band.", band, _BAND_KEYS),
+                                        ("grid.", grid, _SECTIONS["grid"]),
+                                        ("flow.", flow, _SECTIONS["flow"]),
+                                        ("", doc, _TOP_KEYS))
+              for key, value in sec.items() if kinds[key] in _CAST}
+        if "perturbation" in doc:
+            kw["perturbation"] = dict(doc["perturbation"])
+            _check_perturbation(kw["perturbation"])
         return cls(
             edges=tuple(float(e) for e in band["edges"]),
-            hyp_l=float(band.get("l", 2.0)),
-            hyp_C=float(band.get("C", 1.0)),
-            hyp_alpha=float(band.get("alpha", 1.0)),
             divisor=divisor,
-            perturbation=pert,
-            h=float(grid.get("h", 0.05)),
-            x0=float(grid.get("x0", -1.0)),
-            x_max=(None if grid.get("x_max") is None else float(grid["x_max"])),
-            tol=float(grid.get("tol", 1e-9)),
-            max_iter=int(grid.get("max_iter", 50)),
-            flow_step=float(flow.get("step", 0.01)),
-            flow_tol=float(flow.get("tol", 1e-11)),
-            z_probes=zp,
+            z_probes=tuple((float(p["re"]), float(p.get("im", 0.0)),
+                            p.get("side", "off_axis"))
+                           for p in probes.get("z", ())),
             x_probes=tuple(float(x) for x in probes.get("x", ())),
-            out_dir=str(doc.get("out_dir", "levitan-out")),
-            seed=int(doc.get("seed", 0)),
+            **kw,
         )
 
     @classmethod
@@ -207,13 +206,16 @@ class RunConfig:
         path = Path(path)
         return cls.from_json_dict(json.loads(path.read_text()), base=path.parent)
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=1, sort_keys=True) + "\n"
+
     def write(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=1, sort_keys=True) + "\n")
+        Path(path).write_text(self.to_json())
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 def _is_numbers(v) -> bool:
@@ -221,13 +223,16 @@ def _is_numbers(v) -> bool:
 
 
 # the JSON types of config values, by the name an error message gives them
-_OBJ, _NUM, _INT, _STR = "an object", "a number", "an integer", "a string"
-_NUM_OR_NULL, _LIST = "a number or null", "a list"
-_NUMS, _PAIR = "a list of numbers", "a pair of numbers"
+_OBJ, _INT, _STR, _LIST = "an object", "an integer", "a string", "a list"
+_NUM, _POS = "a finite number", "a positive number"
+_NUM_OR_NULL, _NUMS = "a finite number or null", "a list of numbers"
+_PAIR = "a pair of numbers"
 _MU_SIGMA = "a [mu, sigma] pair with sigma +1 or -1"
+_SIDE = "one of %s" % ", ".join(repr(s.value) for s in Side)
 _KINDS = {
     _OBJ: lambda v: isinstance(v, dict),
     _NUM: _is_number,
+    _POS: lambda v: _is_number(v) and v > 0,
     _NUM_OR_NULL: lambda v: v is None or _is_number(v),
     _INT: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     _STR: lambda v: isinstance(v, str),
@@ -235,6 +240,7 @@ _KINDS = {
     _NUMS: _is_numbers,
     _PAIR: lambda v: _is_numbers(v) and len(v) == 2,
     _MU_SIGMA: lambda v: _is_numbers(v) and len(v) == 2 and v[1] in (1, -1),
+    _SIDE: lambda v: v in [s.value for s in Side],
 }
 
 # every config key with the type of its value; "band" may also name a file
@@ -244,12 +250,17 @@ _TOP_KEYS = {"band": None, "divisor": None, "perturbation": _OBJ,
              "seed": _INT}
 _BAND_KEYS = {"edges": _NUMS, "l": _NUM, "C": _NUM, "alpha": _NUM}
 _SECTIONS = {
-    "grid": {"h": _NUM, "x0": _NUM, "x_max": _NUM_OR_NULL, "tol": _NUM,
+    "grid": {"h": _POS, "x0": _NUM, "x_max": _NUM_OR_NULL, "tol": _NUM,
              "max_iter": _INT},
-    "flow": {"step": _NUM, "tol": _NUM},
+    "flow": {"step": _POS, "tol": _NUM},
     "probes": {"z": _LIST, "x": _NUMS},
 }
-_PROBE_KEYS = {"re": _NUM, "im": _NUM, "side": _STR}
+_PROBE_KEYS = {"re": _NUM, "im": _NUM, "side": _SIDE}
+# the RunConfig fields of plain values not named by their key alone
+_FIELDS = {"band.l": "hyp_l", "band.C": "hyp_C", "band.alpha": "hyp_alpha",
+           "flow.step": "flow_step", "flow.tol": "flow_tol"}
+_CAST = {_NUM: float, _POS: float, _INT: int, _STR: str,
+         _NUM_OR_NULL: lambda v: None if v is None else float(v)}
 
 
 def _expect(value, path: str, kind: str):
@@ -308,13 +319,6 @@ def _build_perturbation(params: dict) -> PerturbationProfile:
     _check_perturbation(params)
     kinds, build = _PERTURBATIONS[params.get("form", "zero")]
     return build(*(params[k] for k in kinds))
-
-
-def _build_point(triple) -> SpectralPoint:
-    re, im, side = triple
-    if side == Side.OFF_AXIS.value:
-        return SpectralPoint(complex(re, im))
-    return SpectralPoint(complex(re, im), Side(side))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +509,8 @@ def _stage_potential(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
 def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     band = st["band"]
     ctx = WeylContext(band, st["traj"])
-    zpts = [_build_point(t) for t in cfg.z_probes] or \
+    zpts = [SpectralPoint(complex(re, im), side)
+            for re, im, side in cfg.z_probes] or \
         [SpectralPoint(complex(band.edges[0] - 1.0))]
     xs = cfg.x_probes or (0.0,)
     probe_csv(ctx, zpts, xs, out / "weyl_probes.csv")
@@ -637,6 +642,9 @@ _STAGE_FNS = {
     "verify": _stage_verify,
 }
 
+# what a failing stage may raise: written to error.json, exit code 2
+_STAGE_ERRORS = (LevitanError, ValueError, ArithmeticError, OSError)
+
 
 def _write_error(out: Path, stage: str, exc: Exception) -> None:
     doc = {"error": {"stage": stage, "type": type(exc).__name__,
@@ -668,7 +676,7 @@ def run_pipeline(config: RunConfig, upto: str | None = None) -> VerificationSumm
     for name in wanted:
         try:
             _STAGE_FNS[name](config, state, checks, out)
-        except (LevitanError, ValueError, OSError) as exc:
+        except _STAGE_ERRORS as exc:
             _write_error(out, name, exc)
             raise
     summary = VerificationSummary(checks=checks)
@@ -806,11 +814,10 @@ def main(argv=None) -> int:
         except (LevitanError, ValueError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        doc = json.dumps(cfg.to_json_dict(), indent=1, sort_keys=True) + "\n"
         if ns.out:
-            Path(ns.out).write_text(doc)
+            cfg.write(ns.out)
         else:
-            sys.stdout.write(doc)
+            sys.stdout.write(cfg.to_json())
         return 0
 
     try:
@@ -829,7 +836,7 @@ def main(argv=None) -> int:
     try:
         summary = run_pipeline(cfg, upto=None if ns.command == "all"
                                else ns.command)
-    except (LevitanError, ValueError, OSError) as exc:
+    except _STAGE_ERRORS as exc:
         print("error [%s]: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -148,14 +147,6 @@ def _omega(band: BandStructure, theta: np.ndarray) -> np.ndarray:
     return base * np.prod(np.sqrt(a) / b, axis=-1)
 
 
-class TouchTable(NamedTuple):
-    """Every edge touch of a trajectory window, ascending in x."""
-
-    x: np.ndarray        # touch positions
-    edge: np.ndarray     # k of the touched edge E_k (k >= 1)
-    count: np.ndarray    # count[i, k]: touches of E_k among x[:i]
-
-
 @dataclass
 class DivisorTrajectory:
     """Angle samples theta_j(x_i) on a uniform grid, plus derived views.
@@ -267,48 +258,26 @@ class DivisorTrajectory:
         inside = (c3 > 0.0) & (s > 0.0) & (s < h)
         return not np.any(dip[inside] <= 0.0)
 
-    @cached_property
-    def touch_table(self) -> TouchTable:
-        """Every edge touch of the window, built once per trajectory.
-
-        The touches of E_k are the roots of theta_j = m*pi with the matching
-        parity (even m: lower edge), located on the Hermite spline.
-        Precondition: every theta_j strictly increasing (see
-        :meth:`increasing`; the flow guarantees it since Omega > 0), so each
-        level has exactly one preimage, found by ``searchsorted`` over the
-        node values and one cubic solve on that spline piece.  Raises
-        ValueError naming the first gap that violates the precondition.
-        """
-        n = self.band.gap_count
-        for j in range(n):
-            if not self.increasing(j):
-                raise ValueError(
-                    "theta_%d is not strictly increasing; its edge touches "
-                    "are not transversal" % (j + 1))
-        # gap j's lower edge is E_{2j+1}, its upper edge E_{2j+2}
-        found = [self._level_crossings((k - 1) // 2, k % 2 == 1)
-                 for k in range(1, 2 * n + 1)]
-        x = np.concatenate([np.zeros(0)] + found)
-        edge = np.repeat(np.arange(1, 2 * n + 1), [len(t) for t in found])
-        order = np.argsort(x, kind="stable")
-        x, edge = x[order], edge[order]
-        hits = np.vstack([np.zeros((1, 2 * n + 1), dtype=bool),
-                          edge[:, None] == np.arange(2 * n + 1)])
-        return TouchTable(x, edge, np.cumsum(hits, axis=0))
-
     def touch_points(self, gap_index: int, edge: str, lo=None, hi=None) -> np.ndarray:
         """x values where mu_j touches its 'lower' or 'upper' gap edge inside
-        [lo, hi] (defaults: full range), read from :attr:`touch_table`."""
-        table = self.touch_table
-        full = table.x[table.edge == 2 * gap_index + (1 if edge == "lower" else 2)]
+        [lo, hi] (defaults: full range); see :meth:`_level_crossings`."""
+        full = self._level_crossings(gap_index, edge == "lower")
         lo = self.x_min if lo is None else lo
         hi = self.x_max if hi is None else hi
         sel = full[(full >= lo - 1e-12) & (full <= hi + 1e-12)]
         return np.clip(sel, lo, hi)
 
     def _level_crossings(self, j: int, even: bool) -> np.ndarray:
-        """Preimages of the levels k*pi (k even or odd) under the increasing
-        spline of theta_j, ascending."""
+        """Preimages of the levels k*pi (k even: the lower edge's touches;
+        odd: the upper edge's) under the spline of theta_j, ascending.
+
+        theta_j must be strictly increasing (see :meth:`increasing`; the
+        flow's is, as Omega > 0), else ValueError; then each level has one
+        preimage, found by ``searchsorted`` and one cubic solve."""
+        if not self.increasing(j):
+            raise ValueError(
+                "theta_%d is not strictly increasing; its edge touches "
+                "are not transversal" % (j + 1))
         col = self.theta[:, j]
         # one spare level at each end: k*pi/pi may round off k
         k = np.arange(math.floor(col[0] / math.pi),
@@ -344,7 +313,9 @@ class DivisorTrajectory:
 
     def flip_points(self) -> np.ndarray:
         """All edge-touch locations (sigma flip candidates), every gap."""
-        return np.unique(self.touch_table.x)
+        return np.unique([x for j in range(self.band.gap_count)
+                          for even in (True, False)
+                          for x in self._level_crossings(j, even)])
 
     @cached_property
     def _mirror(self) -> "DivisorTrajectory":
@@ -353,7 +324,7 @@ class DivisorTrajectory:
 
     def mirrored(self) -> "DivisorTrajectory":
         """The trajectory of the space-reflected background, mu~(x) = mu(-x),
-        built once and shared along with its spline and touch table."""
+        built once and shared along with its spline."""
         return self._mirror
 
 

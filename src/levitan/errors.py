@@ -73,12 +73,6 @@ class AmbiguousPole(LevitanError):
 
 # --- transformation kernel -----------------------------------------------------
 
-class ExtrapolationFailure(LevitanError):
-    """An edge amplitude's sign is undefined: the divisor touches the edge
-    non-transversally (its Dubrovin angle is not strictly increasing), so
-    the touch-parity closed form of the edge phase does not apply."""
-
-
 class NoConvergence(LevitanError):
     """Fixed-point iteration failed to contract below tolerance.
 

@@ -21,20 +21,17 @@ factorizes over its four position arguments,
 with a per-edge amplitude a_k(t) = L_k(t) prod_j |E_k - mu_j(t)|^{1/2}.  The
 sign L_k has a closed form in the Dubrovin angles: for the lower edge of gap
 j, E_{2j-1} - mu_j = -2 w_j sin^2(theta_j / 2), so the analytic amplitude is
-a multiple of sin(theta_j / 2) (cos for the upper edge E_2j) and changes sign
-at each touch of mu_j on E_k.  Normalized at x = 0,
-
-    L_k(t) = (-1)^(number of E_k touches between 0 and t),
-
-read off the trajectory's touch points; L_0 = 1 (no mu_j reaches E_0).  The
-sign is the limit phase of the oscillating exponential of psi_+ as z
-approaches the edge through the adjacent band, up to a constant unimodular
-factor that cancels in f_+.  It needs transversal touches, which the flow
-guarantees (Omega > 0); a trajectory whose angle is not strictly increasing
-is refused with ExtrapolationFailure.  The factorized form lets the solver
-build each lattice row's factors from slices of one (edges, positions)
-amplitude array, filled by one pass over the divisor, so no factor over the
-whole lattice is ever stored.
+a multiple of sin(theta_j / 2) (cos for the upper edge E_2j).  Normalized at
+x = 0, L_k(t) is the sign of that factor at t over its sign at 0, read off
+the branch index floor(theta_j / pi) with the right-limit convention of the
+sheet sign; L_0 = 1 (no mu_j reaches E_0).  On the flow (Omega > 0) the sign
+flips at each touch of mu_j on E_k; a tangential touch keeps it.  The sign
+is the limit phase of the oscillating exponential of psi_+ as z approaches
+the edge through the adjacent band, up to a constant unimodular factor that
+cancels in f_+.  The factorized form lets the solver build each lattice
+row's factors from slices of one (edges, positions) amplitude array, filled
+by one pass over the divisor, so no factor over the whole lattice is ever
+stored.
 
 The - side is never solved directly: all minus-side objects come from the
 mirror substitution x -> -x applied to trajectory and perturbation, under
@@ -56,11 +53,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import RectBivariateSpline
 
 from ._numerics import rev_cumtrapz
-from .errors import (
-    ExtrapolationFailure,
-    MomentViolation,
-    NoConvergence,
-)
+from .errors import MomentViolation, NoConvergence
 from .spectral import BandStructure, as_point
 from .weyl import WeylContext, _check_sign, eval_green, psi_on_grid
 
@@ -193,37 +186,37 @@ def moment_check(perturbation, window) -> float:
 # edge amplitudes a_k(t)
 # ---------------------------------------------------------------------------
 
+# the signs of sin(theta / 2) and cos(theta / 2) on the branch
+# k = floor(theta / pi), by k mod 4: (-1)^(k // 2) and (-1)^((k + 1) // 2)
+_HALF_ANGLE_SIGNS = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
+
+
 def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
     """a_k(ts) for each k in ``edges``, shape (len(edges), len(ts)), from one
-    pass over the divisor at the positions.
+    spline evaluation of the angles at the positions and at 0.
 
-    The sign is L_k(t) = (-1)^(number of E_k touches in (min(0, t),
-    max(0, t)]): it flips at every touch, a position on a touch takes the
-    sign of the interval to its right (the amplitude vanishes there anyway),
-    and a touch exactly at 0 flips the interval to its left.  The counts come
-    from the trajectory's touch table by one ``searchsorted``; E_0 keeps
-    L_0 = 1, as no mu_j ever reaches it.
+    L_k(t) is the sign of the own-gap factor, sin(theta_j / 2) for E_{2j-1}
+    and cos(theta_j / 2) for E_2j, at t times its sign at 0, both read off
+    the branch index floor(theta_j / pi).  A position on a touch takes the
+    sign to its right (the amplitude vanishes there anyway); E_0 keeps
+    L_0 = 1.
     """
     traj = ctx.trajectory
-    edges = list(edges)
-    e = ctx.band.edge_array[edges]
-    amp = np.sqrt(np.prod(np.abs(e[:, None, None] - traj.mu_at(ts)),
-                          axis=-1)).astype(complex)
-    try:
-        table = traj.touch_table
-    except ValueError as exc:
-        # raised only when DivisorTrajectory.increasing fails for some gap
-        raise ExtrapolationFailure(
-            "edge phases: touches not transversal (%s)" % exc) from exc
-    counts = table.count[np.searchsorted(table.x, np.append(ts, 0.0),
-                                         side="right")][:, edges]
-    flips = (counts[:-1] - counts[-1]).T
-    return amp * np.where(flips % 2 == 1, -1.0, 1.0)
+    edges = np.asarray(edges)
+    theta = traj.theta_at(np.append(ts, 0.0))
+    amp = np.sqrt(np.prod(np.abs(ctx.band.edge_array[edges, None, None]
+                                 - traj.mu_of_theta(theta[:-1])), axis=-1))
+    k = np.floor(theta / math.pi).astype(int)
+    sign = np.ones((len(k), 2 * k.shape[1] + 1))
+    sign[:, 1:] = _HALF_ANGLE_SIGNS[k % 4].reshape(len(k), -1)
+    sign = sign[:, edges]
+    return (amp * (sign[:-1] * sign[-1]).T).astype(complex)
 
 
 def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
     """a_k at an array of positions (complex; modulus prod_j |E_k - mu_j|^{1/2},
-    sign flipping at each touch of the gap's divisor point on E_k).
+    sign that of sin(theta_j / 2) for E_k = E_{2j-1}, cos(theta_j / 2) for
+    E_k = E_2j, relative to x = 0).
 
     Returns a fresh array on every call.
     """
@@ -271,8 +264,7 @@ def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
     if _check_sign(sign) < 0:
         ctx = ctx.mirrored()
         x, y, r, s = -x, -y, -r, -s
-    n_edges = len(ctx.band.edges)
-    a = _amplitudes(ctx, range(n_edges), np.array([x, y, r, s]))
+    a = _amplitudes(ctx, range(len(ctx.band.edges)), np.array([x, y, r, s]))
     # summed in edge order, as -1/4 sum_k residue_f_plus would be
     total = 0.0
     for term in _residues(a, _edge_denominators(ctx.band)).tolist():

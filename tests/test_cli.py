@@ -1,6 +1,7 @@
 """Pipeline driver: fixture generation, staged runs and their artifacts,
 verification summaries, exit codes, plot scripts, and byte determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from levitan import (
     run_pipeline,
     validate_band_structure,
 )
-from levitan.cli import STAGES, _apply_thread_budget, main
+from levitan.cli import _STAGE_FNS, STAGES, _apply_thread_budget, main
 from levitan.errors import MissingArtifact, QuadratureFailure
 
 ARTIFACTS = ("band.json", "trajectory.csv", "potential.csv",
@@ -119,6 +120,19 @@ def test_config_json_roundtrip(kind, kwargs):
      "'perturbation.xs'"),
     (lambda d: d["grid"].update(h="0.05"), "'grid.h'"),
     (lambda d: d["probes"]["z"][0].update(re=None), "'probes.z[0].re'"),
+    pytest.param(lambda d: d["grid"].update(h=math.nan), "'grid.h'",
+                 id="grid.h-nan"),
+    pytest.param(lambda d: d["grid"].update(h=0.0), "'grid.h'",
+                 id="grid.h-zero"),
+    pytest.param(lambda d: d["flow"].update(step=math.inf), "'flow.step'",
+                 id="flow.step-inf"),
+    pytest.param(lambda d: d["flow"].update(step=-0.01), "'flow.step'",
+                 id="flow.step-negative"),
+    (lambda d: d["band"].update(edges=[0.0, 1.0, -math.inf]), "'band.edges'"),
+    (lambda d: d["perturbation"].update(width=math.nan),
+     "'perturbation.width'"),
+    (lambda d: d["probes"]["z"][1].update(side="uppr"), "'probes.z[1].side'"),
+    (lambda d: d["probes"]["z"][1].update(im=0.5), "'probes.z[1].im'"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
     doc = generate_fixture("one_gap").to_json_dict()
@@ -130,6 +144,30 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
     assert main(["validate", str(path), "--out", str(tmp_path / "run")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_absent_keys_take_field_defaults():
+    assert RunConfig.from_json_dict({"band": {"edges": [0.0]}}) == \
+        RunConfig(edges=(0.0,))
+
+
+# sha256 of `levitan fixture <kind>` with the default -n and --seed
+FIXTURE_SHA256 = {
+    "free": "79e9444a6e0e954c9c3b180b41ef4f3bd13250ec2bcec074d2f714c428daf00f",
+    "one_gap": "b9799c8bb174375a8031c654ec9abff4229297bb5a5fe4d53486a8ce05ab522d",
+    "periodic_like":
+        "07dd2753516356f2a8a437ffeae28f6a057b683063844e63eb1a8f28c65ae792",
+    "random": "10dd7f7324490e5caf79390bba82e0c520bebeb573edd446fbab6b14b376e5e9",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURE_SHA256))
+def test_fixture_output_pinned(kind, tmp_path, capsys):
+    assert main(["fixture", kind]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == FIXTURE_SHA256[kind]
+    assert main(["fixture", kind, "--out", str(tmp_path / "c.json")]) == 0
+    assert (tmp_path / "c.json").read_text() == text
 
 
 def test_band_file_reference(tmp_path):
@@ -190,7 +228,6 @@ def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
     # both writers format whole arrays at once; the per-value writers below
     # put every float through f17, one value at a time
     from levitan._numerics import f17
-    from levitan.cli import _STAGE_FNS
     from levitan.kernel import jost_profile
     cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path))
     st = {}
@@ -316,6 +353,30 @@ def test_python_config_missing_perturbation_key_writes_error_json(tmp_path):
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
     assert err["stage"] == "flow"
     assert err["type"] == "ValueError"
+
+
+def test_arithmetic_stage_error_exits_2(tmp_path, monkeypatch, capsys):
+    def overflow(cfg, st, checks, out):
+        raise OverflowError("(34, 'Numerical result out of range')")
+
+    monkeypatch.setitem(_STAGE_FNS, "potential", overflow)
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"))
+    path = tmp_path / "cfg.json"
+    cfg.write(path)
+    assert main(["all", str(path)]) == 2
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert (err["stage"], err["type"]) == ("potential", "OverflowError")
+    assert "OverflowError" in capsys.readouterr().err
+
+
+def test_python_config_zero_step_writes_error_json(tmp_path):
+    # h = 0 passes no loader; the flow stage's tail cutoff divides by it
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"),
+                  h=0.0)
+    with pytest.raises(ZeroDivisionError):
+        run_pipeline(cfg)
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert (err["stage"], err["type"]) == ("flow", "ZeroDivisionError")
 
 
 def test_error_json_cleared_on_success(tmp_path):

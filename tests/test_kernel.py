@@ -19,7 +19,7 @@ from conftest import (
 )
 from levitan import cli
 from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
-from levitan.errors import ExtrapolationFailure, MomentViolation, NoConvergence
+from levitan.errors import MomentViolation, NoConvergence
 from levitan.kernel import (
     GridParams,
     PerturbationProfile,
@@ -236,16 +236,24 @@ def test_edge_amplitudes_cached_and_copied(kgap):
     assert b[0] != 123.0
 
 
-def test_quartic_touch_fails_extrapolation():
-    # theta = alpha x^2 makes mu graze the edge quartically; the limit phase
-    # integral then diverges and the snap guard must refuse to guess
+def test_tangential_touch_keeps_sign():
+    # theta = 3 x^2 grazes the lower edge at x = 0 without crossing it: the
+    # amplitudes are the analytic sqrt(2 w) sin(theta/2) and sqrt(2 w)
+    # cos(theta/2) on both sides, with no flip at 0 (the Hermite spline
+    # reproduces the quadratic exactly)
     band = BandStructure((0.0, 1.0, 2.0))
     xs = np.linspace(-0.5, 0.5, 101)
     traj = DivisorTrajectory(band, xs, (3.0 * xs ** 2)[:, None],
                              (6.0 * xs)[:, None])
     ctx = WeylContext(band, traj)
-    with pytest.raises(ExtrapolationFailure):
-        edge_amplitudes(ctx, 1, np.array([0.4]))
+    ts = np.linspace(-0.45, 0.45, 19)
+    scale = math.sqrt(2.0 * band.gap_half[0])
+    for k, half in ((1, np.sin), (2, np.cos)):
+        a = edge_amplitudes(ctx, k, ts)
+        assert np.all(a.imag == 0.0)
+        np.testing.assert_allclose(a.real, scale * half(1.5 * ts ** 2),
+                                   rtol=1e-10, atol=1e-15)
+    assert np.all(edge_amplitudes(ctx, 1, ts[ts != 0.0]).real > 0.0)
 
 
 def test_residue_vanishes_at_touch(kgap_sym):
@@ -264,9 +272,17 @@ def _flow_context(kind, n, seed, out):
     return cfg, st, WeylContext(st["band"], st["traj"])
 
 
-@pytest.fixture(scope="module", params=[("periodic_like", 4, 0),
-                                        ("random", 6, 0)],
-                ids=["periodic_like-4", "random-6"])
+# random fixtures on which an earlier, eps-limit edge phase stopped the
+# kernel stage
+FORMERLY_FAILING = [(5, 1), (8, 0), (8, 5), (9, 3), (9, 6)]
+
+
+@pytest.fixture(scope="module",
+                params=[("periodic_like", 4, 0), ("random", 6, 0),
+                        ("one_gap", 0, 0)]
+                + [("random", n, seed) for n, seed in FORMERLY_FAILING],
+                ids=["periodic_like-4", "random-6", "one_gap"]
+                + ["random-%d-%d" % p for p in FORMERLY_FAILING])
 def kfixture(request, tmp_path_factory):
     return _flow_context(*request.param, tmp_path_factory.mktemp("flow"))[2]
 
@@ -304,11 +320,6 @@ def test_eval_D_is_residue_sum_bit_for_bit(kfixture, rng):
         for k in range(len(ctx.band.edges)):
             total += residue_f_plus(ctx, k, x, y, r, s)
         assert eval_D(ctx, x, y, r, s) == -0.25 * total
-
-
-# random fixtures on which the eps-limit edge phase used to stop the kernel
-# stage with ExtrapolationFailure
-FORMERLY_FAILING = [(5, 1), (8, 0), (8, 5), (9, 3), (9, 6)]
 
 
 @pytest.mark.parametrize("n, seed", FORMERLY_FAILING)
