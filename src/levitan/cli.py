@@ -98,12 +98,13 @@ _WINDOW_MARGIN = 0.5
 class RunConfig:
     """One pipeline run, as plain data.
 
-    The band edges and the perturbation are stored unvalidated; the
-    ``validate`` and ``flow`` stages turn them into domain objects, so a bad
-    config fails inside the pipeline with proper stage attribution instead
-    of at load time.  ``divisor`` is either a tuple of ``(mu, sigma)`` pairs
-    or None, in which case the flow stage draws one uniformly in the gaps
-    from the run seed.
+    The band edges and the perturbation are stored as plain data; the
+    ``validate`` and ``flow`` stages turn them into domain objects, so a
+    band or perturbation that loads but is not admissible fails inside the
+    pipeline with its stage named.  ``divisor`` is either a tuple of
+    ``(mu, sigma)`` pairs or None, in which case the flow stage draws one
+    uniformly in the gaps from the run seed.  ``_KEYS`` gives each field's
+    JSON key path.
     """
 
     edges: tuple
@@ -125,22 +126,16 @@ class RunConfig:
     seed: int = 0
 
     def to_json_dict(self) -> dict:
-        div = ("random" if self.divisor is None
-               else {"entries": [[float(m), int(s)] for m, s in self.divisor]})
-        return {
-            "band": {"edges": [float(e) for e in self.edges], "l": self.hyp_l,
-                     "C": self.hyp_C, "alpha": self.hyp_alpha},
-            "divisor": div,
-            "perturbation": dict(self.perturbation),
-            "grid": {"h": self.h, "x0": self.x0, "x_max": self.x_max,
-                     "tol": self.tol, "max_iter": self.max_iter},
-            "flow": {"step": self.flow_step, "tol": self.flow_tol},
-            "probes": {"z": [{"re": re, "im": im, "side": side}
-                             for re, im, side in self.z_probes],
-                       "x": [float(x) for x in self.x_probes]},
-            "out_dir": self.out_dir,
-            "seed": int(self.seed),
-        }
+        """The config document: every key path of ``_KEYS``, set from its
+        field; a divisor of None is written "random"."""
+        doc: dict = {}
+        for path, (name, kind) in _KEYS.items():
+            section, _, key = path.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[key] = \
+                _CONVERT[kind][1](getattr(self, name))
+        if self.divisor is None:
+            doc["divisor"] = "random"
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict, base: Path | None = None) -> "RunConfig":
@@ -154,52 +149,39 @@ class RunConfig:
         default."""
         if not isinstance(doc, dict):
             raise ValueError("a config must be a JSON object")
-        _check_keys(doc, "", _TOP_KEYS, required=("band",))
-        band = doc["band"]
-        if isinstance(band, str):
-            path = Path(band)
+        doc = dict(doc)
+        if isinstance(doc.get("band"), str):
+            path = Path(doc["band"])
             if base is not None and not path.is_absolute():
                 path = base / path
-            band = json.loads(path.read_text())
-        _check_keys(_expect(band, "band", _OBJ), "band.", _BAND_KEYS,
-                    required=("edges",))
-        div = doc.get("divisor", "random")
-        if div == "random":
-            divisor = None
-        else:
-            _check_keys(_expect(div, "divisor", _OBJ), "divisor.",
-                        {"entries": _LIST}, required=("entries",))
-            pairs = [_expect(e, "divisor.entries[%d]" % i, _MU_SIGMA)
-                     for i, e in enumerate(div["entries"])]
-            divisor = tuple((float(m), int(s)) for m, s in pairs)
-        for name, kinds in _SECTIONS.items():
-            _check_keys(doc.get(name, {}), name + ".", kinds)
-        grid, flow, probes = (doc.get(k, {}) for k in _SECTIONS)
-        for i, p in enumerate(probes.get("z", ())):
-            _check_keys(_expect(p, "probes.z[%d]" % i, _OBJ),
-                        "probes.z[%d]." % i, _PROBE_KEYS, required=("re",))
+            doc["band"] = json.loads(path.read_text())
+        if doc.get("divisor") == "random":
+            del doc["divisor"]
+        _check_keys(doc, "", dict.fromkeys(p.partition(".")[0] for p in _KEYS),
+                    required=("band",))
+        flat = {}  # every value by its key path
+        for key, value in doc.items():
+            if key in _SECTIONS:
+                flat.update((key + "." + k, v)
+                            for k, v in _expect(value, key, _OBJ).items())
+            else:
+                flat[key] = value
+        _check_keys(flat, "", {path: kind for path, (_, kind) in _KEYS.items()},
+                    required=[p for p in _REQUIRED
+                              if p.partition(".")[0] in doc])
+        for i, pair in enumerate(flat.get("divisor.entries", ())):
+            _expect(pair, "divisor.entries[%d]" % i, _MU_SIGMA)
+        for i, p in enumerate(flat.get("probes.z", ())):
+            where = "probes.z[%d]" % i
+            _check_keys(_expect(p, where, _OBJ), where + ".", _PROBE_KEYS,
+                        required=("re",))
             if p.get("side", "off_axis") != "off_axis" and p.get("im", 0.0):
-                raise ValueError("config key 'probes.z[%d].im' must be 0 on "
-                                 "a rim, got %r" % (i, p["im"]))
-        # each plain value sets its field; absent keys keep the defaults
-        kw = {_FIELDS.get(where + key, key): _CAST[kinds[key]](value)
-              for where, sec, kinds in (("band.", band, _BAND_KEYS),
-                                        ("grid.", grid, _SECTIONS["grid"]),
-                                        ("flow.", flow, _SECTIONS["flow"]),
-                                        ("", doc, _TOP_KEYS))
-              for key, value in sec.items() if kinds[key] in _CAST}
-        if "perturbation" in doc:
-            kw["perturbation"] = dict(doc["perturbation"])
-            _check_perturbation(kw["perturbation"])
-        return cls(
-            edges=tuple(float(e) for e in band["edges"]),
-            divisor=divisor,
-            z_probes=tuple((float(p["re"]), float(p.get("im", 0.0)),
-                            p.get("side", "off_axis"))
-                           for p in probes.get("z", ())),
-            x_probes=tuple(float(x) for x in probes.get("x", ())),
-            **kw,
-        )
+                raise ValueError("config key '%s.im' must be 0 on a rim, "
+                                 "got %r" % (where, p["im"]))
+        if "perturbation" in flat:
+            _check_perturbation(flat["perturbation"])
+        return cls(**{name: _CONVERT[kind][0](flat[path])
+                      for path, (name, kind) in _KEYS.items() if path in flat})
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -223,11 +205,13 @@ def _is_numbers(v) -> bool:
 
 
 # the JSON types of config values, by the name an error message gives them
-_OBJ, _INT, _STR, _LIST = "an object", "an integer", "a string", "a list"
+_OBJ, _INT, _STR = "an object", "an integer", "a string"
 _NUM, _POS = "a finite number", "a positive number"
 _NUM_OR_NULL, _NUMS = "a finite number or null", "a list of numbers"
 _PAIR = "a pair of numbers"
 _MU_SIGMA = "a [mu, sigma] pair with sigma +1 or -1"
+_PAIRS = "a list of [mu, sigma] pairs"
+_PROBES = "a list of probe objects"
 _SIDE = "one of %s" % ", ".join(repr(s.value) for s in Side)
 _KINDS = {
     _OBJ: lambda v: isinstance(v, dict),
@@ -236,31 +220,48 @@ _KINDS = {
     _NUM_OR_NULL: lambda v: v is None or _is_number(v),
     _INT: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     _STR: lambda v: isinstance(v, str),
-    _LIST: lambda v: isinstance(v, (list, tuple)),
     _NUMS: _is_numbers,
     _PAIR: lambda v: _is_numbers(v) and len(v) == 2,
     _MU_SIGMA: lambda v: _is_numbers(v) and len(v) == 2 and v[1] in (1, -1),
+    # each entry checked where parsed, to name its index
+    _PAIRS: lambda v: isinstance(v, (list, tuple)),
+    _PROBES: lambda v: isinstance(v, (list, tuple)),
     _SIDE: lambda v: v in [s.value for s in Side],
 }
 
-# every config key with the type of its value; "band" may also name a file
-# and "divisor" may also be "random", so both are checked where parsed
-_TOP_KEYS = {"band": None, "divisor": None, "perturbation": _OBJ,
-             "grid": _OBJ, "flow": _OBJ, "probes": _OBJ, "out_dir": _STR,
-             "seed": _INT}
-_BAND_KEYS = {"edges": _NUMS, "l": _NUM, "C": _NUM, "alpha": _NUM}
-_SECTIONS = {
-    "grid": {"h": _POS, "x0": _NUM, "x_max": _NUM_OR_NULL, "tol": _NUM,
-             "max_iter": _INT},
-    "flow": {"step": _POS, "tol": _NUM},
-    "probes": {"z": _LIST, "x": _NUMS},
+# every config key path with its RunConfig field and the JSON type of its
+# value; a dotted path lies in a section object ("band" may instead name a
+# band.json file, and "divisor" may instead be "random")
+_KEYS = {
+    "band.edges": ("edges", _NUMS), "band.l": ("hyp_l", _NUM),
+    "band.C": ("hyp_C", _NUM), "band.alpha": ("hyp_alpha", _NUM),
+    "divisor.entries": ("divisor", _PAIRS),
+    "perturbation": ("perturbation", _OBJ),
+    "grid.h": ("h", _POS), "grid.x0": ("x0", _NUM),
+    "grid.x_max": ("x_max", _NUM_OR_NULL), "grid.tol": ("tol", _NUM),
+    "grid.max_iter": ("max_iter", _INT),
+    "flow.step": ("flow_step", _POS), "flow.tol": ("flow_tol", _NUM),
+    "probes.z": ("z_probes", _PROBES), "probes.x": ("x_probes", _NUMS),
+    "out_dir": ("out_dir", _STR), "seed": ("seed", _INT),
 }
+_SECTIONS = {path.partition(".")[0] for path in _KEYS if "." in path}
+# the keys a section must hold wherever it is given ("band" always is)
+_REQUIRED = ("band.edges", "divisor.entries")
 _PROBE_KEYS = {"re": _NUM, "im": _NUM, "side": _SIDE}
-# the RunConfig fields of plain values not named by their key alone
-_FIELDS = {"band.l": "hyp_l", "band.C": "hyp_C", "band.alpha": "hyp_alpha",
-           "flow.step": "flow_step", "flow.tol": "flow_tol"}
-_CAST = {_NUM: float, _POS: float, _INT: int, _STR: str,
-         _NUM_OR_NULL: lambda v: None if v is None else float(v)}
+
+# each field type's conversion from its JSON value, and back
+_CONVERT = {
+    _NUM: (float, float), _POS: (float, float), _INT: (int, int),
+    _STR: (str, str), _OBJ: (dict, dict),
+    _NUM_OR_NULL: (lambda v: None if v is None else float(v),) * 2,
+    _NUMS: (lambda v: tuple(map(float, v)), lambda v: list(map(float, v))),
+    _PAIRS: (lambda v: tuple((float(m), int(s)) for m, s in v),
+             lambda v: [[float(m), int(s)] for m, s in v or ()]),
+    _PROBES: (lambda v: tuple((float(p["re"]), float(p.get("im", 0.0)),
+                               p.get("side", "off_axis")) for p in v),
+              lambda v: [{"re": re, "im": im, "side": side}
+                         for re, im, side in v]),
+}
 
 
 def _expect(value, path: str, kind: str):
@@ -642,8 +643,10 @@ _STAGE_FNS = {
     "verify": _stage_verify,
 }
 
-# what a failing stage may raise: written to error.json, exit code 2
-_STAGE_ERRORS = (LevitanError, ValueError, ArithmeticError, OSError)
+# what a failing stage may raise (a RuntimeWarning where warnings are
+# errors): written to error.json, exit code 2
+_STAGE_ERRORS = (LevitanError, ValueError, ArithmeticError, OSError,
+                 RuntimeWarning)
 
 
 def _write_error(out: Path, stage: str, exc: Exception) -> None:
@@ -695,12 +698,6 @@ _GP_PRELUDE = (
 )
 
 
-def _require(out: Path, name: str) -> None:
-    if not (out / name).exists():
-        raise MissingArtifact("%s not found in %s (run the pipeline first)"
-                              % (name, out))
-
-
 def emit_plots(out_dir) -> tuple:
     """Write gnuplot scripts beside the run artifacts; returns their paths.
 
@@ -711,7 +708,9 @@ def emit_plots(out_dir) -> tuple:
     out = Path(out_dir)
     for name in ("band.json", "trajectory.csv", "potential.csv",
                  "kernel.csv", "jost.csv"):
-        _require(out, name)
+        if not (out / name).exists():
+            raise MissingArtifact("%s not found in %s (run the pipeline "
+                                  "first)" % (name, out))
     band = BandStructure.from_json((out / "band.json").read_text())
     n = band.gap_count
     written = []

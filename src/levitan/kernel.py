@@ -54,7 +54,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from ._numerics import rev_cumtrapz
 from .errors import MomentViolation, NoConvergence
-from .spectral import BandStructure, as_point
+from .spectral import as_point
 from .weyl import WeylContext, _check_sign, eval_green, psi_on_grid
 
 __all__ = [
@@ -69,6 +69,8 @@ __all__ = [
     "kernel_bound_check",
     "jost_from_kernel",
     "jost_direct",
+    "jost_profile",
+    "tail_cutoff",
     "schrodinger_residual",
     "moment_check",
 ]
@@ -230,14 +232,6 @@ def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
 # residues and D
 # ---------------------------------------------------------------------------
 
-def _edge_denominators(band: BandStructure) -> np.ndarray:
-    """prod_{m != k} (E_k - E_m) for every edge k."""
-    e = band.edge_array
-    diffs = e[:, None] - e[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    return np.prod(diffs, axis=1)
-
-
 def _residues(a: np.ndarray, denoms: np.ndarray) -> np.ndarray:
     # pairwise grouping keeps the (x,y,r,s) <-> (y,x,s,r) exchange an exact
     # complex conjugation in floating point, so the sum is exactly symmetric
@@ -250,7 +244,7 @@ def residue_f_plus(ctx: WeylContext, edge_index: int, x: float, y: float,
     """The edge term f_+(E_k, x, y, r, s); exactly 0 when a divisor point
     sits on E_k at any of the four positions."""
     a = edge_amplitudes(ctx, edge_index, np.array([x, y, r, s]))
-    denom = _edge_denominators(ctx.band)[edge_index]
+    denom = ctx.band.edge_products[edge_index]
     return float(_residues(a[None, :], denom)[0])
 
 
@@ -267,7 +261,7 @@ def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
     a = _amplitudes(ctx, range(len(ctx.band.edges)), np.array([x, y, r, s]))
     # summed in edge order, as -1/4 sum_k residue_f_plus would be
     total = 0.0
-    for term in _residues(a, _edge_denominators(ctx.band)).tolist():
+    for term in _residues(a, ctx.band.edge_products).tolist():
         total += term
     return -0.25 * total
 
@@ -332,12 +326,12 @@ class KernelGrid:
     def _interp(self):
         # Bicubic between lattice nodes: off-lattice evaluation must stay
         # twice differentiable or finite-difference checks of phi would see
-        # interpolation kinks instead of the equation's residual.
-        if self.half_width < 3:
-            return None
+        # interpolation kinks instead of the equation's residual.  A lattice
+        # with M < 3 has too few nodes for that and takes degree M.
         v = self.h * np.arange(self.half_width + 1)
+        k = min(3, self.half_width)
         return RectBivariateSpline(self.positions[:len(v)], v, self.values,
-                                   kx=3, ky=3, s=0)
+                                   kx=k, ky=k, s=0)
 
     def _k_plus(self, x: float, y: float) -> float:
         u = (x + y) * 0.5
@@ -347,8 +341,7 @@ class KernelGrid:
         m = self.half_width
         if y < x - 1e-12 or iv < -1e-9 or not -1e-9 <= iu <= m + 1e-9:
             return 0.0
-        if self._interp is None or (abs(iu - round(iu)) < 1e-9
-                                    and abs(iv - round(iv)) < 1e-9):
+        if abs(iu - round(iu)) < 1e-9 and abs(iv - round(iv)) < 1e-9:
             return float(self.values[int(round(iu)), int(round(iv))])
         return float(self._interp.ev(u, max(v, 0.0)))
 
@@ -453,7 +446,7 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
     qt = np.asarray(perturbation(pos), dtype=float)
     # sign times modulus: the amplitudes are real, so is every factor below
     amps = _amplitudes(ctx, range(len(ctx.band.edges)), pos).real
-    denoms = _edge_denominators(ctx.band)
+    denoms = ctx.band.edge_products
     c2 = (0.5 / denoms)[:, None]        # -2 c_k
     phi = rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
                        axis=1)
@@ -617,10 +610,8 @@ def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
         i0 = int(round(i_x))
         js = np.arange(n + 1)
         kv = grid.values[i0 + js, js]
-    elif grid._interp is not None:
-        kv = grid._interp.ev(0.5 * (x + sgrid), 0.5 * (sgrid - x))
     else:
-        kv = np.array([grid._k_plus(x, s) for s in sgrid])
+        kv = grid._interp.ev(0.5 * (x + sgrid), 0.5 * (sgrid - x))
     return complex(psi[0] + np.trapezoid(kv * psi, dx=2.0 * h))
 
 

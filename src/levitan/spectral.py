@@ -157,6 +157,16 @@ class BandStructure:
         return np.array([0.5 * (b - a) for a, b in self.gaps])
 
     @cached_property
+    def edge_products(self) -> np.ndarray:
+        """prod_{m != k} (E_k - E_m) for every edge k (read-only)."""
+        e = self.edge_array
+        diffs = e[:, None] - e[None, :]
+        np.fill_diagonal(diffs, 1.0)
+        out = np.prod(diffs, axis=1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def gap_norm(self) -> float:
         """prod_j E_{2j-1}, the normalization shared by Y and G."""
         return float(np.prod([self.edges[2 * j - 1] for j in range(1, self.gap_count + 1)]))

@@ -13,7 +13,6 @@ from levitan.dubrovin import _omega
 from levitan.kernel import (
     KernelBoundReport,
     _amplitudes,
-    _edge_denominators,
     tail_cutoff,
 )
 from levitan.spectral import as_point
@@ -113,7 +112,7 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     qt = np.asarray(perturbation(pos), dtype=float)
     n_edges = len(ctx.band.edges)
     amps = _amplitudes(ctx, range(n_edges), pos)
-    cks = -0.25 / _edge_denominators(ctx.band)
+    cks = -0.25 / ctx.band.edge_products
 
     mi = np.arange(m_steps + 1)[:, None]
     li = np.arange(m_steps + 1)[None, :]

@@ -8,7 +8,8 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+import warnings
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +86,28 @@ def test_periodic_like_edge_values():
     ("one_gap", {}),
     ("periodic_like", {"n": 2}),
     ("random", {"n": 2, "seed": 3}),
+    ("random", {"n": 10, "seed": 0}),
+    ("every_key", {}),
 ])
 def test_config_json_roundtrip(kind, kwargs):
-    cfg = generate_fixture(kind, **kwargs)
+    if kind == "every_key":
+        cfg = RunConfig(
+            edges=(0.0, 1.0, 2.0), hyp_l=3.0, hyp_C=2.0, hyp_alpha=0.5,
+            divisor=((1.25, -1),),
+            perturbation={"form": "compact_poly", "coeffs": [-1.0, 0.0, 1.0],
+                          "support": [-1.0, 1.0]},
+            h=0.025, x0=-2.0, x_max=1.5, tol=1e-10, max_iter=20,
+            flow_step=0.02, flow_tol=1e-10,
+            z_probes=((0.5, 0.0, "upper"), (2.5, 0.0, "lower"),
+                      (1.5, 0.9, "off_axis")),
+            x_probes=(0.25,), out_dir="elsewhere", seed=5)
+        for f in fields(RunConfig):
+            if f.default is not MISSING:
+                assert getattr(cfg, f.name) != f.default, f.name
+            elif f.default_factory is not MISSING:
+                assert getattr(cfg, f.name) != f.default_factory(), f.name
+    else:
+        cfg = generate_fixture(kind, **kwargs)
     doc = json.loads(json.dumps(cfg.to_json_dict()))
     assert RunConfig.from_json_dict(doc) == cfg
 
@@ -144,6 +164,15 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
     assert main(["validate", str(path), "--out", str(tmp_path / "run")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_config_dotted_top_level_key_is_unknown():
+    # key paths are spelled with dots, but a config nests them in sections
+    doc = generate_fixture("one_gap").to_json_dict()
+    doc["grid.h"] = doc["grid"].pop("h")
+    with pytest.raises(ValueError, match=re.escape("unknown config key "
+                                                   "'grid.h'")):
+        RunConfig.from_json_dict(doc)
 
 
 def test_absent_keys_take_field_defaults():
@@ -367,6 +396,25 @@ def test_arithmetic_stage_error_exits_2(tmp_path, monkeypatch, capsys):
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
     assert (err["stage"], err["type"]) == ("potential", "OverflowError")
     assert "OverflowError" in capsys.readouterr().err
+
+
+def test_runtime_warning_as_error_is_a_stage_error(tmp_path, monkeypatch,
+                                                   capsys):
+    # CI runs the pipelines with RuntimeWarnings as errors: one raised in a
+    # stage exits 2 with error.json, as any other stage error does
+    def overflow(cfg, st, checks, out):
+        warnings.warn("overflow encountered in reduce", RuntimeWarning)
+
+    monkeypatch.setitem(_STAGE_FNS, "potential", overflow)
+    cfg = replace(generate_fixture("free"), out_dir=str(tmp_path / "run"))
+    path = tmp_path / "cfg.json"
+    cfg.write(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["all", str(path)]) == 2
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert (err["stage"], err["type"]) == ("potential", "RuntimeWarning")
+    assert "RuntimeWarning" in capsys.readouterr().err
 
 
 def test_python_config_zero_step_writes_error_json(tmp_path):

@@ -445,6 +445,23 @@ def test_support_conventions(kgap):
     assert grid.k_at(0.0, 2.0 * grid.x_max + 1.0) == 0.0
 
 
+def test_off_lattice_reads_on_a_two_step_lattice(kgap):
+    # M = 2 has too few nodes for a bicubic spline; the quadratic one still
+    # carries K smoothly across a cell, from node (x0, x0 + 2h) to the zero
+    # node (x0 + h, x0 + 3h)
+    grid = solve_kernel(kgap, BUMP, "+", GridParams(x0=-0.2, h=0.05,
+                                                    x_max=-0.1), tol=1e-12)
+    assert grid.half_width == 2
+    ks = [grid.k_at(x, x + 0.1) for x in np.linspace(-0.2, -0.15, 9)]
+    assert ks[0] == grid.values[1, 1] > 0.0
+    assert ks[-1] == grid.values[2, 1] == 0.0
+    assert all(a > b for a, b in zip(ks, ks[1:]))
+    z = SpectralPoint(-1.0 + 0.0j)
+    phis = [jost_from_kernel(kgap, grid, z, x, "+")
+            for x in np.linspace(-0.2, -0.15, 9)]
+    assert all(a.real > b.real for a, b in zip(phis, phis[1:]))
+
+
 def test_diagonal_identity_second_order(kgap):
     errs = []
     for h in (0.1, 0.05, 0.025):

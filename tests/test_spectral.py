@@ -90,6 +90,17 @@ def test_growth_violation_raises_only_on_require():
 # Y
 # ---------------------------------------------------------------------------
 
+def test_edge_products_cached_and_read_only(n2_band):
+    prods = n2_band.edge_products
+    e = n2_band.edges
+    for k, got in enumerate(prods):
+        assert got == pytest.approx(math.prod(e[k] - e[m] for m in range(len(e))
+                                              if m != k), rel=1e-14)
+    assert n2_band.edge_products is prods
+    with pytest.raises(ValueError):
+        prods[0] = 1.0
+
+
 def test_Y_free_case(free_band):
     assert eval_Y(free_band, 4.0) == -4.0
     assert eval_Y(free_band, 3 + 1j) == -(3 + 1j)
