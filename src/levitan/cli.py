@@ -143,10 +143,11 @@ class RunConfig:
 
         Raises ValueError naming the key path of a key this schema does not
         know, of a required key that is absent, of a value not of its key's
-        JSON type (a number must be finite, grid.h and flow.step positive, a
-        probe side off_axis, upper or lower, with im 0 on a rim), and of an
-        unknown perturbation form, so a typo fails instead of running on a
-        default."""
+        JSON type (a number must be finite, grid.h, grid.tol, flow.step and
+        flow.tol positive, grid.max_iter a positive integer, a probe side
+        off_axis, upper or lower, with im 0 on a rim), of an unknown
+        perturbation form, and of a grid.x_max not beyond grid.x0, so a typo
+        fails instead of running on a default."""
         if not isinstance(doc, dict):
             raise ValueError("a config must be a JSON object")
         doc = dict(doc)
@@ -180,8 +181,12 @@ class RunConfig:
                                  "got %r" % (where, p["im"]))
         if "perturbation" in flat:
             _check_perturbation(flat["perturbation"])
-        return cls(**{name: _CONVERT[kind][0](flat[path])
-                      for path, (name, kind) in _KEYS.items() if path in flat})
+        cfg = cls(**{name: _CONVERT[kind][0](flat[path])
+                     for path, (name, kind) in _KEYS.items() if path in flat})
+        if cfg.x_max is not None and cfg.x_max <= cfg.x0:
+            raise ValueError("config key 'grid.x_max' must exceed grid.x0 "
+                             "(%r), got %r" % (cfg.x0, cfg.x_max))
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -206,6 +211,7 @@ def _is_numbers(v) -> bool:
 
 # the JSON types of config values, by the name an error message gives them
 _OBJ, _INT, _STR = "an object", "an integer", "a string"
+_POS_INT = "a positive integer"
 _NUM, _POS = "a finite number", "a positive number"
 _NUM_OR_NULL, _NUMS = "a finite number or null", "a list of numbers"
 _PAIR = "a pair of numbers"
@@ -219,6 +225,7 @@ _KINDS = {
     _POS: lambda v: _is_number(v) and v > 0,
     _NUM_OR_NULL: lambda v: v is None or _is_number(v),
     _INT: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    _POS_INT: lambda v: _KINDS[_INT](v) and v > 0,
     _STR: lambda v: isinstance(v, str),
     _NUMS: _is_numbers,
     _PAIR: lambda v: _is_numbers(v) and len(v) == 2,
@@ -238,9 +245,9 @@ _KEYS = {
     "divisor.entries": ("divisor", _PAIRS),
     "perturbation": ("perturbation", _OBJ),
     "grid.h": ("h", _POS), "grid.x0": ("x0", _NUM),
-    "grid.x_max": ("x_max", _NUM_OR_NULL), "grid.tol": ("tol", _NUM),
-    "grid.max_iter": ("max_iter", _INT),
-    "flow.step": ("flow_step", _POS), "flow.tol": ("flow_tol", _NUM),
+    "grid.x_max": ("x_max", _NUM_OR_NULL), "grid.tol": ("tol", _POS),
+    "grid.max_iter": ("max_iter", _POS_INT),
+    "flow.step": ("flow_step", _POS), "flow.tol": ("flow_tol", _POS),
     "probes.z": ("z_probes", _PROBES), "probes.x": ("x_probes", _NUMS),
     "out_dir": ("out_dir", _STR), "seed": ("seed", _INT),
 }
@@ -252,6 +259,7 @@ _PROBE_KEYS = {"re": _NUM, "im": _NUM, "side": _SIDE}
 # each field type's conversion from its JSON value, and back
 _CONVERT = {
     _NUM: (float, float), _POS: (float, float), _INT: (int, int),
+    _POS_INT: (int, int),
     _STR: (str, str), _OBJ: (dict, dict),
     _NUM_OR_NULL: (lambda v: None if v is None else float(v),) * 2,
     _NUMS: (lambda v: tuple(map(float, v)), lambda v: list(map(float, v))),
@@ -349,11 +357,6 @@ class VerificationSummary:
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json())
-
-    @classmethod
-    def from_file(cls, path) -> "VerificationSummary":
-        doc = json.loads(Path(path).read_text())
-        return cls(checks=doc["checks"])
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +790,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="run configuration (JSON)")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--tol", type=float,
-                       help="override the kernel solve tolerance")
     fx = sub.add_parser("fixture", help="write a ready-made config")
     fx.add_argument("kind", choices=("free", "one_gap", "periodic_like",
                                      "random"))
@@ -829,8 +830,6 @@ def main(argv=None) -> int:
         cfg = replace(cfg, out_dir=ns.out)
     if ns.seed is not None:
         cfg = replace(cfg, seed=ns.seed)
-    if ns.tol is not None:
-        cfg = replace(cfg, tol=ns.tol)
 
     try:
         summary = run_pipeline(cfg, upto=None if ns.command == "all"

@@ -38,7 +38,6 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import minimize_scalar
 
 from ._numerics import barycentric_matrix, cheb_lobatto
 from .errors import (
@@ -46,7 +45,6 @@ from .errors import (
     NoConvergence,
     QuadratureFailure,
     StepTooLarge,
-    WindowTooShort,
 )
 from .spectral import BandStructure
 
@@ -54,10 +52,8 @@ __all__ = [
     "DirichletDivisor",
     "DivisorTrajectory",
     "PotentialSamples",
-    "RecurrenceReport",
     "integrate_dubrovin",
     "trace_potential",
-    "recurrence_diagnostic",
     "trajectory_to_csv",
 ]
 
@@ -102,10 +98,6 @@ class DirichletDivisor:
     @property
     def sigma(self) -> np.ndarray:
         return np.array([s for _, s in self.entries], dtype=int)
-
-    @classmethod
-    def midpoints(cls, band: BandStructure) -> "DirichletDivisor":
-        return cls(tuple((float(m), 1) for m in band.gap_mid))
 
     @classmethod
     def random_in_gaps(cls, band: BandStructure, rng) -> "DirichletDivisor":
@@ -509,64 +501,6 @@ def potential_on(band: BandStructure, trajectory: DivisorTrajectory, x):
         return np.full(np.shape(x), e0, dtype=float)
     th = trajectory.theta_at(x)
     return e0 + 2.0 * np.sum(band.gap_half * np.cos(th), axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# recurrence diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    """Almost-period candidates: shifts tau with sup_x |mu(x+tau) - mu(x)|
-    below tolerance.  Informational only."""
-
-    window: tuple
-    slowest_period: float
-    tolerance: float
-    candidates: tuple  # of (tau, defect), tau ascending
-
-
-def recurrence_diagnostic(trajectory: DivisorTrajectory,
-                          tolerance: float) -> RecurrenceReport:
-    x = trajectory.x_grid
-    span = float(x[-1] - x[0])
-    n = len(x)
-    if trajectory.band.gap_count == 0:
-        taus = x[1:n // 2 + 1] - x[0]
-        return RecurrenceReport((float(x[0]), float(x[-1])), 0.0, tolerance,
-                                tuple((float(t), 0.0) for t in taus))
-
-    mean_rate = trajectory.dtheta.mean(axis=0)
-    slowest = float((2.0 * math.pi / mean_rate).max())
-    if span < 2.0 * slowest:
-        raise WindowTooShort(
-            "window %.3g shorter than two slowest periods (2 x %.3g)"
-            % (span, slowest))
-
-    mu = trajectory.mu_grid
-    h = float(x[1] - x[0])
-    k_max = n // 2
-    defects = np.array([np.abs(mu[k:] - mu[:-k]).max() for k in range(1, k_max)])
-
-    def defect_of(tau: float) -> float:
-        base = x[x + tau <= x[-1] + 1e-12]
-        return float(np.abs(trajectory.mu_at(base + tau) -
-                            trajectory.mu_at(base)).max())
-
-    # local minima of the coarse scan, refined off-grid through the spline
-    cands = []
-    for k in range(1, len(defects) - 1):
-        if defects[k] <= defects[k - 1] and defects[k] <= defects[k + 1]:
-            tau0 = (k + 1) * h
-            res = minimize_scalar(defect_of, bounds=(tau0 - h, tau0 + h),
-                                  method="bounded",
-                                  options={"xatol": 1e-10})
-            tau, d = float(res.x), float(res.fun)
-            if d < tolerance:
-                cands.append((tau, d))
-    cands.sort()
-    return RecurrenceReport((float(x[0]), float(x[-1])), slowest, tolerance,
-                            tuple(cands))
 
 
 # ---------------------------------------------------------------------------

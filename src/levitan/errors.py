@@ -48,10 +48,6 @@ class StepTooLarge(LevitanError):
     """Angle advance per output step exceeded pi/2; the flow is under-resolved."""
 
 
-class WindowTooShort(LevitanError):
-    """Trajectory window does not cover two periods of the slowest oscillation."""
-
-
 # --- Weyl evaluation -----------------------------------------------------------
 
 class AtDivisorPole(LevitanError):

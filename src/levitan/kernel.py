@@ -63,7 +63,6 @@ __all__ = [
     "KernelGrid",
     "KernelBoundReport",
     "edge_amplitudes",
-    "residue_f_plus",
     "eval_D",
     "solve_kernel",
     "kernel_bound_check",
@@ -71,7 +70,6 @@ __all__ = [
     "jost_direct",
     "jost_profile",
     "tail_cutoff",
-    "schrodinger_residual",
     "moment_check",
 ]
 
@@ -239,15 +237,6 @@ def _residues(a: np.ndarray, denoms: np.ndarray) -> np.ndarray:
     return val.real / denoms
 
 
-def residue_f_plus(ctx: WeylContext, edge_index: int, x: float, y: float,
-                   r: float, s: float) -> float:
-    """The edge term f_+(E_k, x, y, r, s); exactly 0 when a divisor point
-    sits on E_k at any of the four positions."""
-    a = edge_amplitudes(ctx, edge_index, np.array([x, y, r, s]))
-    denom = ctx.band.edge_products[edge_index]
-    return float(_residues(a[None, :], denom)[0])
-
-
 def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
            sign="+") -> float:
     """D_+- at four positions: -1/4 times the sum of edge terms.
@@ -259,7 +248,8 @@ def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
         ctx = ctx.mirrored()
         x, y, r, s = -x, -y, -r, -s
     a = _amplitudes(ctx, range(len(ctx.band.edges)), np.array([x, y, r, s]))
-    # summed in edge order, as -1/4 sum_k residue_f_plus would be
+    # one edge term at a time, in edge order: the same float as adding
+    # the separate edge terms f_+(E_k) in turn
     total = 0.0
     for term in _residues(a, ctx.band.edge_products).tolist():
         total += term
@@ -287,6 +277,9 @@ class GridParams:
     def __post_init__(self):
         if self.h <= 0.0:
             raise ValueError("h must be positive")
+        if self.x_max is not None and self.x_max <= self.x0:
+            raise ValueError("x_max = %g must exceed x0 = %g"
+                             % (self.x_max, self.x0))
 
 
 @dataclass
@@ -332,24 +325,6 @@ class KernelGrid:
         k = min(3, self.half_width)
         return RectBivariateSpline(self.positions[:len(v)], v, self.values,
                                    kx=k, ky=k, s=0)
-
-    def _k_plus(self, x: float, y: float) -> float:
-        u = (x + y) * 0.5
-        v = (y - x) * 0.5
-        iu = (u - self.x0) / self.h
-        iv = v / self.h
-        m = self.half_width
-        if y < x - 1e-12 or iv < -1e-9 or not -1e-9 <= iu <= m + 1e-9:
-            return 0.0
-        if abs(iu - round(iu)) < 1e-9 and abs(iv - round(iv)) < 1e-9:
-            return float(self.values[int(round(iu)), int(round(iv))])
-        return float(self._interp.ev(u, max(v, 0.0)))
-
-    def k_at(self, x: float, y: float) -> float:
-        """K(x, y); zero outside the support triangle (y < x on the + side)."""
-        if self.side == "-":
-            return self._k_plus(-x, -y)
-        return self._k_plus(x, y)
 
     def to_csv(self, path) -> None:
         """Upper-triangular rows x,y,K over the native lattice, ordered by x
@@ -414,8 +389,12 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
     started from the row above, stopped once the row moves less than
     ``tol``.  ``iterations`` and ``final_delta`` are the largest step count
     and last change over the rows; a row still moving after ``max_iter``
-    steps raises NoConvergence with its delta history.
+    steps raises NoConvergence with its delta history.  ``tol`` must be
+    positive and ``max_iter`` at least 1, else ValueError.
     """
+    if tol <= 0.0 or max_iter < 1:
+        raise ValueError("tol must be positive and max_iter at least 1, got "
+                         "tol = %g, max_iter = %d" % (tol, max_iter))
     if _check_sign(sign) < 0:
         grid = solve_kernel(ctx.mirrored(), perturbation.mirrored(), "+",
                             grid_params, tol=tol, max_iter=max_iter)
@@ -691,24 +670,3 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     if diagnostics:
         return val, tuple(deltas)
     return val
-
-
-# ---------------------------------------------------------------------------
-# verification helpers
-# ---------------------------------------------------------------------------
-
-def schrodinger_residual(ctx: WeylContext, perturbation: PerturbationProfile,
-                         phi_evaluator, p, x_window, h: float) -> float:
-    """sup over the window of |-phi'' + (p + q - z) phi| with centered
-    second differences of the supplied evaluator."""
-    z = as_point(p).z
-    a, b = float(x_window[0]), float(x_window[1])
-    n = max(1, round((b - a) / h))
-    xs = a + h * np.arange(n + 1)
-    ext = np.concatenate([[a - h], xs, [b + h]])
-    vals = np.array([phi_evaluator(float(t)) for t in ext])
-    d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / (h * h)
-    pot = np.asarray(ctx.p_of(xs), dtype=float) + np.asarray(
-        perturbation(xs), dtype=float)
-    res = np.abs(-d2 + (pot - z) * vals[1:-1])
-    return float(np.max(res))

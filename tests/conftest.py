@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 
-from levitan import BandStructure, eval_G, eval_sqrtY
+from levitan import BandStructure, DirichletDivisor, eval_G, eval_sqrtY
 from levitan._numerics import rev_cumtrapz
 from levitan.dubrovin import _omega
 from levitan.kernel import (
     KernelBoundReport,
     _amplitudes,
+    _residues,
+    edge_amplitudes,
     tail_cutoff,
 )
 from levitan.spectral import as_point
@@ -233,6 +235,53 @@ def jost_profile_rows(ctx, grid, p):
         row = grid.values[i + js, js]
         phi[i] = psi[i] + np.trapezoid(row * psi[i + 2 * js], dx=h2)
     return pos[: m + 1].copy(), phi
+
+
+def residue_f_plus(ctx, edge_index, x, y, r, s):
+    """The edge term f_+(E_k, x, y, r, s) alone, from ``edge_amplitudes``:
+    a per-edge reference for ``eval_D``; exactly 0 when a divisor point
+    sits on E_k at any of the four positions."""
+    a = edge_amplitudes(ctx, edge_index, np.array([x, y, r, s]))
+    denom = ctx.band.edge_products[edge_index]
+    return float(_residues(a[None, :], denom)[0])
+
+
+def k_at(grid, x, y):
+    """K(x, y) read off a solved ``KernelGrid``: the stored value on a
+    lattice node, the grid's spline between nodes, and 0 outside the support
+    triangle (y < x on the + side, y > x on the - side)."""
+    if grid.side == "-":
+        x, y = -x, -y
+    u = (x + y) * 0.5
+    v = (y - x) * 0.5
+    iu = (u - grid.x0) / grid.h
+    iv = v / grid.h
+    if y < x - 1e-12 or iv < -1e-9 or not -1e-9 <= iu <= grid.half_width + 1e-9:
+        return 0.0
+    if abs(iu - round(iu)) < 1e-9 and abs(iv - round(iv)) < 1e-9:
+        return float(grid.values[int(round(iu)), int(round(iv))])
+    return float(grid._interp.ev(u, max(v, 0.0)))
+
+
+def schrodinger_residual(ctx, perturbation, phi_evaluator, p, x_window, h):
+    """sup over the window of |-phi'' + (p + q - z) phi| with centered
+    second differences of the supplied evaluator."""
+    z = as_point(p).z
+    a, b = float(x_window[0]), float(x_window[1])
+    n = max(1, round((b - a) / h))
+    xs = a + h * np.arange(n + 1)
+    ext = np.concatenate([[a - h], xs, [b + h]])
+    vals = np.array([phi_evaluator(float(t)) for t in ext])
+    d2 = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / (h * h)
+    pot = np.asarray(ctx.p_of(xs), dtype=float) + np.asarray(
+        perturbation(xs), dtype=float)
+    res = np.abs(-d2 + (pot - z) * vals[1:-1])
+    return float(np.max(res))
+
+
+def midpoint_divisor(band):
+    """Each mu_j at its gap's midpoint, on the sheet sigma_j = +1."""
+    return DirichletDivisor(tuple((float(m), 1) for m in band.gap_mid))
 
 
 def periodic_edges(n_gaps):

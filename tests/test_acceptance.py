@@ -37,7 +37,6 @@ from levitan import (
     kernel_bound_check,
     psi_on_grid,
     require_hypothesis,
-    schrodinger_residual,
     solve_kernel,
     structural_identity_check,
     validate_band_structure,
@@ -46,7 +45,7 @@ from levitan.cli import main
 from levitan.errors import EmptyGap, GrowthViolation, NonMonotonic
 from levitan.weyl import _ode_cs
 
-from conftest import periodic_edges
+from conftest import periodic_edges, schrodinger_residual
 
 BUMP = PerturbationProfile.gaussian_bump(0.25, 0.0, 0.5)
 SEED = 20260823

@@ -153,6 +153,20 @@ def test_config_json_roundtrip(kind, kwargs):
      "'perturbation.width'"),
     (lambda d: d["probes"]["z"][1].update(side="uppr"), "'probes.z[1].side'"),
     (lambda d: d["probes"]["z"][1].update(im=0.5), "'probes.z[1].im'"),
+    pytest.param(lambda d: d["grid"].update(tol=0.0, max_iter=-1),
+                 "'grid.tol'", id="grid.tol-zero-max_iter-negative"),
+    pytest.param(lambda d: d["grid"].update(tol=-1.0), "'grid.tol'",
+                 id="grid.tol-negative"),
+    pytest.param(lambda d: d["flow"].update(tol=-1.0), "'flow.tol'",
+                 id="flow.tol-negative"),
+    pytest.param(lambda d: d["grid"].update(max_iter=0), "'grid.max_iter'",
+                 id="grid.max_iter-zero"),
+    pytest.param(lambda d: d["grid"].update(x_max=-3.0),
+                 "config key 'grid.x_max' must exceed grid.x0",
+                 id="grid.x_max-left-of-x0"),
+    pytest.param(lambda d: d["grid"].update(x_max=d["grid"]["x0"]),
+                 "config key 'grid.x_max' must exceed grid.x0",
+                 id="grid.x_max-at-x0"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, edit, key):
     doc = generate_fixture("one_gap").to_json_dict()
@@ -501,6 +515,16 @@ def test_main_out_and_seed_overrides(tmp_path):
     assert (other / "band.json").exists()
 
 
+def test_tol_flag_is_gone(tmp_path, capsys):
+    # grid.tol is set in the config, where the loader checks it
+    path = tmp_path / "cfg.json"
+    generate_fixture("free").write(path)
+    with pytest.raises(SystemExit) as info:
+        main(["all", str(path), "--tol", "0"])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_stage_names_cover_parser():
     assert STAGES == ("validate", "flow", "potential", "weyl", "kernel",
                       "jost", "verify")
@@ -576,7 +600,7 @@ def test_summary_pass_iff_every_check_passes(tmp_path):
     s.write(tmp_path / "s.json")
     doc = json.loads((tmp_path / "s.json").read_text())
     assert doc["pass"] is False
-    assert VerificationSummary.from_file(tmp_path / "s.json").checks == s.checks
+    assert doc["checks"] == s.checks
 
 
 def test_summary_rejects_non_finite_values():

@@ -1,4 +1,4 @@
-"""Divisor flow: integration, confinement, trace formula, recurrence."""
+"""Divisor flow: integration, confinement, trace formula."""
 
 import math
 from dataclasses import replace
@@ -15,7 +15,6 @@ from levitan.dubrovin import (
     DivisorTrajectory,
     integrate_dubrovin,
     potential_on,
-    recurrence_diagnostic,
     trace_potential,
     trajectory_to_csv,
 )
@@ -25,10 +24,9 @@ from levitan.errors import (
     NoConvergence,
     QuadratureFailure,
     StepTooLarge,
-    WindowTooShort,
 )
 
-from conftest import dop853_flow, periodic_edges
+from conftest import dop853_flow, midpoint_divisor, periodic_edges
 
 
 ONE_GAP_DMU0 = 1.2247448713915892  # sqrt(1.5): hand-evaluated flow at mu=1.5
@@ -166,7 +164,7 @@ def test_divisor_validation(one_gap_band):
 # ---------------------------------------------------------------------------
 
 def test_trace_midpoint_divisor(n2_band):
-    div = DirichletDivisor.midpoints(n2_band)
+    div = midpoint_divisor(n2_band)
     tr = integrate_dubrovin(n2_band, div, 0.0, 0.0, step=0.01, tol=1e-10)
     p = trace_potential(n2_band, tr)
     assert p.p_values[0] == pytest.approx(n2_band.edges[0], abs=1e-12)
@@ -362,11 +360,6 @@ def test_one_gap_elliptic_oracle(one_gap_band, mu0, sigma0, tol):
     assert np.abs(ps.p_values - want).max() <= 20.0 * tol
     want = 3.0 - 2.0 * elliptic_mu(xs, mu0, sigma0)
     assert np.abs(potential_on(one_gap_band, tr, xs) - want).max() <= 20.0 * tol
-    # every almost-period candidate is a multiple of the period
-    rep = recurrence_diagnostic(tr, tolerance=1e-6)
-    taus = np.array([t for t, _ in rep.candidates])
-    assert len(taus) >= 5
-    assert np.abs(taus - period * np.round(taus / period)).max() <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -469,45 +462,6 @@ def test_panel_flow_matches_dop853_random(tmp_path, monkeypatch, n):
     for seed in range(8):
         _flow_against_dop853(tmp_path / str(seed), monkeypatch, "random", n,
                              seed)
-
-
-# ---------------------------------------------------------------------------
-# recurrence diagnostic
-# ---------------------------------------------------------------------------
-
-def test_recurrence_finds_one_gap_period(one_gap_traj):
-    rep = recurrence_diagnostic(one_gap_traj, tolerance=1e-3)
-    assert rep.slowest_period == pytest.approx(2.7, abs=0.5)
-    assert rep.candidates, "no almost-period found"
-    taus = [t for t, _ in rep.candidates]
-    defects = [d for _, d in rep.candidates]
-    assert min(defects) < 1e-3
-    # candidates cluster near multiples of the fundamental period
-    base = taus[0]
-    assert any(abs(t - 2 * base) < 0.1 for t in taus[1:])
-
-
-def test_recurrence_window_too_short(one_gap_band):
-    div = DirichletDivisor(((1.5, 1),))
-    tr = integrate_dubrovin(one_gap_band, div, -1.0, 1.0, step=0.01, tol=1e-10)
-    with pytest.raises(WindowTooShort):
-        recurrence_diagnostic(tr, tolerance=1e-3)
-
-
-def test_recurrence_rejects_noise(one_gap_band, rng):
-    x = np.arange(-15.0, 15.0 + 1e-9, 0.05)
-    theta = np.cumsum(rng.uniform(0.0, 0.3, size=(len(x), 1)), axis=0)
-    tr = DivisorTrajectory(one_gap_band, x, theta, np.ones_like(theta))
-    rep = recurrence_diagnostic(tr, tolerance=1e-6)
-    assert rep.candidates == ()
-
-
-def test_recurrence_constant_trajectory(free_band):
-    tr = integrate_dubrovin(free_band, DirichletDivisor(()), -2.0, 2.0,
-                            step=0.1, tol=1e-10)
-    rep = recurrence_diagnostic(tr, tolerance=1e-6)
-    assert len(rep.candidates) > 0
-    assert all(d == 0.0 for _, d in rep.candidates)
 
 
 # ---------------------------------------------------------------------------

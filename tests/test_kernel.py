@@ -13,9 +13,12 @@ from scipy.integrate import quad
 from conftest import (
     jacobi_kernel,
     jost_profile_rows,
+    k_at,
     lattice_bound_check,
     periodic_edges,
+    residue_f_plus,
     richardson,
+    schrodinger_residual,
 )
 from levitan import cli
 from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
@@ -30,8 +33,6 @@ from levitan.kernel import (
     jost_profile,
     kernel_bound_check,
     moment_check,
-    residue_f_plus,
-    schrodinger_residual,
     solve_kernel,
 )
 from levitan.cli import generate_fixture
@@ -441,8 +442,8 @@ def test_support_conventions(kgap):
     grid = solve_kernel(kgap, BUMP_NARROW, "+", GridParams(x0=-1.5, h=0.05),
                         tol=1e-10)
     assert np.all(grid.values[np.triu_indices(grid.half_width + 1, k=1)] == 0.0)
-    assert grid.k_at(0.5, 0.0) == 0.0
-    assert grid.k_at(0.0, 2.0 * grid.x_max + 1.0) == 0.0
+    assert k_at(grid, 0.5, 0.0) == 0.0
+    assert k_at(grid, 0.0, 2.0 * grid.x_max + 1.0) == 0.0
 
 
 def test_off_lattice_reads_on_a_two_step_lattice(kgap):
@@ -452,7 +453,7 @@ def test_off_lattice_reads_on_a_two_step_lattice(kgap):
     grid = solve_kernel(kgap, BUMP, "+", GridParams(x0=-0.2, h=0.05,
                                                     x_max=-0.1), tol=1e-12)
     assert grid.half_width == 2
-    ks = [grid.k_at(x, x + 0.1) for x in np.linspace(-0.2, -0.15, 9)]
+    ks = [k_at(grid, x, x + 0.1) for x in np.linspace(-0.2, -0.15, 9)]
     assert ks[0] == grid.values[1, 1] > 0.0
     assert ks[-1] == grid.values[2, 1] == 0.0
     assert all(a > b for a, b in zip(ks, ks[1:]))
@@ -488,6 +489,24 @@ def test_tail_truncation_budget(kgap):
     assert tail < 1e-12 * total
 
 
+@pytest.mark.parametrize("tol,max_iter", [(0.0, 50), (-1e-9, 50), (1e-9, 0),
+                                          (0.0, -1)])
+def test_solve_kernel_rejects_nonpositive_tol_or_max_iter(kgap, tol, max_iter):
+    # a row stops below tol or at max_iter steps: tol <= 0 is never met and
+    # a negative max_iter never reached, so together they loop forever
+    for sign in ("+", "-"):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_kernel(kgap, BUMP, sign, GridParams(x0=-1.5, h=0.1),
+                         tol=tol, max_iter=max_iter)
+
+
+def test_grid_params_x_max_must_exceed_x0():
+    for x_max in (-1.5, -3.0):
+        with pytest.raises(ValueError, match="must exceed x0"):
+            GridParams(x0=-1.5, h=0.05, x_max=x_max)
+    assert GridParams(x0=-1.5, h=0.05, x_max=-1.45).x_max == -1.45
+
+
 def test_no_convergence_reports_deltas(kgap):
     with pytest.raises(NoConvergence) as info:
         solve_kernel(kgap, BUMP, "+", GridParams(x0=-1.5, h=0.1),
@@ -516,7 +535,7 @@ def test_csv_and_metadata_roundtrip(kgap, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "x,y,K"
     x, y, k = (float(v) for v in lines[1].split(","))
-    assert k == grid.k_at(x, y)
+    assert k == k_at(grid, x, y)
 
     import json
     md = json.loads(meta.read_text())
@@ -718,8 +737,8 @@ def test_jost_minus_side(kgap):
     grid = solve_kernel(kgap, BUMP_NARROW, "-", GridParams(x0=-1.5, h=0.05),
                         tol=1e-10)
     assert grid.side == "-"
-    assert grid.k_at(0.0, 0.5) == 0.0
-    assert grid.k_at(0.5, 0.0) != 0.0
+    assert k_at(grid, 0.0, 0.5) == 0.0
+    assert k_at(grid, 0.5, 0.0) != 0.0
     z = SpectralPoint(-1.0 + 0.0j)
     for x in (1.0, 0.0, -0.7):
         a = jost_from_kernel(kgap, grid, z, x, "-")

@@ -1,7 +1,9 @@
 """The package's declared interfaces: ``import levitan`` re-exports each
-module's ``__all__`` with nothing listed twice, and README's config table
-lists every config key path."""
+module's ``__all__`` with nothing listed twice, every exported name has a
+caller in the package or the benchmark, and README's config table lists
+every config key path."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -14,8 +16,7 @@ EXPORTS = {
     "validate_band_structure", "require_hypothesis", "eval_Y", "eval_sqrtY",
     # dubrovin
     "DirichletDivisor", "DivisorTrajectory", "PotentialSamples",
-    "RecurrenceReport", "integrate_dubrovin", "trace_potential",
-    "recurrence_diagnostic", "trajectory_to_csv",
+    "integrate_dubrovin", "trace_potential", "trajectory_to_csv",
     # weyl
     "WeylContext", "PoleTag", "PoleClassification", "eval_G", "eval_H",
     "eval_m", "eval_psi_product", "eval_psi_ode", "eval_green",
@@ -23,9 +24,9 @@ EXPORTS = {
     "psi_on_grid", "probe_csv",
     # kernel
     "PerturbationProfile", "GridParams", "KernelGrid", "KernelBoundReport",
-    "edge_amplitudes", "residue_f_plus", "eval_D", "solve_kernel",
-    "kernel_bound_check", "jost_from_kernel", "jost_direct", "jost_profile",
-    "tail_cutoff", "schrodinger_residual", "moment_check",
+    "edge_amplitudes", "eval_D", "solve_kernel", "kernel_bound_check",
+    "jost_from_kernel", "jost_direct", "jost_profile", "tail_cutoff",
+    "moment_check",
     # cli
     "STAGES", "RunConfig", "VerificationSummary", "generate_fixture",
     "run_pipeline", "emit_plots", "main",
@@ -34,13 +35,59 @@ EXPORTS = {
 
 
 def test_package_exports_every_module_list_once():
-    assert len(EXPORTS) == 53
+    assert len(EXPORTS) == 49
     assert len(levitan.__all__) == len(set(levitan.__all__))
     assert set(levitan.__all__) == EXPORTS
     for module in (spectral, dubrovin, weyl, kernel, cli):
         for name in module.__all__:
             assert getattr(levitan, name) is getattr(module, name), name
     assert levitan.__version__ == "0.1.0"
+
+
+def _uses(tree: ast.Module, perfbench: bool) -> set:
+    """The names a module uses outside ``__all__`` and outside the top-level
+    definition of the same name: each Name, attribute and imported name, and
+    in perfbench each function name of a span-table entry
+    ``("levitan.<module>", "<name>", ...)``."""
+    used = set()
+    for top in tree.body:
+        if isinstance(top, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in top.targets):
+            continue
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif (perfbench and isinstance(node, ast.Tuple)
+                  and len(node.elts) >= 2
+                  and all(isinstance(e, ast.Constant)
+                          and isinstance(e.value, str)
+                          for e in node.elts[:2])
+                  and node.elts[0].value.startswith("levitan.")):
+                name = node.elts[1].value
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # nothing in the package only the tests use: a test-only reference
+    # belongs in tests/conftest.py
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for folder in ("src/levitan", "perfbench"):
+        for path in sorted((root / folder).glob("*.py")):
+            used |= _uses(ast.parse(path.read_text()), folder == "perfbench")
+    exported = [name for module in (spectral, dubrovin, weyl, kernel, cli)
+                for name in module.__all__]
+    assert [name for name in exported if name not in used] == []
 
 
 def test_readme_config_table_lists_every_key():

@@ -42,7 +42,12 @@ from levitan.spectral import as_point
 from levitan.dubrovin import potential_on
 from levitan.weyl import _magnus_pass, _ode_cs, probe_csv
 
-from conftest import dop853_cs, flow_integral_quad, periodic_edges
+from conftest import (
+    dop853_cs,
+    flow_integral_quad,
+    midpoint_divisor,
+    periodic_edges,
+)
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +240,7 @@ def test_H_matches_finite_difference(gap2_ctx):
 def test_H_matches_removed_factor_loop(gap2_ctx, n3_band):
     # reference: the product rule as an explicit double loop over the
     # divisor; only the summation order differs from the vectorized form
-    traj = integrate_dubrovin(n3_band, DirichletDivisor.midpoints(n3_band),
+    traj = integrate_dubrovin(n3_band, midpoint_divisor(n3_band),
                               -1.0, 1.0, 0.01, tol=1e-11)
     n3_ctx = WeylContext(n3_band, traj)
     for ctx in (gap2_ctx, n3_ctx):
@@ -521,7 +526,7 @@ def test_psi_blowup_rate_at_interior_edge_pole(edge_ctx):
 
 def test_green_positivity_on_band_rims():
     band = BandStructure(periodic_edges(3))
-    traj = integrate_dubrovin(band, DirichletDivisor.midpoints(band),
+    traj = integrate_dubrovin(band, midpoint_divisor(band),
                               -0.5, 0.5, 0.01, tol=1e-11)
     ctx = WeylContext(band, traj)
     bands = band.bands()
