@@ -35,12 +35,16 @@ def principal_sqrt(w):
 
 
 def removed_products(z, roots) -> np.ndarray:
-    """P_l(z) = prod_{k != l} (z - r_k) for every l, in root order.
+    """P_l(z_l) = prod_{k != l} (z_l - r_k) for every l, in root order: one
+    z for all l, or one z per root (``removed_products(r, r)`` gives
+    prod_{k != l} (r_l - r_k)).
 
     Each product is formed explicitly (never as P(z) / (z - r_l)), so z on a
     root is a regular point.  sum_l P_l is the derivative of prod_k (z - r_k).
     """
-    d = np.broadcast_to(z - np.asarray(roots), (len(roots), len(roots))).copy()
+    n = len(roots)
+    d = np.broadcast_to(np.asarray(z)[..., None] - np.asarray(roots),
+                        (n, n)).copy()
     np.fill_diagonal(d, 1.0)
     return np.prod(d, axis=1)
 

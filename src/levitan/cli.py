@@ -99,12 +99,13 @@ class RunConfig:
     """One pipeline run, as plain data.
 
     The band edges and the perturbation are stored as plain data; the
-    ``validate`` and ``flow`` stages turn them into domain objects, so a
-    band or perturbation that loads but is not admissible fails inside the
-    pipeline with its stage named.  ``divisor`` is either a tuple of
-    ``(mu, sigma)`` pairs or None, in which case the flow stage draws one
-    uniformly in the gaps from the run seed.  ``_KEYS`` gives each field's
-    JSON key path.
+    ``validate`` stage holds a config built in Python to the load rules,
+    and the ``validate`` and ``flow`` stages turn the data into domain
+    objects, so a band or perturbation that loads but is not admissible
+    fails inside the pipeline with its stage named.  ``divisor`` is either
+    a tuple of ``(mu, sigma)`` pairs or None, in which case the flow stage
+    draws one uniformly in the gaps from the run seed.  ``_KEYS`` gives each
+    field's JSON key path.
     """
 
     edges: tuple
@@ -325,7 +326,6 @@ def _check_perturbation(params: dict) -> None:
 
 
 def _build_perturbation(params: dict) -> PerturbationProfile:
-    _check_perturbation(params)
     kinds, build = _PERTURBATIONS[params.get("form", "zero")]
     return build(*(params[k] for k in kinds))
 
@@ -412,20 +412,9 @@ def generate_fixture(kind: str, n: int = 2, seed: int = 0) -> RunConfig:
         divisor = tuple(((edges[2 * j - 1] + edges[2 * j]) / 2.0,
                          1 if j % 2 == 1 else -1)
                         for j in range(1, n + 1))
-        mid = (edges[0] + edges[1]) / 2.0 if n else 1.0
-        return RunConfig(
-            edges=edges,
-            divisor=divisor,
-            perturbation={"form": "gaussian_bump", "amplitude": 0.15,
-                          "center": 0.0, "width": 0.5},
-            x0=-1.0,
-            z_probes=((-1.0, 0.0, "off_axis"), (mid, 0.0, "upper"),
-                      (0.3, 0.7, "off_axis")),
-            x_probes=(-0.5, 0.0, 0.5),
-            out_dir="levitan-periodic-%d" % n,
-            seed=seed,
-        )
-    if kind == "random":
+        bump = {"amplitude": 0.15, "center": 0.0, "width": 0.5}
+        out_dir = "levitan-periodic-%d" % n
+    elif kind == "random":
         rng = np.random.default_rng(seed)
         edges = [0.05 * float(rng.uniform())]
         for j in range(1, n + 1):
@@ -434,22 +423,25 @@ def generate_fixture(kind: str, n: int = 2, seed: int = 0) -> RunConfig:
             edges.extend([center - half, center + half])
         edges = tuple(edges)
         require_hypothesis(validate_band_structure(edges, 2.0, 1.0, 1.0))
-        mid = (edges[0] + edges[1]) / 2.0 if n else edges[0] + 1.0
-        return RunConfig(
-            edges=edges,
-            divisor=None,
-            perturbation={"form": "gaussian_bump",
-                          "amplitude": 0.1 + 0.1 * float(rng.uniform()),
-                          "center": 0.2 * float(rng.uniform(-1.0, 1.0)),
-                          "width": 0.4 + 0.2 * float(rng.uniform())},
-            x0=-1.0,
-            z_probes=((edges[0] - 1.0, 0.0, "off_axis"), (mid, 0.0, "upper"),
-                      (0.3, 0.7, "off_axis")),
-            x_probes=(-0.5, 0.0, 0.5),
-            out_dir="levitan-random-%d-%d" % (n, seed),
-            seed=seed,
-        )
-    raise ValueError("unknown fixture kind %r" % (kind,))
+        divisor = None
+        bump = {"amplitude": 0.1 + 0.1 * float(rng.uniform()),
+                "center": 0.2 * float(rng.uniform(-1.0, 1.0)),
+                "width": 0.4 + 0.2 * float(rng.uniform())}
+        out_dir = "levitan-random-%d-%d" % (n, seed)
+    else:
+        raise ValueError("unknown fixture kind %r" % (kind,))
+    mid = (edges[0] + edges[1]) / 2.0 if n else edges[0] + 1.0
+    return RunConfig(
+        edges=edges,
+        divisor=divisor,
+        perturbation={"form": "gaussian_bump", **bump},
+        x0=-1.0,
+        z_probes=((edges[0] - 1.0, 0.0, "off_axis"), (mid, 0.0, "upper"),
+                  (0.3, 0.7, "off_axis")),
+        x_probes=(-0.5, 0.0, 0.5),
+        out_dir=out_dir,
+        seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +449,9 @@ def generate_fixture(kind: str, n: int = 2, seed: int = 0) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _stage_validate(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
+    # the load rules hold for a RunConfig built in Python too, before any
+    # artifact is written
+    RunConfig.from_json_dict(cfg.to_json_dict())
     report = validate_band_structure(cfg.edges, cfg.hyp_l, cfg.hyp_C,
                                      cfg.hyp_alpha)
     require_hypothesis(report)
@@ -527,12 +522,10 @@ def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
         worst = max(worst, resid * abs(eval_green(ctx, pt)))
     checks["wronskian"] = _check(worst, 1e-6)
 
-    # the two psi routes at the first x probe, for every z probe the
-    # product route accepts: one (c, s) solve gives both signs
+    # the two psi routes at the first x probe, for every z probe (probe_csv
+    # refused any too near a gap): one (c, s) solve gives both signs
     worst = 0.0
     for pt in zpts:
-        if band.gap_distance(pt.z) < ctx.eps_gap:
-            continue
         c, _, s, _ = _ode_cs(ctx, pt.z, x1)
         for sign in (1, -1):
             a = eval_psi_product(ctx, pt, x1, sign)

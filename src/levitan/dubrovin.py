@@ -467,7 +467,7 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
 
 @dataclass(frozen=True)
 class PotentialSamples:
-    """p(x) on the trajectory grid plus the x-independent trace constant.
+    """p(x) on the trajectory grid.
 
     The bounds are what the gap confinement of the divisor forces through the
     trace formula: p stays in [p_lower, p_upper] sample by sample.
@@ -475,32 +475,28 @@ class PotentialSamples:
 
     x_grid: np.ndarray
     p_values: np.ndarray
-    trace_constant: float
     p_lower: float
     p_upper: float
 
 
+def _trace(band: BandStructure, theta) -> np.ndarray:
+    """The trace formula p = E_0 + sum_j (E_{2j-1} + E_2j - 2 mu_j) in the
+    angles, E_0 + 2 sum_j w_j cos(theta_j): no sums of edges cancel."""
+    return band.edges[0] + 2.0 * np.sum(band.gap_half * np.cos(theta),
+                                        axis=-1)
+
+
 def trace_potential(band: BandStructure, trajectory: DivisorTrajectory) -> PotentialSamples:
-    """p(x_i) = E_0 + sum_j (E_{2j-1} + E_2j - 2 mu_j(x_i))."""
-    e0 = band.edges[0]
-    if band.gap_count == 0:
-        p = np.full(len(trajectory.x_grid), e0)
-        return PotentialSamples(trajectory.x_grid, p, e0, e0, e0)
-    pair_sum = float(np.sum(band.edge_array[1:]))
-    const = e0 + pair_sum
-    p = const - 2.0 * np.sum(trajectory.mu_grid, axis=1)
-    lo = const - 2.0 * float(np.sum(band.edge_array[2::2]))
-    hi = const - 2.0 * float(np.sum(band.edge_array[1::2]))
-    return PotentialSamples(trajectory.x_grid, p, const, lo, hi)
+    """p at the trajectory's grid nodes, with its bounds: every mu_j on its
+    upper edge (theta_j = pi) and every one on its lower edge (theta_j = 0)."""
+    lo, hi = _trace(band, np.array([[math.pi], [0.0]]))
+    return PotentialSamples(trajectory.x_grid, _trace(band, trajectory.theta),
+                            float(lo), float(hi))
 
 
 def potential_on(band: BandStructure, trajectory: DivisorTrajectory, x):
     """p evaluated through the spline at arbitrary x (vectorized)."""
-    e0 = band.edges[0]
-    if band.gap_count == 0:
-        return np.full(np.shape(x), e0, dtype=float)
-    th = trajectory.theta_at(x)
-    return e0 + 2.0 * np.sum(band.gap_half * np.cos(th), axis=-1)
+    return _trace(band, trajectory.theta_at(x))
 
 
 # ---------------------------------------------------------------------------

@@ -617,9 +617,15 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     return pos[:m + 1].copy(), phi
 
 
+# jost_direct's trapezoid step, and its successive approximations: stop
+# once one changes phi by less than _JOST_TOL, fail after _JOST_MAX_ITER
+_JOST_STEP = 0.02
+_JOST_TOL = 1e-10
+_JOST_MAX_ITER = 80
+
+
 def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float,
-                sign, h: float = 0.02, tol: float = 1e-10, max_iter: int = 80,
-                diagnostics: bool = False):
+                sign, diagnostics: bool = False):
     """phi by successive approximation of its Volterra equation.
 
     phi_+(x) = psi_+(x) - int_x^inf J(x, y) q(y) phi_+(y) dy,
@@ -628,7 +634,9 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     with J(x, y) = g(z) [psi_+(y) psi_-(x) - psi_+(x) psi_-(y)].  Both signs
     are solved natively (no mirror trick): this function is the independent
     oracle against the kernel route, so it must not share its machinery.
+    With ``diagnostics`` it returns the sweep changes too, as (phi, deltas).
     """
+    h = _JOST_STEP
     sgn = _check_sign(sign)
     pt = as_point(p)
     g = eval_green(ctx, pt)
@@ -648,7 +656,7 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     phi = base.copy()
     deltas = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_JOST_MAX_ITER):
         if sgn > 0:
             i1 = rev_cumtrapz(psi_p * qv * phi, h)
             i2 = rev_cumtrapz(psi_m * qv * phi, h)
@@ -660,7 +668,7 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
         delta = float(np.max(np.abs(phi_new - phi)))
         deltas.append(delta)
         phi = phi_new
-        if delta < tol:
+        if delta < _JOST_TOL:
             converged = True
             break
     if not converged:

@@ -8,12 +8,9 @@ flow, Weyl solutions, transformation kernels) is built from the polynomial
     Y(z) = -(z - E_0) * prod_j (z - E_{2j-1}) (z - E_{2j}) / E_{2j-1}^2
 
 and one fixed branch of its square root.  The branch is assembled factor by
-factor with the principal root of each linear term, and a global sign is
-calibrated once per band structure so that the Green function g = -G/(2 Y^{1/2})
-satisfies (1/i) g(z) > 0 on the upper rim of every band.  With the principal
-per-factor convention that calibration always comes out +1; it is computed
-anyway and cached, so the positivity contract holds by construction rather
-than by luck.
+factor with the principal root of each linear term, which alone gives the
+Green function g = -G/(2 Y^{1/2}) the sign (1/i) g(z) > 0 on the upper rim
+of every band (the pipeline's ``green_sign`` row checks it).
 
 Edge lists also carry the admissibility parameters (l, C, alpha): the gap
 moment sum uses l, and the gap-spacing growth condition uses C and alpha.
@@ -32,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import principal_sqrt
+from ._numerics import principal_sqrt, removed_products
 from .errors import (
     BranchAtEdge,
     EmptyGap,
@@ -98,12 +95,7 @@ def as_point(p) -> SpectralPoint:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Edge list E_0 < E_1 < ... < E_2N plus admissibility parameters.
-
-    Immutable after construction; the branch calibration below is cached on
-    first use, so share freely between threads only after touching
-    ``branch_sign`` once (cheap) or constructing via ``validate_band_structure``.
-    """
+    """Edge list E_0 < E_1 < ... < E_2N plus admissibility parameters."""
 
     edges: tuple
     hyp_l: float = 2.0
@@ -159,10 +151,7 @@ class BandStructure:
     @cached_property
     def edge_products(self) -> np.ndarray:
         """prod_{m != k} (E_k - E_m) for every edge k (read-only)."""
-        e = self.edge_array
-        diffs = e[:, None] - e[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        out = np.prod(diffs, axis=1)
+        out = removed_products(self.edge_array, self.edge_array)
         out.flags.writeable = False
         return out
 
@@ -202,26 +191,6 @@ class BandStructure:
             dx = max(lo - z.real, 0.0, z.real - hi)
             best = min(best, math.hypot(dx, z.imag))
         return best
-
-    # -- branch calibration ----------------------------------------------
-
-    @cached_property
-    def branch_sign(self) -> int:
-        """Global sign making (1/i) * Y^{1/2} > 0 on the upper rim of band 0.
-
-        On the first band the divisor product G carries the x-independent sign
-        (-1)^N (every mu_j sits above z there), so Green-function positivity
-        pins sign(Y^{1/2}/i) = (-1)^N at a single probe, independent of any
-        divisor.  The per-factor principal convention already satisfies this;
-        the calibration is kept as a guard.
-        """
-        if self.gap_count == 0:
-            z0 = self.edges[0] + 1.0
-        else:
-            z0 = 0.5 * (self.edges[0] + self.edges[1])
-        y0 = (_sqrt_chain(self, complex(z0, 0.0)) / 1j).real
-        want = -1.0 if self.gap_count % 2 else 1.0
-        return 1 if math.copysign(1.0, y0) == math.copysign(1.0, want) else -1
 
     # -- serialization ----------------------------------------------------
 
@@ -336,11 +305,11 @@ def eval_sqrtY(band: BandStructure, p) -> complex:
             raise BranchAtEdge(
                 "Y^{1/2} at edge %g needs an upper/lower rim tag" % z.real)
         if z.imag < 0.0:
-            return band.branch_sign * _sqrt_chain(band, z.conjugate()).conjugate()
-        return band.branch_sign * _sqrt_chain(band, z)
+            return _sqrt_chain(band, z.conjugate()).conjugate()
+        return _sqrt_chain(band, z)
     x = z.real
     if not band.in_band(x):
         raise ValueError("rim tag %s requires z inside a band, got %g"
                          % (p.side.value, x))
-    up = band.branch_sign * _sqrt_chain(band, complex(x, 0.0))
+    up = _sqrt_chain(band, complex(x, 0.0))
     return up if p.side is Side.UPPER else up.conjugate()

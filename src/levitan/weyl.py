@@ -20,7 +20,7 @@ indefinite integral, bisected where the Chebyshev tail fails, and read at
 any x by barycentric interpolation.  The one-point ``eval_psi_product``, the
 grid pass ``psi_on_grid`` and ``probe_csv`` all call it, and each raises
 QuadratureFailure when the summed tail estimate exceeds
-quad_tol (1 + |integral|).  A second, independent route builds psi from the
+_QUAD_TOL (1 + |integral|).  A second, independent route builds psi from the
 cosine/sine-type solutions of -y'' + p y = z y, propagated from x = 0 by a
 fourth-order Magnus method on p(x) alone: psi = c + m+-(z, 0) s.  The two
 routes share nothing numerically (quadrature plus square roots versus a
@@ -76,17 +76,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeylContext:
-    """Band + trajectory bundle with the evaluation tolerances.
-
-    Immutable; all evaluators below are pure functions of it.  ``eps_gap``
-    defaults to 1e-3 of the smallest gap width.
-    """
+    """Band + trajectory bundle; the evaluators below are pure in it."""
 
     band: BandStructure
     trajectory: DivisorTrajectory
-    eps_gap: float = None
-    ode_tol: float = 1e-12
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if self.trajectory.band is not self.band and \
@@ -94,15 +87,15 @@ class WeylContext:
             raise ValueError("trajectory belongs to a different band structure")
         if not self.trajectory.x_min <= 0.0 <= self.trajectory.x_max:
             raise ValueError("trajectory must cover x = 0 (psi normalization)")
-        if self.eps_gap is None:
-            width = self.band.min_gap_width
-            object.__setattr__(self, "eps_gap",
-                               1e-3 * width if math.isfinite(width) else 0.0)
+
+    @property
+    def eps_gap(self) -> float:
+        """_GAP_MARGIN of the narrowest gap width (0 with no gaps)."""
+        width = self.band.min_gap_width
+        return _GAP_MARGIN * width if self.band.gap_count else 0.0
 
     def mirrored(self) -> "WeylContext":
-        return WeylContext(self.band, self.trajectory.mirrored(),
-                           eps_gap=self.eps_gap, ode_tol=self.ode_tol,
-                           quad_tol=self.quad_tol)
+        return WeylContext(self.band, self.trajectory.mirrored())
 
     def p_of(self, x):
         """Background potential through the trace formula (vectorized)."""
@@ -208,11 +201,15 @@ def eval_green(ctx: WeylContext, p) -> complex:
 
 # the flow integral's panels: _DEGREE + 1 Chebyshev-Lobatto nodes on base
 # panels of width _PANEL from x = 0; a panel whose _TAIL trailing Chebyshev
-# coefficients, times its width, exceed _PANEL_TOL (|I| + width) is bisected
+# coefficients, times its width, exceed _PANEL_TOL (|I| + width) is bisected.
+# W at x fails when its summed tails exceed _QUAD_TOL (1 + |W|), and z within
+# eps_gap = _GAP_MARGIN times the narrowest gap width of a gap hull is refused
 _DEGREE = 24
 _TAIL = 3
 _PANEL = 0.05
 _PANEL_TOL = 1e-13
+_QUAD_TOL = 1e-10
+_GAP_MARGIN = 1e-3
 _MAX_DEPTH = 16        # bisection levels below a base panel
 _MAX_LIVE = 4096       # panels one refinement level may evaluate
 _S, _COEF, _INTEG = cheb_lobatto(_DEGREE)
@@ -232,7 +229,7 @@ def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
     integrals from 0 out to x's leaf and adds that leaf's indefinite
     integral at x, from its node values through the spectral integration
     matrix and the barycentric row of x.  Its estimate sums the tails out
-    to and including that leaf; QuadratureFailure above quad_tol (1 + |W|).
+    to and including that leaf; QuadratureFailure above _QUAD_TOL (1 + |W|).
     """
     lo, hi = min(xs[0], 0.0), max(xs[-1], 0.0)
     if lo == hi:
@@ -276,7 +273,7 @@ def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
     part = 0.5 * (b - a)[k] * np.einsum("ij,ij->i", rows, f[k])
     w = outward(val)[k + neg] + part
     e = np.abs(outward(tail))[k + ~neg]
-    bad = e > ctx.quad_tol * (1.0 + np.abs(w))
+    bad = e > _QUAD_TOL * (1.0 + np.abs(w))
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureFailure(
@@ -340,9 +337,10 @@ def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign) -> np.ndarray:
 # the (c, s) propagator: a pass of n equal steps samples p at both Gauss
 # points of _ODE_BATCH steps at a time and multiplies each batch into one
 # running 2x2 product, so its memory does not grow with n.  The first pass
-# takes steps of at most _ODE_STEP; passes double until two agree, and a
-# pass past _ODE_MAX_STEPS steps is not tried
+# takes steps of at most _ODE_STEP; passes double until two agree within
+# _ODE_TOL, and a pass past _ODE_MAX_STEPS steps is not tried
 _ODE_STEP = 0.05
+_ODE_TOL = 1e-12
 _ODE_BATCH = 512
 _ODE_MAX_STEPS = 1 << 18
 _GAUSS = np.array([-0.5, 0.5]) / math.sqrt(3.0)
@@ -396,7 +394,7 @@ def _ode_cs(ctx: WeylContext, z: complex, x: float):
     Trans. R. Soc. A 357, 1999) on equal steps; it uses p(x) only.  The
     first pass takes steps of at most _ODE_STEP, and the step count
     doubles until two passes, n and 2n steps, agree:
-    max |Y_2n - Y_n| <= ode_tol (1 + max |Y_2n|); the finer one is
+    max |Y_2n - Y_n| <= _ODE_TOL (1 + max |Y_2n|); the finer one is
     returned.  Raises QuadratureFailure on a non-finite pass or when the
     next pass would exceed _ODE_MAX_STEPS steps.
     """
@@ -408,12 +406,12 @@ def _ode_cs(ctx: WeylContext, z: complex, x: float):
         coarse, n = fine, 2 * n
         fine = _magnus_pass(ctx, z, x, n)
         if np.max(np.abs(fine - coarse)) <= \
-                ctx.ode_tol * (1.0 + np.max(np.abs(fine))):
+                _ODE_TOL * (1.0 + np.max(np.abs(fine))):
             return (complex(fine[0, 0]), complex(fine[1, 0]),
                     complex(fine[0, 1]), complex(fine[1, 1]))
     raise QuadratureFailure(
         "ODE integration to x = %g failed: no two passes of up to %d steps "
-        "agree within ode_tol = %g" % (x, n, ctx.ode_tol))
+        "agree within %g" % (x, n, _ODE_TOL))
 
 
 def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
@@ -457,14 +455,17 @@ def wronskian_check(ctx: WeylContext, p, x_probe: float) -> float:
     return float(abs(w + 1.0 / g))
 
 
-def structural_identity_check(ctx: WeylContext, p, x: float,
-                              h: float = 1e-2) -> float:
+_STENCIL_STEP = 1e-2
+
+
+def structural_identity_check(ctx: WeylContext, p, x: float) -> float:
     """Residual |G N + H^2 - Y| with N = (p - z) G - (1/2) d2G/dx2.
 
-    The second x-derivative of G is taken by a five-point central stencil on
-    the trajectory, so the check is an independent consistency probe of the
-    flow, not an algebraic identity.
+    The second x-derivative of G is taken by a five-point central stencil
+    of step _STENCIL_STEP on the trajectory, so the check is an independent
+    consistency probe of the flow, not an algebraic identity.
     """
+    h = _STENCIL_STEP
     pt = as_point(p)
     z = pt.z
     if not (ctx.trajectory.x_min + 2 * h <= x <= ctx.trajectory.x_max - 2 * h):

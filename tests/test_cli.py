@@ -341,14 +341,16 @@ def test_corrupt_edges_writes_error_json(tmp_path, capsys):
     assert "NonMonotonic" in capsys.readouterr().err
 
 
-def test_unknown_perturbation_form_is_a_flow_error(tmp_path):
+def test_unknown_perturbation_form_is_a_validate_error(tmp_path):
+    # the validate stage holds a Python config to the load rules, so the
+    # form is refused there, before the flow stage builds the perturbation
     cfg = replace(generate_fixture("free"),
                   perturbation={"form": "bogus"},
                   out_dir=str(tmp_path / "run"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'perturbation.form'"):
         run_pipeline(cfg)
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
-    assert err["stage"] == "flow"
+    assert err["stage"] == "validate"
     assert err["type"] == "ValueError"
 
 
@@ -386,15 +388,15 @@ def test_ode_failure_writes_error_json(tmp_path, monkeypatch):
 
 
 def test_python_config_missing_perturbation_key_writes_error_json(tmp_path):
-    # a RunConfig built in Python skips the loader's checks; the flow stage
-    # makes them, so the failure is a stage error
+    # a RunConfig built in Python skips the loader; the validate stage makes
+    # the loader's checks, so the failure is a stage error
     cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"),
                   perturbation={"form": "gaussian_bump", "amplitude": 0.2,
                                 "center": 0.0})
     with pytest.raises(ValueError, match="'perturbation.width'"):
         run_pipeline(cfg)
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
-    assert err["stage"] == "flow"
+    assert err["stage"] == "validate"
     assert err["type"] == "ValueError"
 
 
@@ -432,13 +434,32 @@ def test_runtime_warning_as_error_is_a_stage_error(tmp_path, monkeypatch,
 
 
 def test_python_config_zero_step_writes_error_json(tmp_path):
-    # h = 0 passes no loader; the flow stage's tail cutoff divides by it
+    # h = 0 would reach the flow stage's tail cutoff, which divides by it;
+    # the validate stage refuses it by the load rule of grid.h
     cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"),
                   h=0.0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="'grid.h'"):
         run_pipeline(cfg)
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
-    assert (err["stage"], err["type"]) == ("flow", "ZeroDivisionError")
+    assert (err["stage"], err["type"]) == ("validate", "ValueError")
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"x_max": -3.0}, "'grid.x_max'"),
+    ({"tol": 0.0}, "'grid.tol'"),
+    ({"max_iter": 0}, "'grid.max_iter'"),
+], ids=["x_max", "tol", "max_iter"])
+def test_python_config_meets_load_rules_before_any_artifact(tmp_path, change,
+                                                            key):
+    # each value is refused on load; a config built in Python meets the
+    # same rule in the validate stage, before any stage writes an artifact
+    out = tmp_path / "run"
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(out), **change)
+    with pytest.raises(ValueError, match=key):
+        run_pipeline(cfg)
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert (err["stage"], err["type"]) == ("validate", "ValueError")
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
 def test_error_json_cleared_on_success(tmp_path):

@@ -184,7 +184,6 @@ def test_trace_one_gap_hand_value(one_gap_band, one_gap_traj):
     p = trace_potential(one_gap_band, one_gap_traj)
     i0 = np.searchsorted(one_gap_traj.x_grid, 0.0)
     assert p.p_values[i0] == pytest.approx(3.0 - 2.0 * 1.5, abs=1e-13)
-    assert p.trace_constant == 3.0
     assert np.all(p.p_values >= p.p_lower - 1e-12)
     assert np.all(p.p_values <= p.p_upper + 1e-12)
     # spline evaluation agrees with the grid samples

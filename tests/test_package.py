@@ -1,9 +1,11 @@
 """The package's declared interfaces: ``import levitan`` re-exports each
 module's ``__all__`` with nothing listed twice, every exported name has a
-caller in the package or the benchmark, and README's config table lists
-every config key path."""
+caller in the package or the benchmark, the Weyl and Jost layers take no
+solver settings, and README's config table lists every config key path."""
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -88,6 +90,19 @@ def test_every_export_has_a_caller_outside_the_tests():
     exported = [name for module in (spectral, dubrovin, weyl, kernel, cli)
                 for name in module.__all__]
     assert [name for name in exported if name not in used] == []
+
+
+def test_solver_settings_are_not_options():
+    # the tolerances, steps and gap margin of the Weyl and Jost layers are
+    # module constants: a context is its band and trajectory, and no caller
+    # passes a solver setting
+    assert [f.name for f in dataclasses.fields(weyl.WeylContext)] == \
+        ["band", "trajectory"]
+    assert list(inspect.signature(kernel.jost_direct).parameters) == \
+        ["ctx", "perturbation", "p", "x", "sign", "diagnostics"]
+    assert list(inspect.signature(
+        weyl.structural_identity_check).parameters) == ["ctx", "p", "x"]
+    assert not hasattr(spectral.BandStructure, "branch_sign")
 
 
 def test_readme_config_table_lists_every_key():

@@ -139,11 +139,6 @@ def test_sqrtY_free_left_of_spectrum(free_band):
     assert eval_sqrtY(free_band, -1.0) == pytest.approx(-1.0, abs=1e-15)
 
 
-def test_branch_sign_calibrates_to_plus_one(free_band, one_gap_band, n2_band, n3_band):
-    for band in (free_band, one_gap_band, n2_band, n3_band):
-        assert band.branch_sign == 1
-
-
 def test_sqrtY_edge_needs_rim_tag(one_gap_band):
     with pytest.raises(BranchAtEdge):
         eval_sqrtY(one_gap_band, 1.0)

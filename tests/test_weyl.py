@@ -173,21 +173,21 @@ def test_ode_tol_sets_the_sample_count(gap2_ctx, monkeypatch):
     vals = []
     for tol in (1e-8, 1e-12):
         counts.append(0)
-        ctx = WeylContext(gap2_ctx.band, gap2_ctx.trajectory, ode_tol=tol)
-        vals.append(np.array(_ode_cs(ctx, 1.5 + 0.9j, 2.0)))
+        monkeypatch.setattr(weyl, "_ODE_TOL", tol)
+        vals.append(np.array(_ode_cs(gap2_ctx, 1.5 + 0.9j, 2.0)))
     assert counts[0] < counts[1]
     assert np.max(np.abs(vals[0] - vals[1])) <= 1e-8 * np.max(np.abs(vals[1]))
 
 
-def test_ode_cs_step_cap(gap1_ctx):
-    # ode_tol below rounding: no two passes agree before the step cap
-    strict = WeylContext(gap1_ctx.band, gap1_ctx.trajectory, ode_tol=1e-18)
+def test_ode_cs_step_cap(gap1_ctx, monkeypatch):
+    # a tolerance below rounding: no two passes agree before the step cap
+    monkeypatch.setattr("levitan.weyl._ODE_TOL", 1e-18)
     with pytest.raises(QuadratureFailure, match="no two passes"):
-        _ode_cs(strict, -1.0, 2.0)
+        _ode_cs(gap1_ctx, -1.0, 2.0)
 
 
 def test_ode_cs_memory_does_not_grow_with_steps(gap10_ctx):
-    # x = +-3 at ode_tol 1e-12 takes thousands of steps per pass; only one
+    # x = +-3 at _ODE_TOL = 1e-12 takes thousands of steps per pass; only one
     # batch of them is held at a time
     z = gap10_ctx.band.edges[-1] + 2.0 + 1.4j
     gap10_ctx.p_of(0.0)   # build the trajectory spline outside the trace
@@ -401,10 +401,10 @@ def test_psi_product_refuses_near_gap(gap1_ctx):
     assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
-def test_psi_quad_guard_wiring(gap1_ctx):
-    strict = WeylContext(gap1_ctx.band, gap1_ctx.trajectory, quad_tol=1e-16)
+def test_psi_quad_guard_wiring(gap1_ctx, monkeypatch):
+    monkeypatch.setattr("levitan.weyl._QUAD_TOL", 1e-16)
     with pytest.raises(QuadratureFailure):
-        eval_psi_product(strict, -1.0, 2.0, +1)
+        eval_psi_product(gap1_ctx, -1.0, 2.0, +1)
 
 
 def test_psi_on_grid_matches_pointwise(free_ctx, gap1_ctx, gap2_ctx):
@@ -473,17 +473,18 @@ def psi_quad(ctx, p, x, sign):
     return pref * cmath.exp(sign * flow_integral_quad(ctx, p, x))
 
 
-def test_psi_on_grid_quad_guard(gap1_ctx):
+def test_psi_on_grid_quad_guard(gap1_ctx, monkeypatch):
     xs = np.linspace(0.0, 2.0, 11)
-    strict = WeylContext(gap1_ctx.band, gap1_ctx.trajectory, quad_tol=1e-16)
+    monkeypatch.setattr("levitan.weyl._QUAD_TOL", 1e-16)
     with pytest.raises(QuadratureFailure):
-        psi_on_grid(strict, -1.0, xs, +1)
+        psi_on_grid(gap1_ctx, -1.0, xs, +1)
+    monkeypatch.undo()
     assert np.all(np.isfinite(psi_on_grid(gap1_ctx, -1.0, xs, +1)))
 
 
 def test_psi_product_near_gap_bisects(gap1_ctx):
     # at distance 0.01 from the gap the integrand peaks each time mu passes
-    # Re z; the base panels alone fail quad_tol there (QuadratureFailure),
+    # Re z; the base panels alone fail _QUAD_TOL there (QuadratureFailure),
     # so the agreement with the reference needs the engine's bisection
     z = 1.5 + 0.01j
     for x in (0.7, -1.3):
@@ -657,7 +658,8 @@ def test_structural_identity_window_guard(gap1_ctx):
 # context plumbing and export
 # ---------------------------------------------------------------------------
 
-def test_context_eps_gap_default(gap1_ctx, gap2_ctx):
+def test_context_eps_gap_default(free_ctx, gap1_ctx, gap2_ctx):
+    assert free_ctx.eps_gap == 0.0
     assert gap1_ctx.eps_gap == pytest.approx(1e-3)
     assert gap2_ctx.eps_gap == pytest.approx(1e-3 * 0.05, rel=1e-12)
 
