@@ -1,5 +1,5 @@
 """Small shared numerical helpers: the round-trip float format, branch-safe
-square roots, the removed-factor products of a root list, the reverse
+square roots, the removed-factor products of a factor list, the reverse
 cumulative trapezoid, and the Chebyshev-Lobatto panel toolkit (nodes, the
 values-to-coefficients map, the spectral integration matrix and barycentric
 interpolation) behind both panel solvers: the divisor flow in
@@ -34,19 +34,13 @@ def principal_sqrt(w):
     return out
 
 
-def removed_products(z, roots) -> np.ndarray:
-    """P_l(z_l) = prod_{k != l} (z_l - r_k) for every l, in root order: one
-    z for all l, or one z per root (``removed_products(r, r)`` gives
-    prod_{k != l} (r_l - r_k)).
-
-    Each product is formed explicitly (never as P(z) / (z - r_l)), so z on a
-    root is a regular point.  sum_l P_l is the derivative of prod_k (z - r_k).
-    """
-    n = len(roots)
-    d = np.broadcast_to(np.asarray(z)[..., None] - np.asarray(roots),
-                        (n, n)).copy()
-    np.fill_diagonal(d, 1.0)
-    return np.prod(d, axis=1)
+def removed_products(d) -> np.ndarray:
+    """prod_{k != l} d_k for every l, each product formed explicitly (never
+    as prod_k d_k / d_l), so a zero d_l is a regular point."""
+    n = len(d)
+    m = np.broadcast_to(d, (n, n)).copy()
+    np.fill_diagonal(m, 1.0)
+    return np.prod(m, axis=1)
 
 
 def rev_cumtrapz(a: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:

@@ -15,23 +15,24 @@ band-edge residue sum
 Everything in this module leans on one structural fact: each edge term
 factorizes over its four position arguments,
 
-    f_+(E_k, x, y, r, s) = a_k(x) conj(a_k(y)) a_k(r) conj(a_k(s))
-                           / prod_{m != k} (E_k - E_m),
+    f_+(E_k, x, y, r, s) = (-1)^k b_k(x) b_k(y) b_k(r) b_k(s),
 
-with a per-edge amplitude a_k(t) = L_k(t) prod_j |E_k - mu_j(t)|^{1/2}.  The
-sign L_k has a closed form in the Dubrovin angles: for the lower edge of gap
-j, E_{2j-1} - mu_j = -2 w_j sin^2(theta_j / 2), so the analytic amplitude is
-a multiple of sin(theta_j / 2) (cos for the upper edge E_2j).  Normalized at
-x = 0, L_k(t) is the sign of that factor at t over its sign at 0, read off
-the branch index floor(theta_j / pi) with the right-limit convention of the
-sheet sign; L_0 = 1 (no mu_j reaches E_0).  On the flow (Omega > 0) the sign
-flips at each touch of mu_j on E_k; a tangential touch keeps it.  The sign
-is the limit phase of the oscillating exponential of psi_+ as z approaches
-the edge through the adjacent band, up to a constant unimodular factor that
-cancels in f_+.  The factorized form lets the solver build each lattice
-row's factors from slices of one (edges, positions) amplitude array, filled
-by one pass over the divisor, so no factor over the whole lattice is ever
-stored.
+with a real amplitude b_k(t) = L_k(t) prod_j (|E_k - mu_j(t)| S_kj)^{1/2},
+each factor normalized by ``BandStructure.edge_scale``, so b_k^4 / (-1)^k
+is prod_j |E_k - mu_j|^2 / prod_{m != k} (E_k - E_m), and no factor
+overflows however many gaps there are.  The sign L_k has a closed form in
+the Dubrovin angles: for the lower edge of gap j, E_{2j-1} - mu_j =
+-2 w_j sin^2(theta_j / 2), so the analytic amplitude is a multiple of
+sin(theta_j / 2) (cos for the upper edge E_2j).  L_k(t) is the sign of that
+factor, read off the branch index floor(theta_j / pi) with the right-limit
+convention of the sheet sign; L_0 = 1 (no mu_j reaches E_0).  On the flow
+(Omega > 0) the sign flips at each touch of mu_j on E_k; a tangential touch
+keeps it.  The sign is the limit phase of the oscillating exponential of
+psi_+ as z approaches the edge through the adjacent band, up to a constant
+factor that cancels in every product of four amplitudes.  The factorized
+form lets the solver build each lattice row's factors from slices of one
+(edges, positions) amplitude array, filled by one pass over the divisor, so
+no factor over the whole lattice is ever stored.
 
 The - side is never solved directly: all minus-side objects come from the
 mirror substitution x -> -x applied to trajectory and perturbation, under
@@ -183,7 +184,7 @@ def moment_check(perturbation, window) -> float:
 
 
 # ---------------------------------------------------------------------------
-# edge amplitudes a_k(t)
+# edge amplitudes b_k(t)
 # ---------------------------------------------------------------------------
 
 # the signs of sin(theta / 2) and cos(theta / 2) on the branch
@@ -192,34 +193,30 @@ _HALF_ANGLE_SIGNS = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
 
 
 def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
-    """a_k(ts) for each k in ``edges``, shape (len(edges), len(ts)), from one
-    spline evaluation of the angles at the positions and at 0.
+    """b_k(ts) for each k in ``edges``, shape (len(edges), len(ts)), from one
+    spline evaluation of the angles.
 
     L_k(t) is the sign of the own-gap factor, sin(theta_j / 2) for E_{2j-1}
-    and cos(theta_j / 2) for E_2j, at t times its sign at 0, both read off
-    the branch index floor(theta_j / pi).  A position on a touch takes the
-    sign to its right (the amplitude vanishes there anyway); E_0 keeps
-    L_0 = 1.
+    and cos(theta_j / 2) for E_2j, read off the branch index
+    floor(theta_j / pi).  A position on a touch takes the sign to its right
+    (the amplitude vanishes there anyway); E_0 keeps L_0 = 1.
     """
     traj = ctx.trajectory
     edges = np.asarray(edges)
-    theta = traj.theta_at(np.append(ts, 0.0))
+    theta = traj.theta_at(ts)
     amp = np.sqrt(np.prod(np.abs(ctx.band.edge_array[edges, None, None]
-                                 - traj.mu_of_theta(theta[:-1])), axis=-1))
+                                 - traj.mu_of_theta(theta))
+                          * ctx.band.edge_scale[edges, None], axis=-1))
     k = np.floor(theta / math.pi).astype(int)
     sign = np.ones((len(k), 2 * k.shape[1] + 1))
     sign[:, 1:] = _HALF_ANGLE_SIGNS[k % 4].reshape(len(k), -1)
-    sign = sign[:, edges]
-    return (amp * (sign[:-1] * sign[-1]).T).astype(complex)
+    return amp * sign[:, edges].T
 
 
 def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
-    """a_k at an array of positions (complex; modulus prod_j |E_k - mu_j|^{1/2},
-    sign that of sin(theta_j / 2) for E_k = E_{2j-1}, cos(theta_j / 2) for
-    E_k = E_2j, relative to x = 0).
-
-    Returns a fresh array on every call.
-    """
+    """b_k at an array of positions, a fresh array on every call (real;
+    modulus prod_j (|E_k - mu_j| S_kj)^{1/2}, sign that of sin(theta_j / 2)
+    for E_k = E_{2j-1}, cos(theta_j / 2) for E_k = E_2j)."""
     if not 0 <= edge_index < len(ctx.band.edges):
         raise ValueError("edge index %d out of range" % edge_index)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -229,13 +226,6 @@ def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # residues and D
 # ---------------------------------------------------------------------------
-
-def _residues(a: np.ndarray, denoms: np.ndarray) -> np.ndarray:
-    # pairwise grouping keeps the (x,y,r,s) <-> (y,x,s,r) exchange an exact
-    # complex conjugation in floating point, so the sum is exactly symmetric
-    val = (a[:, 0] * np.conj(a[:, 1])) * (a[:, 2] * np.conj(a[:, 3]))
-    return val.real / denoms
-
 
 def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
            sign="+") -> float:
@@ -247,11 +237,15 @@ def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
     if _check_sign(sign) < 0:
         ctx = ctx.mirrored()
         x, y, r, s = -x, -y, -r, -s
-    a = _amplitudes(ctx, range(len(ctx.band.edges)), np.array([x, y, r, s]))
-    # one edge term at a time, in edge order: the same float as adding
-    # the separate edge terms f_+(E_k) in turn
+    b = _amplitudes(ctx, range(len(ctx.band.edges)), np.array([x, y, r, s]))
+    # f_+(E_k) = (-1)^k b_k(x) b_k(y) b_k(r) b_k(s); pairwise grouping keeps
+    # the (x,y,r,s) <-> (y,x,s,r) exchange exact, so the sum is symmetric.
+    # One edge term at a time, in edge order: the same float as adding the
+    # separate edge terms in turn
+    terms = (b[:, 0] * b[:, 1]) * (b[:, 2] * b[:, 3])
+    terms[1::2] = -terms[1::2]
     total = 0.0
-    for term in _residues(a, ctx.band.edge_products).tolist():
+    for term in terms.tolist():
         total += term
     return -0.25 * total
 
@@ -376,12 +370,12 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
 
     discretized by the trapezoid rule in b along each row and the reverse
     trapezoid rule in a over the rows.  With D factorized over the edges
-    (real amplitudes, c_k = -1/4 / prod_{m != k} (E_k - E_m)),
+    (real amplitudes b_k, c_k = -(-1)^k / 4),
 
-        H(u, v) = -2 sum_k c_k a_k(u-v) a_k(u+v) (phi_k(u) + 2 W_k(u, v)),
+        H(u, v) = -2 sum_k c_k b_k(u-v) b_k(u+v) (phi_k(u) + 2 W_k(u, v)),
 
-    where phi_k(u) = int_u^X q a_k^2 and W_k is the double integral of
-    q(a-b) a_k(a-b) a_k(a+b) H(a, b).  Row u needs only the rows a >= u,
+    where phi_k(u) = int_u^X q b_k^2 and W_k is the double integral of
+    q(a-b) b_k(a-b) b_k(a+b) H(a, b).  Row u needs only the rows a >= u,
     which enter W_k through one running (edges, M+1) sum, so the rows are
     solved in turn from u = X (where H = 0) down to u = x0, each as one
     vectorized update over all edges.  A row enters its own W_k with the
@@ -423,10 +417,8 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
             "[%g, %g]" % (traj.x_min, traj.x_max, lo_need, hi_need))
 
     qt = np.asarray(perturbation(pos), dtype=float)
-    # sign times modulus: the amplitudes are real, so is every factor below
-    amps = _amplitudes(ctx, range(len(ctx.band.edges)), pos).real
-    denoms = ctx.band.edge_products
-    c2 = (0.5 / denoms)[:, None]        # -2 c_k
+    amps = _amplitudes(ctx, range(len(ctx.band.edges)), pos)
+    c2 = 0.5 * (-1.0) ** np.arange(len(amps))[:, None]        # -2 c_k
     phi = rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
                        axis=1)
 
@@ -461,8 +453,8 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
         most, worst = max(most, len(deltas)), max(worst, deltas[-1])
 
     # scalar pow per edge: numpy's vectorized pow can differ in the last bit
-    c_const = float(np.sum(0.25 / np.abs(denoms) * np.array(
-        [a ** 4 for a in np.max(np.abs(amps), axis=1).tolist()])))
+    c_const = 0.25 * float(np.sum(
+        [a ** 4 for a in np.max(np.abs(amps), axis=1).tolist()]))
     return KernelGrid(x0=x0, h=h, half_width=m_steps, values=values,
                       iterations=most, final_delta=worst,
                       x_max=x_max, c_const=c_const, side="+")

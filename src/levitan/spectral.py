@@ -5,12 +5,13 @@ bands ``[E_0, E_1], [E_2, E_3], ..., [E_2N, inf)`` separated by open gaps
 ``(E_1, E_2), ..., (E_{2N-1}, E_2N)``.  Every downstream quantity (divisor
 flow, Weyl solutions, transformation kernels) is built from the polynomial
 
-    Y(z) = -(z - E_0) * prod_j (z - E_{2j-1}) (z - E_{2j}) / E_{2j-1}^2
+    Y(z) = -(z - E_0) * prod_j (z - E_{2j-1}) (z - E_{2j}) / E_{2j-1}^2,
 
-and one fixed branch of its square root.  The branch is assembled factor by
-factor with the principal root of each linear term, which alone gives the
-Green function g = -G/(2 Y^{1/2}) the sign (1/i) g(z) > 0 on the upper rim
-of every band (the pipeline's ``green_sign`` row checks it).
+one O(1) factor (z - E_m) w_m at a time (``BandStructure.edge_weight``),
+and one fixed branch of its square root, assembled factor by factor with
+the principal root of each, which alone gives the Green function
+g = -G/(2 Y^{1/2}) the sign (1/i) g(z) > 0 on the upper rim of every band
+(the pipeline's ``green_sign`` row checks it).
 
 Edge lists also carry the admissibility parameters (l, C, alpha): the gap
 moment sum uses l, and the gap-spacing growth condition uses C and alpha.
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._numerics import principal_sqrt, removed_products
+from ._numerics import principal_sqrt
 from .errors import (
     BranchAtEdge,
     EmptyGap,
@@ -93,6 +94,11 @@ def as_point(p) -> SpectralPoint:
     return SpectralPoint(complex(p))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class BandStructure:
     """Edge list E_0 < E_1 < ... < E_2N plus admissibility parameters."""
@@ -132,7 +138,7 @@ class BandStructure:
 
     @cached_property
     def edge_array(self) -> np.ndarray:
-        return np.asarray(self.edges, dtype=float)
+        return _read_only(np.asarray(self.edges, dtype=float))
 
     @cached_property
     def gaps(self) -> tuple:
@@ -142,23 +148,29 @@ class BandStructure:
 
     @cached_property
     def gap_mid(self) -> np.ndarray:
-        return np.array([0.5 * (a + b) for a, b in self.gaps])
+        return _read_only(np.array([0.5 * (a + b) for a, b in self.gaps]))
 
     @cached_property
     def gap_half(self) -> np.ndarray:
-        return np.array([0.5 * (b - a) for a, b in self.gaps])
+        return _read_only(np.array([0.5 * (b - a) for a, b in self.gaps]))
 
     @cached_property
-    def edge_products(self) -> np.ndarray:
-        """prod_{m != k} (E_k - E_m) for every edge k (read-only)."""
-        out = removed_products(self.edge_array, self.edge_array)
-        out.flags.writeable = False
-        return out
+    def edge_weight(self) -> np.ndarray:
+        """w_m = 1 for E_0 and 1/E_{2j-1} for both edges of gap j: the
+        per-factor normalization of every product over edges or gaps."""
+        w = np.repeat(1.0 / self.edge_array[1::2], 2)
+        return _read_only(np.append(1.0, w))
 
     @cached_property
-    def gap_norm(self) -> float:
-        """prod_j E_{2j-1}, the normalization shared by Y and G."""
-        return float(np.prod([self.edges[2 * j - 1] for j in range(1, self.gap_count + 1)]))
+    def edge_scale(self) -> np.ndarray:
+        """S_kj = |(E_k - E_{2j-1})(E_k - E_2j)|^{-1/2} without a zero factor,
+        column 1 times |E_k - E_0|^{-1/2}: prod_j S_kj = |P_k|^{-1/2} for the
+        edge products P_k = prod_{m != k} (E_k - E_m).  Shape (edges, gaps)."""
+        d = np.abs(self.edge_array[:, None] - self.edge_array)
+        np.fill_diagonal(d, 1.0)
+        s = d[:, 1::2] * d[:, 2::2]
+        s[:, :1] *= d[:, :1]
+        return _read_only(1.0 / np.sqrt(s))
 
     @property
     def min_gap_width(self) -> float:
@@ -264,19 +276,18 @@ def require_hypothesis(report: HypothesisReport) -> HypothesisReport:
 # ---------------------------------------------------------------------------
 
 def eval_Y(band: BandStructure, p) -> complex:
-    """Y(z) = -(z - E_0) prod_j (z - E_{2j-1})(z - E_2j) / E_{2j-1}^2.
+    """Y(z) = -prod_m (z - E_m) w_m with the weights of ``edge_weight``.
 
     Entire in z; exactly zero at each edge (the matching factor is exactly
     zero).  The rim tag is irrelevant: Y is a real polynomial.
     """
     z = as_point(p).z
-    fac = z - band.edge_array
-    return complex(-np.prod(fac) / band.gap_norm ** 2)
+    return complex(-np.prod((z - band.edge_array) * band.edge_weight))
 
 
 def _sqrt_chain(band: BandStructure, z: complex) -> complex:
-    """i * sqrt(z - E_0) * prod_j sqrt(z - E_{2j-1}) sqrt(z - E_2j) / E_{2j-1},
-    each factor the principal root, for Im z >= 0 only.
+    """i * prod_m sqrt((z - E_m) w_m), each factor the principal root, for
+    Im z >= 0 only.
 
     The per-factor chain is analytic in the open upper half plane; the value
     on the real axis is its boundary value from above.  The lower half plane is
@@ -284,8 +295,8 @@ def _sqrt_chain(band: BandStructure, z: complex) -> complex:
     chain verbatim there would flip the overall sign (the leading i does not
     conjugate) and hang a spurious cut along the gaps and below E_0.
     """
-    fac = principal_sqrt(z - band.edge_array)
-    return 1j * complex(np.prod(fac)) / band.gap_norm
+    fac = principal_sqrt((z - band.edge_array) * band.edge_weight)
+    return 1j * complex(np.prod(fac))
 
 
 def eval_sqrtY(band: BandStructure, p) -> complex:

@@ -3,13 +3,12 @@
 Everything here is algebra on top of the divisor trajectory: the divisor
 product
 
-    G(z, x) = prod_j (z - mu_j(x)) / prod_j E_{2j-1},
+    G(z, x) = prod_j (z - mu_j(x)) / E_{2j-1},
 
-its half x-derivative H = (1/2) dG/dx (a polynomial in z, assembled from the
-exact flow derivatives mu_j' and the removed-factor products
-P_l(z) = prod_{k != l} (z - mu_k)), the Weyl functions
-m+- = (H +- Y^{1/2}) / G, the Green function g = -G(z,0) / (2 Y^{1/2}), and
-the Weyl solutions
+one O(1) factor at a time, its half x-derivative H = (1/2) dG/dx (a
+polynomial in z, from the exact flow derivatives mu_j' and the removed
+products of G's factors), the Weyl functions m+- = (H +- Y^{1/2}) / G, the
+Green function g = -G(z,0) / (2 Y^{1/2}), and the Weyl solutions
 
     psi_+-(z, x) = (G(z,x)/G(z,0))^{1/2} exp( +- int_0^x Y^{1/2}(z)/G(z,t) dt )
 
@@ -118,7 +117,7 @@ def eval_G(ctx: WeylContext, p, x: float) -> complex:
     """The divisor product G(z, x); entire in z, exactly 0 at z = mu_j(x)."""
     z = as_point(p).z
     mu = ctx.trajectory.mu_at(x)
-    return complex(np.prod(z - mu) / ctx.band.gap_norm)
+    return complex(np.prod((z - mu) * ctx.band.edge_weight[1::2]))
 
 
 def _mu_rates(ctx: WeylContext, x: float) -> np.ndarray:
@@ -128,16 +127,17 @@ def _mu_rates(ctx: WeylContext, x: float) -> np.ndarray:
 
 
 def eval_H(ctx: WeylContext, p, x: float) -> complex:
-    """H(z, x) = (1/2) d/dx G(z, x) = -(1/2) sum_l mu_l' P_l(z) / norm,
-    with P_l the removed-factor products of the divisor.
+    """H(z, x) = (1/2) d/dx G(z, x) = -(1/2) sum_l mu_l' w_l P_l(z), with
+    P_l the removed products of G's factors (z - mu_k) w_k, w_k = 1/E_{2k-1}.
 
     z = mu_j(x) is a perfectly regular point (the residue-sum form of H would
     divide by zero there; this form is what gives H(mu_j, x) = sigma_j
     Y^{1/2}(mu_j)).
     """
     z = as_point(p).z
-    p_l = removed_products(z, ctx.trajectory.mu_at(x))
-    return complex(-0.5 * np.sum(_mu_rates(ctx, x) * p_l) / ctx.band.gap_norm)
+    w = ctx.band.edge_weight[1::2]
+    p_l = removed_products((z - ctx.trajectory.mu_at(x)) * w)
+    return complex(-0.5 * np.sum(_mu_rates(ctx, x) * w * p_l))
 
 
 _POLE_TOL = 1e-9
@@ -166,18 +166,18 @@ def eval_m(ctx: WeylContext, p, x: float, sign) -> complex:
             raise AtDivisorPole(
                 "z = %s is within %g of mu_%d(%g), a pole of m%s"
                 % (z, _POLE_TOL, j + 1, x, "+" if sgn > 0 else "-"))
-        # removable limit at mu_j: l'Hopital in z.  G' = sum_l P_l / norm and
-        # Y' = -sum of the edges' removed products / norm^2.  With Q_l the
-        # removed products of the divisor without mu_j, taken at mu_j, the
-        # z-derivatives there are P_l' = Q_l (l != j) and P_j' = sum_l Q_l.
-        zj, norm = complex(mu[j]), ctx.band.gap_norm
+        # removable limit at mu_j: l'Hopital in z.  With Q_l the removed
+        # products of d_k = (mu_j - mu_k) w_k, k != j, G' = w_j prod d and the
+        # z-derivatives of H's P_l are w_j Q_l (l != j) and sum_l w_l Q_l (j);
+        # mu_j is off the edges, so Y' / Y = sum_m 1 / (mu_j - E_m)
+        zj, w = complex(mu[j]), ctx.band.edge_weight[1::2]
+        d = np.delete((zj - mu) * w, j)
         rates = _mu_rates(ctx, x)
-        dh = -0.5 * np.sum((np.delete(rates, j) + rates[j])
-                           * removed_products(zj, np.delete(mu, j))) / norm
-        dg = np.sum(removed_products(zj, mu)) / norm
-        dy = -np.sum(removed_products(zj, ctx.band.edge_array)) / norm ** 2
-        dsq = dy / (2.0 * eval_sqrtY(ctx.band, zj))
-        return complex((dh + sgn * dsq) / dg)
+        dh = -0.5 * w[j] * np.sum((np.delete(rates, j) + rates[j])
+                                  * np.delete(w, j) * removed_products(d))
+        dsq = 0.5 * eval_sqrtY(ctx.band, zj) * np.sum(
+            1.0 / (zj - ctx.band.edge_array))
+        return complex((dh + sgn * dsq) / (w[j] * np.prod(d)))
     h = eval_H(ctx, pt, x)
     g = eval_G(ctx, pt, x)
     sq = eval_sqrtY(ctx.band, pt)
@@ -235,8 +235,8 @@ def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
     if lo == hi:
         return np.zeros(len(xs), dtype=complex)
     sq = eval_sqrtY(ctx.band, pt)
-    z, norm, traj = pt.z, ctx.band.gap_norm, ctx.trajectory
-    inv_g = lambda ts: sq / (np.prod(z - traj.mu_at(ts), axis=-1) / norm)
+    z, w, traj = pt.z, ctx.band.edge_weight[1::2], ctx.trajectory
+    inv_g = lambda ts: sq / np.prod((z - traj.mu_at(ts)) * w, axis=-1)
     fill = _PANEL * np.arange(math.ceil(lo / _PANEL),
                               math.floor(hi / _PANEL) + 1)
     cuts = np.unique(np.concatenate([fill, [lo, 0.0, hi]]))

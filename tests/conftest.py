@@ -13,7 +13,6 @@ from levitan.dubrovin import _omega
 from levitan.kernel import (
     KernelBoundReport,
     _amplitudes,
-    _residues,
     edge_amplitudes,
     tail_cutoff,
 )
@@ -99,12 +98,21 @@ def dop853_cs(ctx, z, x, tol=1e-13):
     return sol.y[:, -1]
 
 
+def edge_products(band):
+    """prod_{m != k} (E_k - E_m) for every edge k, as explicit products."""
+    e = band.edges
+    return np.array([math.prod(e[k] - e[m] for m in range(len(e)) if m != k)
+                     for k in range(len(e))])
+
+
 def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     """H on the rotated lattice by full-lattice Jacobi sweeps: a reference
     for ``solve_kernel``'s row march with the same discretization (trapezoid
     in b along each row, reverse trapezoid in a over the rows) but the
     opposite solution order.  Every sweep computes the whole lattice from the
-    previous iterate, using two stored (M+1)^2 factor arrays per edge."""
+    previous iterate, using two stored (M+1)^2 factor arrays per edge.  It
+    weights the unnormalized amplitudes a_k = b_k |P_k|^{1/4} by
+    c_k = -1/4 / P_k, with P_k the explicit ``edge_products``."""
     x0, h = grid_params.x0, grid_params.h
     x_max = grid_params.x_max
     if x_max is None:
@@ -113,8 +121,10 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     pos = x0 + h * np.arange(2 * m_steps + 1)
     qt = np.asarray(perturbation(pos), dtype=float)
     n_edges = len(ctx.band.edges)
-    amps = _amplitudes(ctx, range(n_edges), pos)
-    cks = -0.25 / ctx.band.edge_products
+    prods = edge_products(ctx.band)
+    amps = (_amplitudes(ctx, range(n_edges), pos)
+            * np.abs(prods)[:, None] ** 0.25)
+    cks = -0.25 / prods
 
     mi = np.arange(m_steps + 1)[:, None]
     li = np.arange(m_steps + 1)[None, :]
@@ -238,12 +248,12 @@ def jost_profile_rows(ctx, grid, p):
 
 
 def residue_f_plus(ctx, edge_index, x, y, r, s):
-    """The edge term f_+(E_k, x, y, r, s) alone, from ``edge_amplitudes``:
-    a per-edge reference for ``eval_D``; exactly 0 when a divisor point
-    sits on E_k at any of the four positions."""
-    a = edge_amplitudes(ctx, edge_index, np.array([x, y, r, s]))
-    denom = ctx.band.edge_products[edge_index]
-    return float(_residues(a[None, :], denom)[0])
+    """The edge term f_+(E_k, x, y, r, s) = (-1)^k b_k(x) b_k(y) b_k(r)
+    b_k(s) alone, from ``edge_amplitudes``: a per-edge reference for
+    ``eval_D``; exactly 0 when a divisor point sits on E_k at any of the
+    four positions."""
+    b = edge_amplitudes(ctx, edge_index, np.array([x, y, r, s]))
+    return float((-1.0) ** edge_index * ((b[0] * b[1]) * (b[2] * b[3])))
 
 
 def k_at(grid, x, y):

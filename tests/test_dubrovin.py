@@ -49,7 +49,7 @@ def raw_flow_rhs(band, mu, sigma):
         for k in range(n):
             if k != j:
                 dg *= mu[j] - mu[k]
-        dg /= band.gap_norm
+        dg /= math.prod(band.edges[1::2])
         y = eval_sqrtY(band, complex(mu[j]))
         assert y.imag == 0.0
         out[j] = -2.0 * sigma[j] * y.real / dg

@@ -2,6 +2,7 @@
 Volterra solve, decay bounds, and the two independent Jost routes."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import (
+    edge_products,
     jacobi_kernel,
     jost_profile_rows,
     k_at,
@@ -207,17 +209,20 @@ def test_interaction_domain_matches_rotated_form():
 # ---------------------------------------------------------------------------
 
 def test_edge_phase_follows_touch_parity(kgap):
-    # the limit phase factor is +1/-1 according to how many times the gap's
-    # divisor point has hit the edge strictly between 0 and t
+    # the limit phase factor of b_k(t) b_k(0) is +1/-1 according to how many
+    # times the gap's divisor point has hit the edge strictly between 0 and t
     traj = kgap.trajectory
     ts = np.linspace(-2.3, 11.7, 15)
+    scale = np.abs(edge_products(kgap.band)) ** -0.25
     for k, kind in ((1, "lower"), (2, "upper")):
         a = edge_amplitudes(kgap, k, ts)
+        a *= math.copysign(1.0, edge_amplitudes(kgap, k, [0.0])[0])
         for t, av in zip(ts, a):
             touches = traj.touch_points(0, kind, lo=min(t, 0.0), hi=max(t, 0.0))
             touches = touches[(np.abs(touches) > 1e-9)
                               & (np.abs(touches - t) > 1e-9)]
-            mod = math.sqrt(abs(kgap.band.edges[k] - float(traj.mu_at(t)[0])))
+            mod = scale[k] * math.sqrt(
+                abs(kgap.band.edges[k] - float(traj.mu_at(t)[0])))
             want = (-1.0) ** len(touches) * mod
             assert av == pytest.approx(want, abs=1e-10 * (1.0 + mod))
 
@@ -248,11 +253,12 @@ def test_tangential_touch_keeps_sign():
                              (6.0 * xs)[:, None])
     ctx = WeylContext(band, traj)
     ts = np.linspace(-0.45, 0.45, 19)
-    scale = math.sqrt(2.0 * band.gap_half[0])
+    scale = math.sqrt(2.0 * band.gap_half[0]) * np.abs(
+        edge_products(band)) ** -0.25
     for k, half in ((1, np.sin), (2, np.cos)):
         a = edge_amplitudes(ctx, k, ts)
         assert np.all(a.imag == 0.0)
-        np.testing.assert_allclose(a.real, scale * half(1.5 * ts ** 2),
+        np.testing.assert_allclose(a.real, scale[k] * half(1.5 * ts ** 2),
                                    rtol=1e-10, atol=1e-15)
     assert np.all(edge_amplitudes(ctx, 1, ts[ts != 0.0]).real > 0.0)
 
@@ -289,26 +295,29 @@ def kfixture(request, tmp_path_factory):
 
 
 def test_edge_amplitudes_match_closed_form(kfixture):
-    # oracle: (-1)^(touches strictly between 0 and t) sqrt(prod |E_k - mu_j|),
-    # and the same sign read from the angle, sin(theta_j/2) for the lower
-    # edge and cos(theta_j/2) for the upper one, relative to x = 0
+    # oracle: sign(b_k(t) b_k(0)) is (-1)^(touches strictly between 0 and t),
+    # |b_k(t)| is sqrt(prod |E_k - mu_j|) / |prod_{m != k} (E_k - E_m)|^{1/4},
+    # and sign(b_k(t)) is read from the angle, sin(theta_j/2) for the lower
+    # edge and cos(theta_j/2) for the upper one
     ctx = kfixture
     traj = ctx.trajectory
     ts = np.linspace(traj.x_min, traj.x_max, 61)
-    th0 = traj.theta_at(0.0)
+    scale = np.abs(edge_products(ctx.band)) ** -0.25
     for k in range(1, len(ctx.band.edges)):
         j = (k + 1) // 2 - 1
         kind, half = ("lower", np.sin) if k % 2 == 1 else ("upper", np.cos)
         a = edge_amplitudes(ctx, k, ts)
+        sign0 = math.copysign(1.0, edge_amplitudes(ctx, k, [0.0])[0])
         assert np.all(a.imag == 0.0)
         for t, av in zip(ts, a.real):
             touches = traj.touch_points(j, kind, lo=min(t, 0.0), hi=max(t, 0.0))
             touches = touches[(np.abs(touches) > 1e-9)
                               & (np.abs(touches - t) > 1e-9)]
-            mod = math.sqrt(np.prod(np.abs(ctx.band.edges[k] - traj.mu_at(t))))
-            assert av == pytest.approx((-1.0) ** len(touches) * mod,
-                                       rel=1e-12, abs=1e-15)
-            angle_sign = half(0.5 * traj.theta_at(t)[j]) * half(0.5 * th0[j])
+            mod = scale[k] * math.sqrt(
+                np.prod(np.abs(ctx.band.edges[k] - traj.mu_at(t))))
+            assert sign0 * av == pytest.approx((-1.0) ** len(touches) * mod,
+                                               rel=1e-12, abs=1e-15)
+            angle_sign = half(0.5 * traj.theta_at(t)[j])
             if abs(angle_sign) > 1e-6:
                 assert math.copysign(1.0, av) == math.copysign(1.0, angle_sign)
 
@@ -347,8 +356,39 @@ def test_random_fixture_pipeline_passes(tmp_path):
     assert failed == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_gap_truncation_is_cauchy_in_n(tmp_path):
+    # periodic_like n = 10's probes, perturbation and lattice on gaps at j^2
+    # of half width 0.1 j^-4, mu_j at the midpoints on alternating sheets:
+    # the N-gap truncations of one infinite-gap background.  Every pipeline
+    # passes, K_N settles on the shared lattice and C_const stays put
+    kernels, consts = [], []
+    for n in (10, 20, 40, 60):
+        edges = [0.0] + [j * j + s * 0.1 / j ** 4
+                         for j in range(1, n + 1) for s in (-1.0, 1.0)]
+        divisor = tuple(((edges[2 * j - 1] + edges[2 * j]) / 2.0,
+                         1 if j % 2 == 1 else -1) for j in range(1, n + 1))
+        out = tmp_path / str(n)
+        summary = cli.run_pipeline(replace(
+            generate_fixture("periodic_like", n=10), edges=tuple(edges),
+            divisor=divisor, out_dir=str(out)))
+        failed = [k for k, row in summary.checks.items() if not row["pass"]]
+        assert failed == []
+        kernels.append(np.loadtxt(out / "kernel.csv", delimiter=",",
+                                  skiprows=1))
+        consts.append(json.loads((out / "kernel_meta.json").read_text())
+                      ["C_const"])
+    for k in kernels[1:]:
+        assert np.array_equal(k[:, :2], kernels[0][:, :2])
+    steps = [np.max(np.abs(b[:, 2] - a[:, 2]))
+             for a, b in zip(kernels, kernels[1:])]
+    assert steps[0] > steps[1] > steps[2]
+    assert consts == pytest.approx([0.408240] * 4, abs=1e-6)
+
+
 def _y_prime(band, z):
-    return -np.polyval(np.polyder(np.poly(band.edge_array)), z) / band.gap_norm ** 2
+    norm = math.prod(band.edges[1::2])
+    return -np.polyval(np.polyder(np.poly(band.edge_array)), z) / norm ** 2
 
 
 def test_residue_matches_eps_limit_oracle(kgap, monkeypatch):

@@ -25,7 +25,7 @@ from levitan.errors import (
     NonMonotonic,
 )
 
-from conftest import periodic_edges, richardson
+from conftest import edge_products, periodic_edges, richardson
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +90,24 @@ def test_growth_violation_raises_only_on_require():
 # Y
 # ---------------------------------------------------------------------------
 
-def test_edge_products_cached_and_read_only(n2_band):
-    prods = n2_band.edge_products
+def test_edge_weights_and_scales_match_explicit_products(n2_band):
     e = n2_band.edges
-    for k, got in enumerate(prods):
-        assert got == pytest.approx(math.prod(e[k] - e[m] for m in range(len(e))
-                                              if m != k), rel=1e-14)
-    assert n2_band.edge_products is prods
+    w = n2_band.edge_weight
+    assert w.tolist() == [1.0, 1.0 / e[1], 1.0 / e[1], 1.0 / e[3], 1.0 / e[3]]
+    scale = n2_band.edge_scale
+    assert scale.shape == (len(e), n2_band.gap_count)
+    for row, prod in zip(scale, edge_products(n2_band)):
+        assert math.prod(row) == pytest.approx(abs(prod) ** -0.5, rel=1e-14)
+    assert n2_band.edge_weight is w and n2_band.edge_scale is scale
+
+
+@pytest.mark.parametrize("name", ["edge_array", "gap_mid", "gap_half",
+                                  "edge_weight", "edge_scale"])
+def test_cached_band_arrays_are_read_only(n2_band, name):
+    arr = getattr(n2_band, name)
     with pytest.raises(ValueError):
-        prods[0] = 1.0
+        arr[0] = 5.0
+    assert getattr(n2_band, name) is arr
 
 
 def test_Y_free_case(free_band):
