@@ -56,7 +56,8 @@ from scipy.interpolate import RectBivariateSpline
 from ._numerics import rev_cumtrapz
 from .errors import MomentViolation, NoConvergence
 from .spectral import as_point
-from .weyl import WeylContext, _check_sign, eval_green, psi_on_grid
+from .weyl import (WeylContext, _check_sign, _psi_parts, eval_green,
+                   psi_on_grid)
 
 __all__ = [
     "PerturbationProfile",
@@ -626,7 +627,10 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     with J(x, y) = g(z) [psi_+(y) psi_-(x) - psi_+(x) psi_-(y)].  Both signs
     are solved natively (no mirror trick): this function is the independent
     oracle against the kernel route, so it must not share its machinery.
-    With ``diagnostics`` it returns the sweep changes too, as (phi, deltas).
+    psi_+ and psi_- on the trapezoid grid come from one product-route pass,
+    prefactor exp(+-W), and each sweep takes both moments int psi_+- q phi
+    by one trapezoid over the stacked pair.  With ``diagnostics`` it returns
+    the sweep changes too, as (phi, deltas).
     """
     h = _JOST_STEP
     sgn = _check_sign(sign)
@@ -640,22 +644,19 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
         ylo = min(x - h, perturbation.support[0])
         n = int(math.ceil((x - ylo) / h - 1e-12))
         ys = x - h * np.arange(n + 1)[::-1]
-    psi_p = psi_on_grid(ctx, pt, ys, +1)
-    psi_m = psi_on_grid(ctx, pt, ys, -1)
-    qv = np.asarray(perturbation(ys), dtype=float)
-    base = psi_p if sgn > 0 else psi_m
+    pref, w = _psi_parts(ctx, pt, ys)
+    psi_p, psi_m = pref * np.exp(w), pref * np.exp(-w)
+    pq = np.stack([psi_p, psi_m]) * np.asarray(perturbation(ys), dtype=float)
 
-    phi = base.copy()
+    phi = psi_p if sgn > 0 else psi_m
     deltas = []
     converged = False
     for _ in range(_JOST_MAX_ITER):
         if sgn > 0:
-            i1 = rev_cumtrapz(psi_p * qv * phi, h)
-            i2 = rev_cumtrapz(psi_m * qv * phi, h)
+            i1, i2 = rev_cumtrapz(pq * phi, h, axis=1)
             phi_new = psi_p - g * (psi_m * i1 - psi_p * i2)
         else:
-            i1 = cumulative_trapezoid(psi_p * qv * phi, dx=h, initial=0.0)
-            i2 = cumulative_trapezoid(psi_m * qv * phi, dx=h, initial=0.0)
+            i1, i2 = cumulative_trapezoid(pq * phi, dx=h, axis=1, initial=0.0)
             phi_new = psi_m + g * (psi_m * i1 - psi_p * i2)
         delta = float(np.max(np.abs(phi_new - phi)))
         deltas.append(delta)

@@ -17,7 +17,8 @@ the Chebyshev-Lobatto panel toolkit of :mod:`levitan._numerics` that the
 divisor flow uses too: fixed base panels from x = 0, each with its spectral
 indefinite integral, bisected where the Chebyshev tail fails, and read at
 any x by barycentric interpolation.  The one-point ``eval_psi_product``, the
-grid pass ``psi_on_grid`` and ``probe_csv`` all call it, and each raises
+grid pass ``psi_on_grid``, ``probe_csv`` and the Jost oracle
+:func:`levitan.kernel.jost_direct` all call it, and each raises
 QuadratureFailure when the summed tail estimate exceeds
 _QUAD_TOL (1 + |integral|).  A second, independent route builds psi from the
 cosine/sine-type solutions of -y'' + p y = z y, propagated from x = 0 by a
@@ -113,17 +114,34 @@ def _check_sign(sign) -> int:
 # G, H and the Weyl functions
 # ---------------------------------------------------------------------------
 
-def eval_G(ctx: WeylContext, p, x: float) -> complex:
-    """The divisor product G(z, x); entire in z, exactly 0 at z = mu_j(x)."""
-    z = as_point(p).z
-    mu = ctx.trajectory.mu_at(x)
+def _G(ctx: WeylContext, z: complex, mu: np.ndarray) -> complex:
     return complex(np.prod((z - mu) * ctx.band.edge_weight[1::2]))
 
 
-def _mu_rates(ctx: WeylContext, x: float) -> np.ndarray:
+def _mu_rates(ctx: WeylContext, theta: np.ndarray,
+              dtheta: np.ndarray) -> np.ndarray:
     """mu_j'(x) from the exact angle derivative: w_j sin(theta_j) theta_j'."""
+    return ctx.band.gap_half * np.sin(theta) * dtheta
+
+
+def _H(ctx: WeylContext, z: complex, theta: np.ndarray, dtheta: np.ndarray,
+       mu: np.ndarray) -> complex:
+    w = ctx.band.edge_weight[1::2]
+    p_l = removed_products((z - mu) * w)
+    return complex(-0.5 * np.sum(_mu_rates(ctx, theta, dtheta) * w * p_l))
+
+
+def _divisor_state(ctx: WeylContext, x: float):
+    """(theta, dtheta/dx, mu) at x: one read of the angle spline and one of
+    its derivative, which G, H and the Weyl functions at x all share."""
     traj = ctx.trajectory
-    return ctx.band.gap_half * np.sin(traj.theta_at(x)) * traj.dtheta_at(x)
+    theta = traj.theta_at(x)
+    return theta, traj.dtheta_at(x), traj.mu_of_theta(theta)
+
+
+def eval_G(ctx: WeylContext, p, x: float) -> complex:
+    """The divisor product G(z, x); entire in z, exactly 0 at z = mu_j(x)."""
+    return _G(ctx, as_point(p).z, ctx.trajectory.mu_at(x))
 
 
 def eval_H(ctx: WeylContext, p, x: float) -> complex:
@@ -134,10 +152,7 @@ def eval_H(ctx: WeylContext, p, x: float) -> complex:
     divide by zero there; this form is what gives H(mu_j, x) = sigma_j
     Y^{1/2}(mu_j)).
     """
-    z = as_point(p).z
-    w = ctx.band.edge_weight[1::2]
-    p_l = removed_products((z - ctx.trajectory.mu_at(x)) * w)
-    return complex(-0.5 * np.sum(_mu_rates(ctx, x) * w * p_l))
+    return _H(ctx, as_point(p).z, *_divisor_state(ctx, x))
 
 
 _POLE_TOL = 1e-9
@@ -148,15 +163,16 @@ def eval_m(ctx: WeylContext, p, x: float, sign) -> complex:
 
     Within _POLE_TOL of a divisor point the owning sign raises AtDivisorPole;
     the other sign is evaluated by its removable limit (both numerator and G
-    vanish to first order there).
+    vanish to first order there).  G, H and the pole's sheet sign come from
+    one read of the angles at x.
     """
     sgn = _check_sign(sign)
     pt = as_point(p)
     z = pt.z
-    mu = ctx.trajectory.mu_at(x)
+    theta, dtheta, mu = _divisor_state(ctx, x)
     j = int(np.argmin(np.abs(z - mu))) if mu.size else None
     if mu.size and abs(z - mu[j]) < _POLE_TOL:
-        sigma = int(ctx.trajectory.sigma_at(x)[j])
+        sigma = int(ctx.trajectory.sigma_of_theta(theta)[j])
         lo, hi = ctx.band.gaps[j]
         if min(abs(mu[j] - lo), abs(mu[j] - hi)) < _POLE_TOL:
             raise AtDivisorPole(
@@ -172,14 +188,14 @@ def eval_m(ctx: WeylContext, p, x: float, sign) -> complex:
         # mu_j is off the edges, so Y' / Y = sum_m 1 / (mu_j - E_m)
         zj, w = complex(mu[j]), ctx.band.edge_weight[1::2]
         d = np.delete((zj - mu) * w, j)
-        rates = _mu_rates(ctx, x)
+        rates = _mu_rates(ctx, theta, dtheta)
         dh = -0.5 * w[j] * np.sum((np.delete(rates, j) + rates[j])
                                   * np.delete(w, j) * removed_products(d))
         dsq = 0.5 * eval_sqrtY(ctx.band, zj) * np.sum(
             1.0 / (zj - ctx.band.edge_array))
         return complex((dh + sgn * dsq) / (w[j] * np.prod(d)))
-    h = eval_H(ctx, pt, x)
-    g = eval_G(ctx, pt, x)
+    h = _H(ctx, z, theta, dtheta, mu)
+    g = _G(ctx, z, mu)
     sq = eval_sqrtY(ctx.band, pt)
     return complex((h + sgn * sq) / g)
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from conftest import (
     edge_products,
@@ -22,7 +22,8 @@ from conftest import (
     richardson,
     schrodinger_residual,
 )
-from levitan import cli
+from levitan import cli, kernel, weyl
+from levitan._numerics import rev_cumtrapz
 from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
 from levitan.errors import MomentViolation, NoConvergence
 from levitan.kernel import (
@@ -38,8 +39,9 @@ from levitan.kernel import (
     solve_kernel,
 )
 from levitan.cli import generate_fixture
-from levitan.spectral import BandStructure, SpectralPoint
-from levitan.weyl import WeylContext, eval_G, eval_psi_product
+from levitan.spectral import BandStructure, SpectralPoint, as_point
+from levitan.weyl import (WeylContext, eval_G, eval_green, eval_psi_product,
+                          psi_on_grid)
 
 
 BUMP = PerturbationProfile.gaussian_bump(0.2, 0.0, 0.8)
@@ -838,6 +840,58 @@ def test_jost_direct_trivial_single_iteration(kgap):
     assert len(deltas) == 1
     assert deltas[0] == 0.0
     assert val == pytest.approx(eval_psi_product(kgap, z, 0.3, +1), rel=1e-9)
+
+
+def _jost_two_pass(ctx, perturbation, p, x, sign):
+    """jost_direct as a psi_on_grid pass per sign and a trapezoid per moment
+    in every sweep; returns (phi, deltas)."""
+    h, sgn, pt = kernel._JOST_STEP, 1 if sign == "+" else -1, as_point(p)
+    g = eval_green(ctx, pt)
+    if sgn > 0:
+        yhi = max(x + h, perturbation.support[1])
+        n = int(math.ceil((yhi - x) / h - 1e-12))
+        ys = x + h * np.arange(n + 1)
+    else:
+        ylo = min(x - h, perturbation.support[0])
+        n = int(math.ceil((x - ylo) / h - 1e-12))
+        ys = x - h * np.arange(n + 1)[::-1]
+    psi_p = psi_on_grid(ctx, pt, ys, +1)
+    psi_m = psi_on_grid(ctx, pt, ys, -1)
+    qv = np.asarray(perturbation(ys), dtype=float)
+    phi, deltas = (psi_p if sgn > 0 else psi_m), []
+    for _ in range(kernel._JOST_MAX_ITER):
+        if sgn > 0:
+            i1 = rev_cumtrapz(psi_p * qv * phi, h)
+            i2 = rev_cumtrapz(psi_m * qv * phi, h)
+            phi_new = psi_p - g * (psi_m * i1 - psi_p * i2)
+        else:
+            i1 = cumulative_trapezoid(psi_p * qv * phi, dx=h, initial=0.0)
+            i2 = cumulative_trapezoid(psi_m * qv * phi, dx=h, initial=0.0)
+            phi_new = psi_m + g * (psi_m * i1 - psi_p * i2)
+        deltas.append(float(np.max(np.abs(phi_new - phi))))
+        phi = phi_new
+        if deltas[-1] < kernel._JOST_TOL:
+            return complex(phi[0] if sgn > 0 else phi[-1]), tuple(deltas)
+    raise AssertionError("reference iteration did not converge")
+
+
+def test_jost_direct_is_the_two_pass_method(kgap, tmp_path, monkeypatch):
+    # one product-route pass and one stacked trapezoid per sweep give the
+    # same floats as a pass per sign and a trapezoid per moment
+    ctx10 = _flow_context("periodic_like", 10, 0, tmp_path)[2]
+    passes = []
+    flow = weyl._flow_exponent
+    monkeypatch.setattr(weyl, "_flow_exponent",
+                        lambda *a: passes.append(1) or flow(*a))
+    for ctx in (kgap, ctx10):
+        for z in (SpectralPoint(-1.0 + 0.0j), SpectralPoint(-0.5 + 0.8j)):
+            for sign in ("+", "-"):
+                for x in (-0.7, 0.6):
+                    passes.clear()
+                    got = jost_direct(ctx, BUMP_NARROW, z, x, sign,
+                                      diagnostics=True)
+                    assert len(passes) == 1
+                    assert got == _jost_two_pass(ctx, BUMP_NARROW, z, x, sign)
 
 
 def test_jost_direct_deltas_decay_geometrically(kgap):

@@ -350,6 +350,41 @@ def test_m_sign_argument(gap1_ctx):
         eval_m(gap1_ctx, 4.0 + 1j, 0.0, 0)
 
 
+def test_m_is_its_definition_bit_for_bit(gap1_ctx, gap2_ctx, gap10_ctx):
+    # off the poles m+- is (H +- Y^{1/2}) / G with the public G and H, to the
+    # last bit
+    rng = np.random.default_rng(3)
+    for ctx in (gap1_ctx, gap2_ctx, gap10_ctx):
+        for _ in range(40):
+            z = complex(rng.uniform(-2.0, 12.0), rng.uniform(-2.0, 2.0))
+            x = float(rng.uniform(-2.5, 2.5))
+            for s in (+1, -1):
+                want = complex((eval_H(ctx, z, x)
+                                + s * eval_sqrtY(ctx.band, z))
+                               / eval_G(ctx, z, x))
+                assert eval_m(ctx, z, x, s) == want
+
+
+def test_m_reads_the_angles_once(gap2_ctx, monkeypatch):
+    calls = {"theta_at": 0, "dtheta_at": 0}
+    for name in calls:
+        orig = getattr(DivisorTrajectory, name)
+
+        def counted(self, x, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, x)
+        monkeypatch.setattr(DivisorTrajectory, name, counted)
+    mu = gap2_ctx.trajectory.mu_at(0.35)
+    sg = gap2_ctx.trajectory.sigma_at(0.35)
+    # off the poles, and at mu_1 by the removable limit of the other sign
+    probes = [(1.7 + 0.9j, +1), (-2.0 + 0.0j, -1),
+              (complex(mu[0]), -int(sg[0]))]
+    for z, s in probes:
+        calls.update(theta_at=0, dtheta_at=0)
+        eval_m(gap2_ctx, z, 0.35, s)
+        assert calls == {"theta_at": 1, "dtheta_at": 1}
+
+
 # ---------------------------------------------------------------------------
 # psi: the two representations against each other
 # ---------------------------------------------------------------------------
