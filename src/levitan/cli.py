@@ -52,11 +52,8 @@ from .dubrovin import (
 )
 from .weyl import (
     WeylContext,
-    _ode_cs,
     classify_poles,
     eval_green,
-    eval_m,
-    eval_psi_product,
     probe_csv,
     structural_identity_check,
     wronskian_check,
@@ -66,7 +63,6 @@ from .kernel import (
     PerturbationProfile,
     eval_D,
     jost_direct,
-    jost_from_kernel,
     jost_profile,
     kernel_bound_check,
     solve_kernel,
@@ -512,26 +508,21 @@ def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
             for re, im, side in cfg.z_probes] or \
         [SpectralPoint(complex(band.edges[0] - 1.0))]
     xs = cfg.x_probes or (0.0,)
-    probe_csv(ctx, zpts, xs, out / "weyl_probes.csv")
+    psi_x1 = probe_csv(ctx, zpts, xs, out / "weyl_probes.csv")[:, :, 0]
     classify_poles(ctx)
 
+    # per z probe, one (c, s) solve, m+-(z, 0) pair and g serve the Wronskian
+    # and the ODE side of the two psi routes at x1 = xs[0]; the product side
+    # is probe_csv's first row (it refused any z too near a gap)
     x1 = float(xs[0])
-    worst = 0.0
-    for pt in zpts:
-        resid = wronskian_check(ctx, pt, x1)
-        worst = max(worst, resid * abs(eval_green(ctx, pt)))
-    checks["wronskian"] = _check(worst, 1e-6)
-
-    # the two psi routes at the first x probe, for every z probe (probe_csv
-    # refused any too near a gap): one (c, s) solve gives both signs
-    worst = 0.0
-    for pt in zpts:
-        c, _, s, _ = _ode_cs(ctx, pt.z, x1)
-        for sign in (1, -1):
-            a = eval_psi_product(ctx, pt, x1, sign)
-            b = c + eval_m(ctx, pt, 0.0, sign) * s
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    checks["weyl_routes"] = _check(worst, 1e-6)
+    w_worst = r_worst = 0.0
+    for pt, product in zip(zpts, psi_x1.tolist()):
+        resid, g, ode = wronskian_check(ctx, pt, x1)
+        w_worst = max(w_worst, resid * abs(g))
+        for a, b in zip(product, ode):
+            r_worst = max(r_worst, abs(a - b) / max(abs(a), abs(b)))
+    checks["wronskian"] = _check(w_worst, 1e-6)
+    checks["weyl_routes"] = _check(r_worst, 1e-6)
 
     min_re = math.inf
     for a, b in band.bands():
@@ -567,12 +558,14 @@ def _stage_kernel(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
 
 def _stage_jost(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     ctx, grid, pert = st["ctx"], st["grid"], st["pert"]
+    profiles = []
     with open(out / "jost.csv", "w") as fh:
         fh.write("re_z,im_z,side,x,re_phi,im_phi,abs_phi\n")
         for i, pt in enumerate(st["zpts"]):
             if i:
                 fh.write("\n\n")  # double blank line: next gnuplot index
             xs, vals = jost_profile(ctx, grid, pt)
+            profiles.append(vals)
             fmt = "%.17g,%.17g,%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % (
                 pt.z.real, pt.z.imag, pt.side.value)
             # hypot, as abs() of each value: np.abs of a complex array can
@@ -581,14 +574,14 @@ def _stage_jost(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
                                     np.hypot(vals.real, vals.imag)])
             fh.writelines(fmt % tuple(row) for row in rows.tolist())
 
+    # phi via the kernel at lattice points 0 and m // 2, read off the profiles
+    # just written, against the independent Volterra oracle
     m = grid.half_width
-    x_sel = (float(grid.positions[0]), float(grid.positions[m // 2]))
     worst = 0.0
-    for pt in st["zpts"][:2]:
-        for x in x_sel:
-            via_kernel = jost_from_kernel(ctx, grid, pt, x, "+")
-            direct = jost_direct(ctx, pert, pt, x, "+")
-            rel = abs(via_kernel - direct) / max(abs(direct), 1e-30)
+    for pt, phi in zip(st["zpts"][:2], profiles):
+        for i in (0, m // 2):
+            direct = jost_direct(ctx, pert, pt, float(grid.positions[i]), "+")
+            rel = abs(complex(phi[i]) - direct) / max(abs(direct), 1e-30)
             worst = max(worst, rel)
     checks["oracle_equivalence"] = _check(worst, 5e-3)
 

@@ -593,7 +593,8 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     Equivalent to calling jost_from_kernel at every lattice point up to the
     truncation radius, but psi is integrated once over the whole lattice and
     shared across rows, so the profile costs one quadrature pass instead of
-    one per point.
+    one per point.  The pipeline's ``oracle_equivalence`` row reads its
+    kernel-route phi off this profile, at lattice points 0 and M // 2.
     """
     pos, m = grid.positions, grid.half_width
     psi = psi_on_grid(ctx.mirrored() if grid.side == "-" else ctx, p, pos, +1)

@@ -17,9 +17,9 @@ the Chebyshev-Lobatto panel toolkit of :mod:`levitan._numerics` that the
 divisor flow uses too: fixed base panels from x = 0, each with its spectral
 indefinite integral, bisected where the Chebyshev tail fails, and read at
 any x by barycentric interpolation.  The one-point ``eval_psi_product``, the
-grid pass ``psi_on_grid``, ``probe_csv`` and the Jost oracle
-:func:`levitan.kernel.jost_direct` all call it, and each raises
-QuadratureFailure when the summed tail estimate exceeds
+grid pass ``psi_on_grid``, ``probe_csv`` (whose psi the pipeline's route
+check reads) and the Jost oracle :func:`levitan.kernel.jost_direct` all call
+it, and each raises QuadratureFailure when the summed tail estimate exceeds
 _QUAD_TOL (1 + |integral|).  A second, independent route builds psi from the
 cosine/sine-type solutions of -y'' + p y = z y, propagated from x = 0 by a
 fourth-order Magnus method on p(x) alone: psi = c + m+-(z, 0) s.  The two
@@ -449,14 +449,16 @@ def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
 # Wronskian and structure checks
 # ---------------------------------------------------------------------------
 
-def wronskian_check(ctx: WeylContext, p, x_probe: float) -> float:
+def wronskian_check(ctx: WeylContext, p, x_probe: float) -> tuple:
     """|W(psi_-, psi_+)(x_probe) + 1/g(z)|, from the (c, s) solve.
 
     Since W(psi_-, psi_+) = (m_+ - m_-)(c s' - c' s) and (m_+ - m_-) g = -1,
     the residual is |c s' - c' s - 1| / |g| up to rounding: it measures the
     propagator's Liouville drift.  Every Magnus step has determinant 1, so
     the residual reads rounding; the accuracy of the ODE route is checked
-    against the product route instead (the pipeline's ``weyl_routes`` row).
+    against the product route instead, by the pipeline's ``weyl_routes``
+    row, which shares this solve through the return value
+    (residual, g(z), (psi_+, psi_-) at x_probe).
     (Through the product representation the identity collapses to algebra
     that holds no matter how wrong the trajectory is.)
     """
@@ -468,7 +470,7 @@ def wronskian_check(ctx: WeylContext, p, x_probe: float) -> float:
     psi_m, dpsi_m = c + m_minus * s, cp + m_minus * sp
     w = psi_m * dpsi_p - dpsi_m * psi_p
     g = eval_green(ctx, pt)
-    return float(abs(w + 1.0 / g))
+    return float(abs(w + 1.0 / g)), g, (psi_p, psi_m)
 
 
 _STENCIL_STEP = 1e-2
@@ -557,20 +559,24 @@ def classify_poles(ctx: WeylContext) -> PoleClassification:
 # probe-sweep export
 # ---------------------------------------------------------------------------
 
-def probe_csv(ctx: WeylContext, points, xs, path) -> None:
+def probe_csv(ctx: WeylContext, points, xs, path) -> np.ndarray:
     """CSV sweep of psi_+-, m_+, g over points x positions; one panel-engine
-    pass per point, rows in the order of ``xs``."""
+    pass per point, rows in the order of ``xs``; returns the psi it wrote,
+    indexed [point, (psi_+, psi_-), x]."""
     xs = np.asarray(xs, dtype=float)
+    psi = []
     with open(path, "w") as fh:
         fh.write("re_z,im_z,side,x,re_psi_plus,im_psi_plus,re_psi_minus,"
                  "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g\n")
         for pt in map(as_point, points):
             g = eval_green(ctx, pt)
             pref, w = _psi_parts(ctx, pt, xs)
+            psi.append([pref * np.exp(w), pref * np.exp(-w)])
             mp = [eval_m(ctx, pt, x, +1) for x in xs.tolist()]
             # psi_+, psi_- and m_+, each viewed as its (re, im) column pair
-            vals = np.column_stack([pref * np.exp(w), pref * np.exp(-w), mp])
+            vals = np.column_stack([*psi[-1], mp])
             fmt = ("%.17g,%.17g,%s," % (pt.z.real, pt.z.imag, pt.side.value)
                    + "%.17g," * 7 + "%.17g,%.17g\n" % (g.real, g.imag))
             rows = np.column_stack([xs, vals.view(float)]).tolist()
             fh.writelines(fmt % tuple(row) for row in rows)
+    return np.array(psi, dtype=complex).reshape(len(psi), 2, len(xs))

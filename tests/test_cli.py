@@ -294,6 +294,46 @@ def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
     assert (tmp_path / "jost.csv").read_text() == "".join(lines)
 
 
+def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
+    # per z probe the weyl stage makes one (c, s) solve and one flow-integral
+    # pass, probe_csv's; the jost stage reads phi via the kernel off the
+    # profiles it writes, so its passes are one per profile and one per
+    # jost_direct call (two z probes, two lattice points)
+    from levitan import kernel, weyl
+    names = {weyl: ("_ode_cs", "_flow_exponent"),
+             kernel: ("jost_from_kernel", "jost_profile")}
+    counts = {}
+    for module, attrs in names.items():
+        for attr in attrs:
+            orig = getattr(module, attr)
+
+            def counted(*args, _orig=orig, _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _orig(*args, **kwargs)
+            # every levitan module that holds the name, as its callers see it
+            for mod in [m for n, m in sys.modules.items()
+                        if n.startswith("levitan")]:
+                if getattr(mod, attr, None) is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+            counts[attr] = 0
+    per_stage = {}
+    for stage in ("weyl", "jost"):
+        def staged(cfg, st, checks, out, _fn=_STAGE_FNS[stage], _stage=stage):
+            counts.update(dict.fromkeys(counts, 0))
+            _fn(cfg, st, checks, out)
+            per_stage[_stage] = dict(counts)
+        monkeypatch.setitem(_STAGE_FNS, stage, staged)
+    cfg = replace(generate_fixture("periodic_like", n=4),
+                  out_dir=str(tmp_path))
+    assert run_pipeline(cfg).passed
+    nz = len(cfg.z_probes)
+    assert nz == 3
+    assert per_stage["weyl"] == {"_ode_cs": nz, "_flow_exponent": nz,
+                                 "jost_from_kernel": 0, "jost_profile": 0}
+    assert per_stage["jost"] == {"_ode_cs": 0, "_flow_exponent": nz + 4,
+                                 "jost_from_kernel": 0, "jost_profile": nz}
+
+
 def test_random_divisor_draw_is_seeded(tmp_path):
     base = RunConfig(edges=(0.0, 1.0, 2.0), divisor=None,
                      x_probes=(0.0,), seed=3)

@@ -807,6 +807,37 @@ def test_jost_profile_matches_row_reference(kgap):
         assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
 
 
+@pytest.fixture(scope="module")
+def k10():
+    # the periodic_like n = 10 fixture's band and divisor, on a window that
+    # holds both sides' lattices for x0 = -1, x_max = 1.5
+    band = BandStructure(periodic_edges(10))
+    div = DirichletDivisor(tuple((float(band.gap_mid[j]), 1 - 2 * (j % 2))
+                                 for j in range(10)))
+    traj = integrate_dubrovin(band, div, -4.5, 4.5, 0.01, tol=1e-11)
+    return WeylContext(band, traj)
+
+
+@pytest.mark.parametrize("name", ["kgap", "k10"])
+def test_jost_profile_is_jost_from_kernel_on_the_lattice(name, request):
+    # the pipeline's oracle_equivalence row reads phi via the kernel off the
+    # profile; lattice index i sits at +-positions[i], entry m - i of a -
+    # side profile (ordered by x)
+    ctx = request.getfixturevalue(name)
+    for side, sgn in (("+", 1.0), ("-", -1.0)):
+        grid = solve_kernel(ctx, BUMP_NARROW, side,
+                            GridParams(x0=-1.0, h=0.05, x_max=1.5), tol=1e-10)
+        m = grid.half_width
+        for z in (SpectralPoint(-1.0 + 0.0j), SpectralPoint(0.3 + 0.7j)):
+            xs, vals = jost_profile(ctx, grid, z)
+            for i in (0, m // 2, m - 1):
+                k = i if side == "+" else m - i
+                x = sgn * float(grid.positions[i])
+                assert xs[k] == x
+                want = jost_from_kernel(ctx, grid, z, x, side)
+                assert abs(vals[k] - want) <= 1e-12 * abs(want)
+
+
 def test_jost_from_kernel_refuses_points_left_of_lattice(kgap):
     z = SpectralPoint(-1.0 + 0.0j)
     grid = solve_kernel(kgap, BUMP_NARROW, "+", GridParams(x0=-1.5, h=0.05),

@@ -590,18 +590,28 @@ def test_green_rejects_edges(gap1_ctx):
 
 def test_wronskian_residual(free_ctx, gap1_ctx, gap2_ctx):
     scale = abs(1.0 / eval_green(free_ctx, 4.0))
-    assert wronskian_check(free_ctx, 4.0, 0.7) < 1e-12 * scale
+    assert wronskian_check(free_ctx, 4.0, 0.7)[0] < 1e-12 * scale
     for ctx in (gap1_ctx, gap2_ctx):
         scale = abs(1.0 / eval_green(ctx, -1.0))
-        assert wronskian_check(ctx, -1.0, 0.7) < 1e-9 * scale
+        assert wronskian_check(ctx, -1.0, 0.7)[0] < 1e-9 * scale
         # at the base point the identity is algebraic
-        assert wronskian_check(ctx, -1.0, 0.0) < 1e-13 * scale
+        assert wronskian_check(ctx, -1.0, 0.0)[0] < 1e-13 * scale
+
+
+def test_wronskian_returns_g_and_the_ode_route_psi(gap1_ctx, gap2_ctx):
+    # the pipeline's weyl_routes row reads the psi this solve forms
+    for ctx in (gap1_ctx, gap2_ctx):
+        for z in (-1.0, 0.3 + 0.7j):
+            _, g, (psi_p, psi_m) = wronskian_check(ctx, z, 0.7)
+            assert g == eval_green(ctx, z)
+            assert psi_p == eval_psi_ode(ctx, z, 0.7, +1)
+            assert psi_m == eval_psi_ode(ctx, z, 0.7, -1)
 
 
 def test_wronskian_x_independence(gap1_ctx):
     scale = abs(1.0 / eval_green(gap1_ctx, -1.0))
-    r1 = wronskian_check(gap1_ctx, -1.0, 0.5)
-    r2 = wronskian_check(gap1_ctx, -1.0, 1.5)
+    r1 = wronskian_check(gap1_ctx, -1.0, 0.5)[0]
+    r2 = wronskian_check(gap1_ctx, -1.0, 1.5)[0]
     assert abs(r1 - r2) < 1e-8 * scale
 
 
@@ -752,6 +762,22 @@ def test_probe_csv_keeps_row_order(tmp_path, gap1_ctx):
             want = eval_psi_product(gap1_ctx, -1.0 + 0.5j, x, sgn)
             got = complex(float(r[col]), float(r[col + 1]))
             assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_probe_csv_returns_the_psi_it_writes(tmp_path, gap1_ctx):
+    # the pipeline's weyl_routes row reads the returned psi at xs[0]: they
+    # are the floats of the CSV, bit for bit
+    points = [SpectralPoint.upper(0.45), -1.0 + 0.5j, SpectralPoint.lower(2.5)]
+    xs = [0.7, -0.5, 0.0, 0.7]
+    psi = probe_csv(gap1_ctx, points, xs, tmp_path / "probes.csv")
+    assert psi.shape == (len(points), 2, len(xs))
+    lines = (tmp_path / "probes.csv").read_text().strip().split("\n")[1:]
+    assert len(lines) == len(points) * len(xs)
+    for k, line in enumerate(lines):
+        p, i = divmod(k, len(xs))
+        re_p, im_p, re_m, im_m = map(float, line.split(",")[4:8])
+        assert psi[p, 0, i] == complex(re_p, im_p)
+        assert psi[p, 1, i] == complex(re_m, im_m)
 
 
 def test_probe_csv_matches_per_value_writer(tmp_path, gap1_ctx):
