@@ -1,10 +1,10 @@
-"""Small shared numerical helpers: the round-trip float format, branch-safe
-square roots, the removed-factor products of a factor list, the reverse
-cumulative trapezoid, and the Chebyshev-Lobatto panel toolkit (nodes, the
-values-to-coefficients map, the spectral integration matrix and barycentric
-interpolation) behind both panel solvers: the divisor flow in
-:mod:`levitan.dubrovin` and the flow integral behind psi in
-:mod:`levitan.weyl`."""
+"""Small shared numerical helpers: the round-trip float format and the block
+writer of the CSV tables, branch-safe square roots, the removed-factor
+products of a factor list, the reverse cumulative trapezoid, and the
+Chebyshev-Lobatto panel toolkit (nodes, the values-to-coefficients map, the
+spectral integration matrix and barycentric interpolation) behind both panel
+solvers: the divisor flow in :mod:`levitan.dubrovin` and the flow integral
+behind psi in :mod:`levitan.weyl`."""
 
 from __future__ import annotations
 
@@ -16,6 +16,24 @@ from scipy.integrate import cumulative_trapezoid
 def f17(x) -> str:
     """Format a binary64 with 17 significant digits (round-trip exact)."""
     return "%.17g" % float(x)
+
+
+# values per block of write_rows: a few thousand rows of a narrow table, and
+# still few rows of the 182-column trajectory table of a sixty-gap band
+_BLOCK_VALUES = 8192
+
+
+def write_rows(fh, fmt: str, rows) -> None:
+    """Write ``fmt % tuple(row)`` for every row of the 2-D array ``rows``.
+
+    One ``%`` call formats a whole block of rows, with ``fmt`` repeated once
+    per row, so no list or tuple is made per row; the bytes are those of
+    the row-by-row form.  ``rows`` may be an object array, for columns
+    already formatted as text."""
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def principal_sqrt(w):

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._numerics import f17, rev_cumtrapz
+from ._numerics import f17, rev_cumtrapz, write_rows
 from ._threads import apply_thread_budget as _apply_thread_budget
 from .errors import LevitanError, MissingArtifact
 from .spectral import (
@@ -491,10 +491,10 @@ def _stage_flow(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
 
 def _stage_potential(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     ps = trace_potential(st["band"], st["traj"])
-    rows = np.column_stack([ps.x_grid, ps.p_values]).tolist()
     with open(out / "potential.csv", "w") as fh:
         fh.write("x,p\n")
-        fh.writelines("%.17g,%.17g\n" % tuple(row) for row in rows)
+        write_rows(fh, "%.17g,%.17g\n",
+                   np.column_stack([ps.x_grid, ps.p_values]))
     excess = max(float(np.max(ps.p_values - ps.p_upper)),
                  float(np.max(ps.p_lower - ps.p_values)))
     checks["potential_bounds"] = _check(excess, 1e-9)
@@ -530,7 +530,7 @@ def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
         g = eval_green(ctx, SpectralPoint.upper(mid))
         min_re = min(min_re, (g / 1j).real)
     checks["green_sign"] = _check(-min_re, 0.0)
-    st.update(ctx=ctx, zpts=zpts, xs=tuple(float(x) for x in xs))
+    st.update(ctx=ctx, zpts=zpts)
 
 
 def _stage_kernel(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
@@ -570,9 +570,8 @@ def _stage_jost(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
                 pt.z.real, pt.z.imag, pt.side.value)
             # hypot, as abs() of each value: np.abs of a complex array can
             # differ from it in the last bit
-            rows = np.column_stack([xs, vals.real, vals.imag,
-                                    np.hypot(vals.real, vals.imag)])
-            fh.writelines(fmt % tuple(row) for row in rows.tolist())
+            write_rows(fh, fmt, np.column_stack([
+                xs, vals.real, vals.imag, np.hypot(vals.real, vals.imag)]))
 
     # phi via the kernel at lattice points 0 and m // 2, read off the profiles
     # just written, against the independent Volterra oracle

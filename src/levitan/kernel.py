@@ -53,7 +53,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import RectBivariateSpline
 
-from ._numerics import rev_cumtrapz
+from ._numerics import rev_cumtrapz, write_rows
 from .errors import MomentViolation, NoConvergence
 from .spectral import as_point
 from .weyl import (WeylContext, _check_sign, _psi_parts, eval_green,
@@ -323,14 +323,18 @@ class KernelGrid:
 
     def to_csv(self, path) -> None:
         """Upper-triangular rows x,y,K over the native lattice, ordered by x
-        and then y; every float through %.17g, as f17 writes it."""
+        and then y; every float through %.17g, as f17 writes it.  Each of
+        the 2M + 1 side-signed positions goes through %.17g once, and its
+        text serves every row that uses it; the rows are written a block
+        at a time by ``write_rows``."""
         i, l = self.triangle
         pos = -self.positions if self.side == "-" else self.positions
-        rows = np.column_stack([pos[i], pos[i + 2 * l], self.values[i + l, l]])
+        text = np.array(["%.17g" % v for v in pos.tolist()], dtype=object)
+        rows = np.column_stack([text[i], text[i + 2 * l],
+                                self.values[i + l, l].astype(object)])
         with open(path, "w") as fh:
             fh.write("x,y,K\n")
-            fh.writelines("%.17g,%.17g,%.17g\n" % tuple(row)
-                          for row in rows.tolist())
+            write_rows(fh, "%s,%s,%.17g\n", rows)
 
     def metadata(self) -> dict:
         return {"iterations": self.iterations,

@@ -45,6 +45,7 @@ from ._numerics import (
     cheb_lobatto,
     principal_sqrt,
     removed_products,
+    write_rows,
 )
 from .dubrovin import DivisorTrajectory, potential_on
 from .errors import (
@@ -577,6 +578,5 @@ def probe_csv(ctx: WeylContext, points, xs, path) -> np.ndarray:
             vals = np.column_stack([*psi[-1], mp])
             fmt = ("%.17g,%.17g,%s," % (pt.z.real, pt.z.imag, pt.side.value)
                    + "%.17g," * 7 + "%.17g,%.17g\n" % (g.real, g.imag))
-            rows = np.column_stack([xs, vals.view(float)]).tolist()
-            fh.writelines(fmt % tuple(row) for row in rows)
+            write_rows(fh, fmt, np.column_stack([xs, vals.view(float)]))
     return np.array(psi, dtype=complex).reshape(len(psi), 2, len(xs))

@@ -513,3 +513,24 @@ def test_csv_matches_per_value_writer(tmp_path, edges, divisor):
     _csv_reference(band, tr, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("blocks, extra", [(2, 1), (3, 0)])
+def test_write_rows_seams_match_per_row_format(blocks, extra):
+    # rows across whole blocks and a one-row tail, each seam row holding a
+    # special value: every byte as the per-row fmt % tuple(row) writes it
+    import io
+    from levitan._numerics import _BLOCK_VALUES, write_rows
+    fmt = "%.17g,%.17g,%d,%.17g\n"
+    step = _BLOCK_VALUES // 4
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((blocks * step + extra, 4))
+    rows[:, 1] *= 10.0 ** rng.integers(-300, 300, len(rows))
+    rows[:, 2] = rng.choice([-1.0, 1.0], len(rows))
+    specials = [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 0.1]
+    for k, r in enumerate((0, step - 1, step, 2 * step - 1, len(rows) - 1)):
+        rows[r, [0, 1, 3]] = specials[k], specials[-1 - k], -specials[k]
+    fh = io.StringIO()
+    write_rows(fh, fmt, rows)
+    assert fh.getvalue() == "".join(fmt % tuple(r) for r in rows.tolist())
+    assert fh.getvalue().startswith("-0,0.10000000000000001,")

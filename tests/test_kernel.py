@@ -1,6 +1,7 @@
 """Transformation-kernel tests: profiles, edge amplitudes, the D sum, the
 Volterra solve, decay bounds, and the two independent Jost routes."""
 
+import gc
 import itertools
 import json
 import math
@@ -24,7 +25,8 @@ from conftest import (
 )
 from levitan import cli, kernel, weyl
 from levitan._numerics import rev_cumtrapz
-from levitan.dubrovin import DirichletDivisor, DivisorTrajectory, integrate_dubrovin
+from levitan.dubrovin import (DirichletDivisor, DivisorTrajectory,
+                              integrate_dubrovin, trajectory_to_csv)
 from levitan.errors import MomentViolation, NoConvergence
 from levitan.kernel import (
     GridParams,
@@ -650,13 +652,43 @@ def _kernel_csv_per_value(grid, path):
 
 
 def test_kernel_csv_matches_per_value_writer(kgap, tmp_path):
-    for side in ("+", "-"):
+    # h = 0.04 gives 6555 triangle rows, past two write_rows blocks of the
+    # three-column table; x = 0 is a lattice position, so the - side writes
+    # -0 there
+    from levitan._numerics import _BLOCK_VALUES
+    for h, side in itertools.product((0.1, 0.04), ("+", "-")):
         grid = solve_kernel(kgap, BUMP_NARROW, side,
-                            GridParams(x0=-1.0, h=0.1), tol=1e-10)
+                            GridParams(x0=-1.0, h=h), tol=1e-10)
+        assert 0.0 in grid.positions
+        if h < 0.1:
+            assert len(grid.triangle[0]) > 2 * (_BLOCK_VALUES // 3) + 1
         grid.to_csv(tmp_path / "fast.csv")
         _kernel_csv_per_value(grid, tmp_path / "slow.csv")
-        assert (tmp_path / "fast.csv").read_bytes() == \
-            (tmp_path / "slow.csv").read_bytes()
+        slow = (tmp_path / "slow.csv").read_bytes()
+        assert (b"\n-0," in slow) == (side == "-")
+        assert (tmp_path / "fast.csv").read_bytes() == slow
+
+
+def test_csv_writers_start_no_garbage_collection(kgap, tmp_path):
+    # the writers make no list or tuple per row, so writing a 6555-row
+    # kernel.csv and the 3201-row trajectory.csv keeps the count of live
+    # containers under even a low gen-0 threshold: no collection starts
+    # (one list per row starts about 175 of them at 50)
+    grid = solve_kernel(kgap, BUMP_NARROW, "+", GridParams(x0=-1.0, h=0.04),
+                        tol=1e-10)
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(50, *thresholds[1:])
+    try:
+        before = gc.get_stats()[0]["collections"]
+        grid.to_csv(tmp_path / "kernel.csv")
+        trajectory_to_csv(kgap.band, kgap.trajectory,
+                          tmp_path / "trajectory.csv")
+        after = gc.get_stats()[0]["collections"]
+    finally:
+        gc.set_threshold(*thresholds)
+    assert len(kgap.trajectory.x_grid) > 3000
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
