@@ -172,9 +172,13 @@ class DivisorTrajectory:
 
     def _check_range(self, x) -> None:
         x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < self.x_min - 1e-12 or x.max() > self.x_max + 1e-12):
-            raise ValueError("x = %s outside trajectory range [%g, %g]"
-                             % (x, self.x_min, self.x_max))
+        lo, hi = self.x_min - 1e-12, self.x_max + 1e-12
+        if x.size and (x.min() < lo or x.max() > hi):
+            out = x[(x < lo) | (x > hi)]
+            worst = out[np.argmax(np.abs(out - np.clip(out, lo, hi)))]
+            raise ValueError("x = %g outside trajectory range [%g, %g] (%d of "
+                             "%d points out)" % (worst, self.x_min, self.x_max,
+                                                 out.size, x.size))
 
     def theta_at(self, x):
         self._check_range(x)
@@ -381,6 +385,34 @@ def _extrapolate(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
     return theta[-1] + (chebyshev.chebvander(t, _WARM_DEGREE) - 1.0) @ c
 
 
+def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
+                    x_end: float, tol: float = 1e-10) -> np.ndarray:
+    """The angles at ``x_end`` of the flow from ``divisor`` at x = 0, after
+    the guards of every flow run: ValueError for a divisor that does not
+    fit the band, DegenerateGap for a gap too thin to integrate.
+
+    At x_end = 0 these are the start angles: theta_j in [0, pi] for
+    sigma_j = +1, in [pi, 2 pi] for sigma_j = -1 (sin < 0 on the descending
+    branch).  Elsewhere they are the last node of the last panel to x_end,
+    which ``integrate_dubrovin`` also puts in its row at a window end x_end
+    (barycentric interpolation at t = +-1 returns the node), without an
+    output grid or spline.
+    """
+    divisor.validate_against(band)
+    if band.gap_count and band.gap_half.min() <= _DEGENERATE_WIDTH * max(
+            1.0, np.abs(band.edge_array).max()):
+        raise DegenerateGap("a gap is too thin to integrate (half width %g)"
+                            % band.gap_half.min())
+    c = np.clip((band.gap_mid - divisor.mu) / band.gap_half, -1.0, 1.0)
+    theta0 = np.arccos(c)
+    theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - theta0, theta0)
+    if x_end == 0.0 or not band.gap_count:
+        return theta0
+    panels = _flow_panels(band, theta0, x_end,
+                          max(tol / _TOL_SAFETY, _TOL_FLOOR))
+    return panels[-1][2][-1]
+
+
 def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
                        x_min: float, x_max: float, step: float,
                        tol: float = 1e-10) -> DivisorTrajectory:
@@ -412,11 +444,7 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
         raise ValueError("step and tol must be positive")
     if not x_min <= 0.0 <= x_max:
         raise ValueError("window [%g, %g] must contain x = 0" % (x_min, x_max))
-    divisor.validate_against(band)
-    if band.gap_count and band.gap_half.min() <= _DEGENERATE_WIDTH * max(
-            1.0, np.abs(band.edge_array).max()):
-        raise DegenerateGap("a gap is too thin to integrate (half width %g)"
-                            % band.gap_half.min())
+    theta0 = flow_end_angles(band, divisor, 0.0, tol)
 
     k_lo = round(x_min / step)
     k_hi = round(x_max / step)
@@ -426,12 +454,6 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
     if band.gap_count == 0:
         empty = np.zeros((len(x_grid), 0))
         return DivisorTrajectory(band, x_grid, empty, empty.copy())
-
-    # initial angles from (mu, sigma): theta in [0, pi] for sigma = +1,
-    # in [pi, 2 pi] for sigma = -1 (sin < 0 on the descending branch).
-    c = np.clip((band.gap_mid - divisor.mu) / band.gap_half, -1.0, 1.0)
-    theta0 = np.arccos(c)
-    theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - theta0, theta0)
 
     target = max(tol / _TOL_SAFETY, _TOL_FLOOR)
     theta = np.empty((len(x_grid), band.gap_count))
@@ -479,9 +501,10 @@ class PotentialSamples:
     p_upper: float
 
 
-def _trace(band: BandStructure, theta) -> np.ndarray:
+def potential_of_angles(band: BandStructure, theta) -> np.ndarray:
     """The trace formula p = E_0 + sum_j (E_{2j-1} + E_2j - 2 mu_j) in the
-    angles, E_0 + 2 sum_j w_j cos(theta_j): no sums of edges cancel."""
+    angles, E_0 + 2 sum_j w_j cos(theta_j): no sums of edges cancel.  The
+    angles run along the last axis."""
     return band.edges[0] + 2.0 * np.sum(band.gap_half * np.cos(theta),
                                         axis=-1)
 
@@ -489,14 +512,15 @@ def _trace(band: BandStructure, theta) -> np.ndarray:
 def trace_potential(band: BandStructure, trajectory: DivisorTrajectory) -> PotentialSamples:
     """p at the trajectory's grid nodes, with its bounds: every mu_j on its
     upper edge (theta_j = pi) and every one on its lower edge (theta_j = 0)."""
-    lo, hi = _trace(band, np.array([[math.pi], [0.0]]))
-    return PotentialSamples(trajectory.x_grid, _trace(band, trajectory.theta),
+    lo, hi = potential_of_angles(band, np.array([[math.pi], [0.0]]))
+    return PotentialSamples(trajectory.x_grid,
+                            potential_of_angles(band, trajectory.theta),
                             float(lo), float(hi))
 
 
 def potential_on(band: BandStructure, trajectory: DivisorTrajectory, x):
     """p evaluated through the spline at arbitrary x (vectorized)."""
-    return _trace(band, trajectory.theta_at(x))
+    return potential_of_angles(band, trajectory.theta_at(x))
 
 
 # ---------------------------------------------------------------------------

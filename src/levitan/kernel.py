@@ -193,9 +193,9 @@ def moment_check(perturbation, window) -> float:
 _HALF_ANGLE_SIGNS = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
 
 
-def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
-    """b_k(ts) for each k in ``edges``, shape (len(edges), len(ts)), from one
-    spline evaluation of the angles.
+def _amplitudes(ctx: WeylContext, edges: slice, ts: np.ndarray) -> np.ndarray:
+    """b_k(ts) for each k in the slice ``edges`` of the edge list, shape
+    (edges, len(ts)), from one spline evaluation of the angles.
 
     L_k(t) is the sign of the own-gap factor, sin(theta_j / 2) for E_{2j-1}
     and cos(theta_j / 2) for E_2j, read off the branch index
@@ -203,7 +203,6 @@ def _amplitudes(ctx: WeylContext, edges, ts: np.ndarray) -> np.ndarray:
     (the amplitude vanishes there anyway); E_0 keeps L_0 = 1.
     """
     traj = ctx.trajectory
-    edges = np.asarray(edges)
     theta = traj.theta_at(ts)
     amp = np.sqrt(np.prod(np.abs(ctx.band.edge_array[edges, None, None]
                                  - traj.mu_of_theta(theta))
@@ -221,34 +220,38 @@ def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
     if not 0 <= edge_index < len(ctx.band.edges):
         raise ValueError("edge index %d out of range" % edge_index)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _amplitudes(ctx, (edge_index,), ts)[0]
+    return _amplitudes(ctx, slice(edge_index, edge_index + 1), ts)[0]
 
 
 # ---------------------------------------------------------------------------
 # residues and D
 # ---------------------------------------------------------------------------
 
-def eval_D(ctx: WeylContext, x: float, y: float, r: float, s: float,
-           sign="+") -> float:
+def eval_D(ctx: WeylContext, x, y, r, s, sign="+"):
     """D_+- at four positions: -1/4 times the sum of edge terms.
 
-    The - side is the + side of the mirrored problem evaluated at negated
-    positions.
+    The positions are floats, giving a float, or equal-shape arrays, giving
+    D at each index from one amplitude evaluation of all of them; every
+    entry is the float its scalar call gives.  The - side is the + side of
+    the mirrored problem evaluated at negated positions.
     """
+    pos = np.array([x, y, r, s], dtype=float)
     if _check_sign(sign) < 0:
         ctx = ctx.mirrored()
-        x, y, r, s = -x, -y, -r, -s
-    b = _amplitudes(ctx, range(len(ctx.band.edges)), np.array([x, y, r, s]))
+        pos = -pos
+    b = _amplitudes(ctx, slice(None), pos.reshape(-1))
+    b = b.reshape((len(b),) + pos.shape)
     # f_+(E_k) = (-1)^k b_k(x) b_k(y) b_k(r) b_k(s); pairwise grouping keeps
     # the (x,y,r,s) <-> (y,x,s,r) exchange exact, so the sum is symmetric.
-    # One edge term at a time, in edge order: the same float as adding the
-    # separate edge terms in turn
+    # One edge term at a time, in edge order: the running sum along the
+    # edge axis is the same float as adding the separate edge terms in turn
+    # (never np.sum, which adds pairwise).  Its first row is E_0's term, a
+    # product of amplitudes >= +0, so starting from it rather than from 0.0
+    # changes no sign of zero
     terms = (b[:, 0] * b[:, 1]) * (b[:, 2] * b[:, 3])
     terms[1::2] = -terms[1::2]
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return -0.25 * total
+    total = -0.25 * np.cumsum(terms, axis=0)[-1]
+    return float(total) if pos.ndim == 1 else total
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +425,7 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
             "[%g, %g]" % (traj.x_min, traj.x_max, lo_need, hi_need))
 
     qt = np.asarray(perturbation(pos), dtype=float)
-    amps = _amplitudes(ctx, range(len(ctx.band.edges)), pos)
+    amps = _amplitudes(ctx, slice(None), pos)
     c2 = 0.5 * (-1.0) ** np.arange(len(amps))[:, None]        # -2 c_k
     phi = rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
                        axis=1)

@@ -47,7 +47,7 @@ from ._numerics import (
     removed_products,
     write_rows,
 )
-from .dubrovin import DivisorTrajectory, potential_on
+from .dubrovin import DivisorTrajectory, potential_of_angles, potential_on
 from .errors import (
     AmbiguousPole,
     AtDivisorPole,
@@ -490,13 +490,16 @@ def structural_identity_check(ctx: WeylContext, p, x: float) -> float:
     if not (ctx.trajectory.x_min + 2 * h <= x <= ctx.trajectory.x_max - 2 * h):
         raise ValueError("x = %g too close to the trajectory boundary for a "
                          "width-%g stencil" % (x, h))
-    g_at = lambda t: eval_G(ctx, pt, t)
-    d2g = (-g_at(x - 2 * h) + 16 * g_at(x - h) - 30 * g_at(x)
-           + 16 * g_at(x + h) - g_at(x + 2 * h)) / (12.0 * h * h)
-    pval = float(ctx.p_of(x))
-    g = g_at(x)
+    # one read of the angles on the whole stencil; G, p and H at x come
+    # from its centre row
+    traj = ctx.trajectory
+    theta = traj.theta_at(np.array([x - 2 * h, x - h, x, x + h, x + 2 * h]))
+    mu = traj.mu_of_theta(theta)
+    g_m2, g_m1, g, g_p1, g_p2 = (_G(ctx, z, row) for row in mu)
+    d2g = (-g_m2 + 16 * g_m1 - 30 * g + 16 * g_p1 - g_p2) / (12.0 * h * h)
+    pval = float(potential_of_angles(ctx.band, theta[2]))
     n_val = (pval - z) * g - 0.5 * d2g
-    h_val = eval_H(ctx, pt, x)
+    h_val = _H(ctx, z, theta[2], traj.dtheta_at(x), mu[2])
     y = eval_Y(ctx.band, pt)
     return float(abs(g * n_val + h_val * h_val - y))
 

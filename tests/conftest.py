@@ -122,7 +122,7 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     qt = np.asarray(perturbation(pos), dtype=float)
     n_edges = len(ctx.band.edges)
     prods = edge_products(ctx.band)
-    amps = (_amplitudes(ctx, range(n_edges), pos)
+    amps = (_amplitudes(ctx, slice(None), pos)
             * np.abs(prods)[:, None] ** 0.25)
     cks = -0.25 / prods
 

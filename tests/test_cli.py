@@ -294,35 +294,46 @@ def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
     assert (tmp_path / "jost.csv").read_text() == "".join(lines)
 
 
+def _count_calls(monkeypatch, counts, owner, attr):
+    """Count the calls of ``owner.attr`` (a function of a module, or a
+    method of a class) in ``counts[attr]``, patched on ``owner`` and in
+    every levitan module that holds the name, as its callers see it."""
+    orig = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += 1
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, counted)
+    for mod in [m for n, m in sys.modules.items() if n.startswith("levitan")]:
+        if getattr(mod, attr, None) is orig:
+            monkeypatch.setattr(mod, attr, counted)
+    counts[attr] = 0
+
+
+def _per_stage_counts(monkeypatch, counts, stages):
+    """{stage: counts over that stage alone} once the pipeline has run."""
+    per_stage = {}
+    for stage in stages:
+        def staged(cfg, st, checks, out, _fn=_STAGE_FNS[stage], _stage=stage):
+            counts.update(dict.fromkeys(counts, 0))
+            _fn(cfg, st, checks, out)
+            per_stage[_stage] = dict(counts)
+        monkeypatch.setitem(_STAGE_FNS, stage, staged)
+    return per_stage
+
+
 def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
     # per z probe the weyl stage makes one (c, s) solve and one flow-integral
     # pass, probe_csv's; the jost stage reads phi via the kernel off the
     # profiles it writes, so its passes are one per profile and one per
     # jost_direct call (two z probes, two lattice points)
     from levitan import kernel, weyl
-    names = {weyl: ("_ode_cs", "_flow_exponent"),
-             kernel: ("jost_from_kernel", "jost_profile")}
     counts = {}
-    for module, attrs in names.items():
-        for attr in attrs:
-            orig = getattr(module, attr)
-
-            def counted(*args, _orig=orig, _attr=attr, **kwargs):
-                counts[_attr] += 1
-                return _orig(*args, **kwargs)
-            # every levitan module that holds the name, as its callers see it
-            for mod in [m for n, m in sys.modules.items()
-                        if n.startswith("levitan")]:
-                if getattr(mod, attr, None) is orig:
-                    monkeypatch.setattr(mod, attr, counted)
-            counts[attr] = 0
-    per_stage = {}
-    for stage in ("weyl", "jost"):
-        def staged(cfg, st, checks, out, _fn=_STAGE_FNS[stage], _stage=stage):
-            counts.update(dict.fromkeys(counts, 0))
-            _fn(cfg, st, checks, out)
-            per_stage[_stage] = dict(counts)
-        monkeypatch.setitem(_STAGE_FNS, stage, staged)
+    for module, attr in ((weyl, "_ode_cs"), (weyl, "_flow_exponent"),
+                         (kernel, "jost_from_kernel"),
+                         (kernel, "jost_profile")):
+        _count_calls(monkeypatch, counts, module, attr)
+    per_stage = _per_stage_counts(monkeypatch, counts, ("weyl", "jost"))
     cfg = replace(generate_fixture("periodic_like", n=4),
                   out_dir=str(tmp_path))
     assert run_pipeline(cfg).passed
@@ -332,6 +343,35 @@ def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
                                  "jost_from_kernel": 0, "jost_profile": 0}
     assert per_stage["jost"] == {"_ode_cs": 0, "_flow_exponent": nz + 4,
                                  "jost_from_kernel": 0, "jost_profile": nz}
+
+
+def test_verify_stage_checks_in_batches(tmp_path, monkeypatch):
+    # one amplitude evaluation per D row side (the diagonal, then both
+    # sides of the exchange), one angle read per structural-identity
+    # stencil, and no trajectory for the reversibility row, which reads
+    # only the back flow's end angles
+    from levitan import dubrovin, kernel, weyl
+    counts = {}
+    _count_calls(monkeypatch, counts, kernel, "_amplitudes")
+    _count_calls(monkeypatch, counts, dubrovin, "integrate_dubrovin")
+    _count_calls(monkeypatch, counts, dubrovin.DivisorTrajectory, "theta_at")
+    stencils = []
+    check = weyl.structural_identity_check
+
+    def per_check(*args):
+        before = counts["theta_at"]
+        resid = check(*args)
+        stencils.append(counts["theta_at"] - before)
+        return resid
+    monkeypatch.setattr(sys.modules["levitan.cli"],
+                        "structural_identity_check", per_check)
+    per_stage = _per_stage_counts(monkeypatch, counts, ("verify",))
+    cfg = replace(generate_fixture("periodic_like", n=4),
+                  out_dir=str(tmp_path))
+    assert run_pipeline(cfg).passed
+    assert per_stage["verify"]["_amplitudes"] == 3
+    assert per_stage["verify"]["integrate_dubrovin"] == 0
+    assert stencils == [1] * 8
 
 
 def test_random_divisor_draw_is_seeded(tmp_path):

@@ -9,7 +9,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipj, ellipk, ellipkinc
 
 from levitan import BandStructure, eval_sqrtY, generate_fixture
-from levitan import dubrovin
+from levitan import cli, dubrovin
 from levitan.dubrovin import (
     DirichletDivisor,
     DivisorTrajectory,
@@ -157,6 +157,65 @@ def test_divisor_validation(one_gap_band):
         DirichletDivisor(((0.5, 1),)).validate_against(one_gap_band)
     with pytest.raises(ValueError):
         DirichletDivisor(()).validate_against(one_gap_band)
+
+
+def _bits(a) -> list:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("one_gap", {}),
+    ("periodic_like", {"n": 10}),
+    ("random", {"n": 6, "seed": 0}),
+])
+def test_flow_end_angles_are_the_window_end_rows(kind, kwargs, tmp_path):
+    # the pipeline's own flow, and its flow back from the window's right
+    # end as the verify stage runs it: the end angles are the rows the
+    # integrator writes at the window ends, bit for bit
+    cfg = replace(generate_fixture(kind, **kwargs), out_dir=str(tmp_path))
+    st = {}
+    for stage in ("validate", "flow"):
+        cli._STAGE_FNS[stage](cfg, st, {}, tmp_path)
+    band, traj = st["band"], st["traj"]
+    div = traj.divisor_at(0.0)
+    step, tol = cfg.flow_step, cfg.flow_tol
+    assert _bits(dubrovin.flow_end_angles(band, div, 0.0, tol)) == _bits(
+        traj.theta[np.searchsorted(traj.x_grid, 0.0)])
+    hi = float(traj.x_grid[-1])
+    end = traj.divisor_at(hi)
+    back = integrate_dubrovin(band, end, -hi, 0.0, step, tol=tol)
+    got = dubrovin.flow_end_angles(band, end, -hi, tol=tol)
+    assert _bits(got) == _bits(back.theta[0]) == _bits(back.theta_at(-hi))
+    for x_end in (traj.x_min, traj.x_max):
+        fwd = integrate_dubrovin(band, div, min(x_end, 0.0), max(x_end, 0.0),
+                                 step, tol=tol)
+        row = fwd.theta[0 if x_end < 0.0 else -1]
+        assert _bits(dubrovin.flow_end_angles(band, div, x_end, tol)) == \
+            _bits(row)
+
+
+def test_flow_end_angles_raise_what_the_integrator_raises(one_gap_band):
+    thin = BandStructure((0.0, 1.0, 1.0 + 2.5e-13))
+    cases = [(thin, DirichletDivisor(((1.0 + 1e-13, 1),)), DegenerateGap),
+             (one_gap_band, DirichletDivisor(()), ValueError),
+             (one_gap_band, DirichletDivisor(((0.5, 1),)), ValueError)]
+    for band, div, exc in cases:
+        with pytest.raises(exc) as flow:
+            integrate_dubrovin(band, div, -1.0, 0.0, step=0.01, tol=1e-10)
+        with pytest.raises(exc) as end:
+            dubrovin.flow_end_angles(band, div, -1.0, tol=1e-10)
+        assert str(end.value) == str(flow.value)
+
+
+def test_out_of_range_message_names_the_worst_point(one_gap_traj):
+    xs = np.linspace(-12.0, 9.0, 320)
+    with pytest.raises(ValueError) as err:
+        one_gap_traj.theta_at(xs)
+    n_out = int(np.count_nonzero(xs < -10.0))
+    assert str(err.value) == ("x = -12 outside trajectory range [-10, 10] "
+                              "(%d of 320 points out)" % n_out)
+    with pytest.raises(ValueError, match=r"^x = 10\.5 outside .* \(1 of 1 "):
+        one_gap_traj.mu_at(10.5)
 
 
 # ---------------------------------------------------------------------------

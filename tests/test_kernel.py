@@ -473,6 +473,34 @@ def test_D_minus_side_is_hand_mirrored_plus_side(kn2, rng):
     assert kn2.mirrored().trajectory is kn2.mirrored().trajectory
 
 
+@pytest.fixture(scope="module")
+def kten(tmp_path_factory):
+    return _flow_context("periodic_like", 10, 0,
+                         tmp_path_factory.mktemp("flow"))[2]
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_batched_eval_D_equals_scalar_calls(kgap, kten, sign):
+    # one call on equal-shape arrays gives, at each index, the float of the
+    # scalar call there, bit for bit; a float call gives a float
+    rng = np.random.default_rng(20)
+    for ctx in (kgap, kten):
+        lo, hi = ctx.trajectory.x_min, ctx.trajectory.x_max
+        for shape in ((), (7,), (3, 5)):
+            x, y, r, s = rng.uniform(lo, hi, (4,) + shape)
+            got = eval_D(ctx, x, y, r, s, sign)
+            want = [eval_D(ctx, *q, sign) for q in zip(
+                x.ravel().tolist(), y.ravel().tolist(),
+                r.ravel().tolist(), s.ravel().tolist())]
+            assert all(type(v) is float for v in want)
+            if shape:
+                assert got.shape == shape
+            else:
+                assert type(got) is float
+            assert np.asarray(got).ravel().view(np.int64).tolist() == \
+                np.array(want).view(np.int64).tolist()
+
+
 # ---------------------------------------------------------------------------
 # the kernel solve
 # ---------------------------------------------------------------------------
