@@ -171,8 +171,11 @@ class DivisorTrajectory:
         return float(self.x_grid[-1])
 
     def _check_range(self, x) -> None:
-        x = np.asarray(x, dtype=float)
         lo, hi = self.x_min - 1e-12, self.x_max + 1e-12
+        # a float (np.float64 is one) in range costs two comparisons
+        if isinstance(x, float) and not (x < lo or x > hi):
+            return
+        x = np.asarray(x, dtype=float)
         if x.size and (x.min() < lo or x.max() > hi):
             out = x[(x < lo) | (x > hi)]
             worst = out[np.argmax(np.abs(out - np.clip(out, lo, hi)))]

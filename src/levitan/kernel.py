@@ -38,8 +38,8 @@ The - side is never solved directly: all minus-side objects come from the
 mirror substitution x -> -x applied to trajectory and perturbation, under
 which K_-(x, s) = K~_+(-x, -s) and phi_-(z, x) = phi~_+(z, -x) (a tilde marks
 the mirrored problem).  The one deliberate exception is jost_direct, which
-implements both signs natively so that it stays an independent
-cross-validation oracle for the kernel route.
+marches the Volterra equation of either sign natively, so that it stays an
+independent cross-validation oracle for the kernel route.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
 
 from ._numerics import rev_cumtrapz, write_rows
@@ -618,16 +618,14 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     return pos[:m + 1].copy(), phi
 
 
-# jost_direct's trapezoid step, and its successive approximations: stop
-# once one changes phi by less than _JOST_TOL, fail after _JOST_MAX_ITER
+# jost_direct's trapezoid step
 _JOST_STEP = 0.02
-_JOST_TOL = 1e-10
-_JOST_MAX_ITER = 80
 
 
-def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float,
+def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x,
                 sign, diagnostics: bool = False):
-    """phi by successive approximation of its Volterra equation.
+    """phi at a float x, or at each x of a 1-D array, by one march of its
+    Volterra equation,
 
     phi_+(x) = psi_+(x) - int_x^inf J(x, y) q(y) phi_+(y) dy,
     phi_-(x) = psi_-(x) + int_-inf^x J(x, y) q(y) phi_-(y) dy,
@@ -635,47 +633,43 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x: float
     with J(x, y) = g(z) [psi_+(y) psi_-(x) - psi_+(x) psi_-(y)].  Both signs
     are solved natively (no mirror trick): this function is the independent
     oracle against the kernel route, so it must not share its machinery.
-    psi_+ and psi_- on the trapezoid grid come from one product-route pass,
-    prefactor exp(+-W), and each sweep takes both moments int psi_+- q phi
-    by one trapezoid over the stacked pair.  With ``diagnostics`` it returns
-    the sweep changes too, as (phi, deltas).
+    Each x has its own trapezoid grid out past the support; psi_+- on all of
+    them come from one product-route pass, prefactor exp(+-W).  J(y, y) = 0
+    drops a node's own trapezoid term, so the rule is explicit (Linz 1985,
+    ch. 7): marching in from the far end, each phi follows from the running
+    moments int psi_+- q phi over the nodes passed.  With ``diagnostics`` it
+    returns (phi, deltas), one max |phi - psi| per x.
     """
-    h = _JOST_STEP
-    sgn = _check_sign(sign)
-    pt = as_point(p)
-    g = eval_green(ctx, pt)
-    if sgn > 0:
-        yhi = max(x + h, perturbation.support[1])
-        n = int(math.ceil((yhi - x) / h - 1e-12))
-        ys = x + h * np.arange(n + 1)
-    else:
-        ylo = min(x - h, perturbation.support[0])
-        n = int(math.ceil((x - ylo) / h - 1e-12))
-        ys = x - h * np.arange(n + 1)[::-1]
+    h, sgn, pt = _JOST_STEP, _check_sign(sign), as_point(p)
+    gs = sgn * eval_green(ctx, pt)
+    far = perturbation.support[1] if sgn > 0 else perturbation.support[0]
+    xs = np.asarray(x, dtype=float)
+    # each x's grid in march order, from the far end in to x
+    grids = [xi + sgn * h * np.arange(
+                 math.ceil(max(h, sgn * (far - xi)) / h - 1e-12), -1, -1)
+             for xi in xs.reshape(-1).tolist()]
+    sizes = [len(ys) for ys in grids]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    ys = np.concatenate(grids)
     pref, w = _psi_parts(ctx, pt, ys)
     psi_p, psi_m = pref * np.exp(w), pref * np.exp(-w)
-    pq = np.stack([psi_p, psi_m]) * np.asarray(perturbation(ys), dtype=float)
-
-    phi = psi_p if sgn > 0 else psi_m
-    deltas = []
-    converged = False
-    for _ in range(_JOST_MAX_ITER):
-        if sgn > 0:
-            i1, i2 = rev_cumtrapz(pq * phi, h, axis=1)
-            phi_new = psi_p - g * (psi_m * i1 - psi_p * i2)
-        else:
-            i1, i2 = cumulative_trapezoid(pq * phi, dx=h, axis=1, initial=0.0)
-            phi_new = psi_m + g * (psi_m * i1 - psi_p * i2)
-        delta = float(np.max(np.abs(phi_new - phi)))
-        deltas.append(delta)
-        phi = phi_new
-        if delta < _JOST_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence("Volterra iteration for phi did not converge",
-                            deltas=deltas)
-    val = complex(phi[0] if sgn > 0 else phi[-1])
+    own = psi_p if sgn > 0 else psi_m
+    hq = h * np.asarray(perturbation(ys), dtype=float)
+    hq[starts] *= 0.5                   # the far end's trapezoid weight
+    nodes = list(zip(own.tolist(), psi_p.tolist(), psi_m.tolist(),
+                     (psi_p * hq).tolist(), (psi_m * hq).tolist()))
+    phi = []
+    for i, j in zip(starts.tolist(), ends.tolist()):
+        t1 = t2 = 0j
+        for o, a, b, wa, wb in nodes[i:j]:
+            f = o - gs * (b * t1 - a * t2)
+            t1 += wa * f
+            t2 += wb * f
+            phi.append(f)
+    phi = np.array(phi)
+    val = complex(phi[-1]) if xs.ndim == 0 else phi[ends - 1]
     if diagnostics:
-        return val, tuple(deltas)
+        gaps = np.maximum.reduceat(np.abs(phi - own), starts)
+        return val, tuple(gaps.tolist())
     return val

@@ -326,7 +326,7 @@ def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
     # per z probe the weyl stage makes one (c, s) solve and one flow-integral
     # pass, probe_csv's; the jost stage reads phi via the kernel off the
     # profiles it writes, so its passes are one per profile and one per
-    # jost_direct call (two z probes, two lattice points)
+    # jost_direct call (one per z probe, for both lattice points)
     from levitan import kernel, weyl
     counts = {}
     for module, attr in ((weyl, "_ode_cs"), (weyl, "_flow_exponent"),
@@ -341,7 +341,7 @@ def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
     assert nz == 3
     assert per_stage["weyl"] == {"_ode_cs": nz, "_flow_exponent": nz,
                                  "jost_from_kernel": 0, "jost_profile": 0}
-    assert per_stage["jost"] == {"_ode_cs": 0, "_flow_exponent": nz + 4,
+    assert per_stage["jost"] == {"_ode_cs": 0, "_flow_exponent": nz + 2,
                                  "jost_from_kernel": 0, "jost_profile": nz}
 
 

@@ -218,6 +218,22 @@ def test_out_of_range_message_names_the_worst_point(one_gap_traj):
         one_gap_traj.mu_at(10.5)
 
 
+@pytest.mark.parametrize("x", [-10.5, 11.0, np.float64(-10.5),
+                               np.array(11.0)])
+def test_scalar_out_of_range_message(one_gap_traj, x):
+    # a float takes the two-comparison check; its message is the array's
+    with pytest.raises(ValueError) as err:
+        one_gap_traj.theta_at(x)
+    assert str(err.value) == ("x = %g outside trajectory range [-10, 10] "
+                              "(1 of 1 points out)" % float(x))
+    with pytest.raises(ValueError) as err:
+        one_gap_traj.dtheta_at(x)
+    assert str(err.value) == ("x = %g outside trajectory range [-10, 10] "
+                              "(1 of 1 points out)" % float(x))
+    for inside in (-10.0, 10.0 + 5e-13, np.float64(0.25)):
+        assert one_gap_traj.theta_at(inside).shape == (1,)
+
+
 # ---------------------------------------------------------------------------
 # trace formula
 # ---------------------------------------------------------------------------

@@ -933,9 +933,11 @@ def test_jost_direct_trivial_single_iteration(kgap):
     assert val == pytest.approx(eval_psi_product(kgap, z, 0.3, +1), rel=1e-9)
 
 
-def _jost_two_pass(ctx, perturbation, p, x, sign):
-    """jost_direct as a psi_on_grid pass per sign and a trapezoid per moment
-    in every sweep; returns (phi, deltas)."""
+def _jost_march(ctx, perturbation, p, x, sign):
+    """jost_direct as a psi_on_grid pass per sign, then the march on x's own
+    trapezoid grid, built as the successive approximation built it; returns
+    (phi at x, deltas) and the discrete problem (ys, psi_p, psi_m, q, g, phi)
+    on the ascending grid."""
     h, sgn, pt = kernel._JOST_STEP, 1 if sign == "+" else -1, as_point(p)
     g = eval_green(ctx, pt)
     if sgn > 0:
@@ -949,26 +951,43 @@ def _jost_two_pass(ctx, perturbation, p, x, sign):
     psi_p = psi_on_grid(ctx, pt, ys, +1)
     psi_m = psi_on_grid(ctx, pt, ys, -1)
     qv = np.asarray(perturbation(ys), dtype=float)
-    phi, deltas = (psi_p if sgn > 0 else psi_m), []
-    for _ in range(kernel._JOST_MAX_ITER):
-        if sgn > 0:
-            i1 = rev_cumtrapz(psi_p * qv * phi, h)
-            i2 = rev_cumtrapz(psi_m * qv * phi, h)
-            phi_new = psi_p - g * (psi_m * i1 - psi_p * i2)
-        else:
-            i1 = cumulative_trapezoid(psi_p * qv * phi, dx=h, initial=0.0)
-            i2 = cumulative_trapezoid(psi_m * qv * phi, dx=h, initial=0.0)
-            phi_new = psi_m + g * (psi_m * i1 - psi_p * i2)
-        deltas.append(float(np.max(np.abs(phi_new - phi))))
-        phi = phi_new
-        if deltas[-1] < kernel._JOST_TOL:
-            return complex(phi[0] if sgn > 0 else phi[-1]), tuple(deltas)
-    raise AssertionError("reference iteration did not converge")
+    # march order: in from the far end, which takes the trapezoid's half
+    # weight; a node's own term drops out since J(y, y) = 0
+    order = slice(None, None, -sgn)
+    own = (psi_p if sgn > 0 else psi_m)[order]
+    hq = h * qv[order]
+    hq[0] *= 0.5
+    gs = sgn * g
+    phi, t1, t2 = [], 0j, 0j
+    for o, a, b, wa, wb in zip(own.tolist(), psi_p[order].tolist(),
+                               psi_m[order].tolist(),
+                               (psi_p[order] * hq).tolist(),
+                               (psi_m[order] * hq).tolist()):
+        f = o - gs * (b * t1 - a * t2)
+        t1 += wa * f
+        t2 += wb * f
+        phi.append(f)
+    phi = np.array(phi)
+    result = (complex(phi[-1]), (float(np.max(np.abs(phi - own))),))
+    return result, (ys, psi_p, psi_m, qv, g, phi[order])
+
+
+def _picard_sweep(ys, psi_p, psi_m, qv, g, phi, sign):
+    """One sweep of the successive approximation that jost_direct once ran:
+    the full trapezoid rule, own node included, on the ascending grid."""
+    h = kernel._JOST_STEP
+    if sign == "+":
+        i1 = rev_cumtrapz(psi_p * qv * phi, h)
+        i2 = rev_cumtrapz(psi_m * qv * phi, h)
+        return psi_p - g * (psi_m * i1 - psi_p * i2)
+    i1 = cumulative_trapezoid(psi_p * qv * phi, dx=h, initial=0.0)
+    i2 = cumulative_trapezoid(psi_m * qv * phi, dx=h, initial=0.0)
+    return psi_m + g * (psi_m * i1 - psi_p * i2)
 
 
 def test_jost_direct_is_the_two_pass_method(kgap, tmp_path, monkeypatch):
-    # one product-route pass and one stacked trapezoid per sweep give the
-    # same floats as a pass per sign and a trapezoid per moment
+    # one product-route pass for psi_+ and psi_- gives the same floats as a
+    # pass per sign, on the grid the successive approximation used
     ctx10 = _flow_context("periodic_like", 10, 0, tmp_path)[2]
     passes = []
     flow = weyl._flow_exponent
@@ -982,17 +1001,84 @@ def test_jost_direct_is_the_two_pass_method(kgap, tmp_path, monkeypatch):
                     got = jost_direct(ctx, BUMP_NARROW, z, x, sign,
                                       diagnostics=True)
                     assert len(passes) == 1
-                    assert got == _jost_two_pass(ctx, BUMP_NARROW, z, x, sign)
+                    assert got == _jost_march(ctx, BUMP_NARROW, z, x, sign)[0]
 
 
-def test_jost_direct_deltas_decay_geometrically(kgap):
-    z = SpectralPoint(-1.0 + 0.0j)
-    _, deltas = jost_direct(kgap, BUMP_NARROW, z, -0.5, "+", diagnostics=True)
-    assert len(deltas) >= 3
-    for a, b in zip(deltas[1:], deltas[2:]):
-        if a < 1e-13:
-            break
-        assert b < 0.8 * a
+def test_jost_direct_march_is_the_trapezoid_fixed_point(kgap, tmp_path):
+    # the march solves the trapezoid system exactly: a sweep of the
+    # successive approximation, which keeps each node's own (vanishing)
+    # term, leaves its phi where it is up to rounding
+    ctx10 = _flow_context("periodic_like", 10, 0, tmp_path)[2]
+    for ctx in (kgap, ctx10):
+        for z in (SpectralPoint(-1.0 + 0.0j), SpectralPoint(-0.5 + 0.8j)):
+            for sign in ("+", "-"):
+                for x in (-0.7, 0.6):
+                    (_, (delta,)), problem = _jost_march(
+                        ctx, BUMP_NARROW, z, x, sign)
+                    phi = problem[-1]
+                    moved = np.abs(_picard_sweep(*problem, sign) - phi)
+                    assert delta > 1e-3 * np.max(np.abs(phi))
+                    assert np.max(moved) <= 1e-13 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("kind, n", [("free", 0), ("one_gap", 0),
+                                     ("periodic_like", 4), ("random", 6),
+                                     ("periodic_like", 10)])
+def test_jost_direct_array_call_is_its_scalar_calls(kind, n, tmp_path,
+                                                    monkeypatch):
+    # the pipeline's oracle call: both lattice points from one product-route
+    # pass, each the float its own call gives
+    cfg, st = generate_fixture(kind, n=n), {}
+    for stage in ("validate", "flow", "potential", "weyl", "kernel"):
+        cli._STAGE_FNS[stage](cfg, st, {}, tmp_path)
+    ctx, pert, grid = st["ctx"], st["pert"], st["grid"]
+    xs = grid.positions[[0, grid.half_width // 2]]
+    passes = []
+    flow = weyl._flow_exponent
+    monkeypatch.setattr(weyl, "_flow_exponent",
+                        lambda *a: passes.append(1) or flow(*a))
+    for pt in st["zpts"][:2]:
+        for sign in ("+", "-"):
+            passes.clear()
+            vals, deltas = jost_direct(ctx, pert, pt, xs, sign,
+                                       diagnostics=True)
+            assert len(passes) == 1
+            assert vals.shape == (2,) and len(deltas) == 2
+            for x, v, d in zip(xs.tolist(), vals.tolist(), deltas):
+                assert (v, (d,)) == jost_direct(ctx, pert, pt, x, sign,
+                                                diagnostics=True)
+
+
+def test_jost_direct_is_second_order_against_exact_jost(monkeypatch):
+    # q = -2 kappa^2 sech^2(kappa (x - c)) on the free background, psi_+- =
+    # exp(+-ikx), has the Jost solutions phi_+- = exp(+-ikx)
+    # (k +- i kappa tanh(kappa (x - c))) / (k + i kappa)
+    band = BandStructure((0.0,))
+    ctx = WeylContext(band, integrate_dubrovin(band, DirichletDivisor(()),
+                                               -9.0, 10.0, step=0.05,
+                                               tol=1e-10))
+    kappa, c = 2.0, 0.3
+    ts = np.linspace(c - 8.0, c + 8.0, 16001)
+    qv = -2.0 * kappa ** 2 / np.cosh(kappa * (ts - c)) ** 2
+    qv[[0, -1]] = 0.0
+    pert = PerturbationProfile.from_table(ts, qv)
+    xs = np.array([-1.0, 0.3, 1.5])
+    for z in (SpectralPoint.upper(4.0), SpectralPoint(-1.0 + 0.0j),
+              SpectralPoint(1.0 + 1.0j)):
+        k = complex(np.sqrt(z.z))
+        assert abs(psi_on_grid(ctx, z, np.array([1.0]), +1)[0]
+                   - np.exp(1j * k)) < 1e-12
+        for sign, s in (("+", 1.0), ("-", -1.0)):
+            exact = (np.exp(s * 1j * k * xs)
+                     * (k + s * 1j * kappa * np.tanh(kappa * (xs - c)))
+                     / (k + 1j * kappa))
+            errs = []
+            for step in (0.02, 0.01):
+                monkeypatch.setattr(kernel, "_JOST_STEP", step)
+                vals = jost_direct(ctx, pert, z, xs, sign)
+                errs.append(np.abs(vals - exact) / np.abs(exact))
+            assert np.all(errs[0] < 5e-4)
+            assert np.all(np.abs(errs[0] / errs[1] - 4.0) < 0.05)
 
 
 # ---------------------------------------------------------------------------
