@@ -935,9 +935,8 @@ def test_jost_direct_trivial_single_iteration(kgap):
 
 def _jost_march(ctx, perturbation, p, x, sign):
     """jost_direct as a psi_on_grid pass per sign, then the march on x's own
-    trapezoid grid, built as the successive approximation built it; returns
-    (phi at x, deltas) and the discrete problem (ys, psi_p, psi_m, q, g, phi)
-    on the ascending grid."""
+    trapezoid grid; returns (phi at x, deltas) and the discrete problem
+    (ys, psi_p, psi_m, q, g, phi) on the ascending grid."""
     h, sgn, pt = kernel._JOST_STEP, 1 if sign == "+" else -1, as_point(p)
     g = eval_green(ctx, pt)
     if sgn > 0:
@@ -973,8 +972,8 @@ def _jost_march(ctx, perturbation, p, x, sign):
 
 
 def _picard_sweep(ys, psi_p, psi_m, qv, g, phi, sign):
-    """One sweep of the successive approximation that jost_direct once ran:
-    the full trapezoid rule, own node included, on the ascending grid."""
+    """One successive-approximation sweep of the full trapezoid system, each
+    node's own term included, on the ascending grid."""
     h = kernel._JOST_STEP
     if sign == "+":
         i1 = rev_cumtrapz(psi_p * qv * phi, h)
