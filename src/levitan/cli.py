@@ -13,12 +13,6 @@ Everything random (divisor draws, probe placement in the verify stage) is
 derived from the config seed, and every float is written through a fixed
 17-significant-digit format, so two runs of the same config produce
 byte-identical artifacts.
-
-The ``LEVITAN_THREADS`` environment variable caps the BLAS/OpenMP thread
-pools; ``0`` (or unset) leaves the libraries to their own defaults.  The
-package applies it on import, before numpy loads, so it takes effect as long
-as numpy was not imported first; :func:`main` re-reads it to reject a bad
-value with exit code 2.
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from ._numerics import f17, rev_cumtrapz, write_rows
-from ._threads import apply_thread_budget as _apply_thread_budget
 from .errors import LevitanError, MissingArtifact
 from .spectral import (
     BandStructure,
@@ -487,7 +480,7 @@ def _stage_flow(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
         overstep = max(overstep, float(np.max(glo - mu_j)),
                        float(np.max(mu_j - ghi)))
     checks["confinement"] = _check(max(overstep, 0.0), 1e-12)
-    st.update(divisor=divisor, pert=pert, x_cut=float(x_cut), traj=traj)
+    st.update(pert=pert, x_cut=float(x_cut), traj=traj)
 
 
 def _stage_potential(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
@@ -777,9 +770,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    if name == "all"
                    else "run the pipeline through the %s stage" % name)
         p = sub.add_parser(name, help=summary)
-        p.add_argument("config", help="run configuration (JSON)")
+        p.add_argument("config", help="run config (JSON), seed included")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--seed", type=int, help="override the run seed")
     fx = sub.add_parser("fixture", help="write a ready-made config")
     fx.add_argument("kind", choices=("free", "one_gap", "periodic_like",
                                      "random"))
@@ -791,11 +783,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_budget()
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     ns = _build_parser().parse_args(argv)
 
     if ns.command == "fixture":
@@ -818,8 +805,6 @@ def main(argv=None) -> int:
         return 2
     if ns.out is not None:
         cfg = replace(cfg, out_dir=ns.out)
-    if ns.seed is not None:
-        cfg = replace(cfg, seed=ns.seed)
 
     try:
         summary = run_pipeline(cfg, upto=None if ns.command == "all"

@@ -154,7 +154,7 @@ class PerturbationProfile:
 
     @cached_property
     def moment_value(self) -> float:
-        return moment_check(self, self.support)
+        return moment_check(self)
 
     def mirrored(self) -> "PerturbationProfile":
         """The profile of the space-reflected problem, q~(x) = q(-x)."""
@@ -173,14 +173,11 @@ class PerturbationProfile:
             (-self.support[1], -self.support[0]))
 
 
-def moment_check(perturbation, window) -> float:
-    """int over window of (1 + x^2) |q_tilde(x)| dx by adaptive quadrature."""
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        return 0.0
-    pts = [p for p in perturbation.support if a < p < b]
+def moment_check(perturbation) -> float:
+    """int (1 + x^2) |q_tilde| dx over the support, by adaptive quadrature."""
+    a, b = perturbation.support
     val, _ = quad(lambda x: (1.0 + x * x) * abs(perturbation(x)), a, b,
-                  points=pts or None, limit=400, epsabs=1e-12, epsrel=1e-10)
+                  limit=400, epsabs=1e-12, epsrel=1e-10)
     return float(val)
 
 
@@ -312,6 +309,18 @@ class KernelGrid:
     def triangle(self) -> tuple:
         i, c = np.triu_indices(self.half_width + 1)
         return i, c - i
+
+    def row_trapezoid(self, w) -> np.ndarray:
+        """The trapezoid in y (step 2h) along each row i of K of real or
+        complex weights ``w`` at the ``triangle`` points: the row's plain
+        sum less half of its two ends, y = x_i and y = x_{2M-i}."""
+        i, l = self.triangle
+        first = np.flatnonzero(l == 0)
+        last = np.append(first[1:], len(l)) - 1
+        sums = np.bincount(i, weights=w.real)
+        if np.iscomplexobj(w):
+            sums = sums + 1j * np.bincount(i, weights=w.imag)
+        return 2.0 * self.h * (sums - 0.5 * (w[first] + w[last]))
 
     @cached_property
     def _interp(self):
@@ -534,11 +543,7 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
         pos[ib].tolist(), pos[2 * ub - ib].tolist(), kabs[bad].tolist(),
         bound[bad].tolist())]
 
-    # the trapezoid in y (step 2h) over row i: its plain sum less half of
-    # the two ends H[i, 0] and H[m, m - i]
-    ends = grid.values[:, 0] ** 2 + grid.values[m, ::-1] ** 2
-    sums = np.bincount(i, weights=kabs ** 2, minlength=m + 1)
-    lhs = 2.0 * h * (sums - 0.5 * ends)
+    lhs = grid.row_trapezoid(kabs ** 2)
     rhs = c_of_x ** 2 * r1 * tail
     violations += [("L2", float(xs[j]), float(lhs[j]), float(rhs[j]))
                    for j in np.nonzero(lhs > rhs + 1e-12)[0]]
@@ -605,14 +610,9 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     """
     pos, m = grid.positions, grid.half_width
     psi = psi_on_grid(ctx.mirrored() if grid.side == "-" else ctx, p, pos, +1)
-    # the trapezoid in s (step 2h) over row i of the triangle: its plain
-    # sum less half of the two ends K(x_i, x_i) and K(x_i, x_{2m-i})
     i, l = grid.triangle
-    w = grid.values[i + l, l] * psi[i + 2 * l]
-    sums = (np.bincount(i, weights=w.real, minlength=m + 1)
-            + 1j * np.bincount(i, weights=w.imag, minlength=m + 1))
-    ends = grid.values[:, 0] * psi[:m + 1] + grid.values[m, ::-1] * psi[m:][::-1]
-    phi = psi[:m + 1] + 2.0 * grid.h * (sums - 0.5 * ends)
+    phi = psi[:m + 1] + grid.row_trapezoid(grid.values[i + l, l]
+                                           * psi[i + 2 * l])
     if grid.side == "-":
         return -pos[m::-1], phi[::-1]
     return pos[:m + 1].copy(), phi

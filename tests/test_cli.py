@@ -25,7 +25,7 @@ from levitan import (
     run_pipeline,
     validate_band_structure,
 )
-from levitan.cli import _STAGE_FNS, STAGES, _apply_thread_budget, main
+from levitan.cli import _STAGE_FNS, STAGES, main
 from levitan.errors import MissingArtifact, QuadratureFailure
 
 ARTIFACTS = ("band.json", "trajectory.csv", "potential.csv",
@@ -606,14 +606,26 @@ def test_main_prefix_stage_runs_predecessors(tmp_path, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
-def test_main_out_and_seed_overrides(tmp_path):
+def test_main_out_override(tmp_path):
     cfg = generate_fixture("free")
     path = tmp_path / "cfg.json"
     cfg.write(path)
     other = tmp_path / "elsewhere"
-    assert main(["validate", str(path), "--out", str(other),
-                 "--seed", "5"]) == 0
+    assert main(["validate", str(path), "--out", str(other)]) == 0
     assert (other / "band.json").exists()
+
+
+def test_seed_flag_is_gone(tmp_path, capsys):
+    # the run seed is set in the config; only ``fixture`` takes --seed
+    path = tmp_path / "cfg.json"
+    generate_fixture("free").write(path)
+    with pytest.raises(SystemExit) as info:
+        main(["all", str(path), "--seed", "5"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(["fixture", "random", "-n", "3", "--seed", "5",
+                 "--out", str(path)]) == 0
+    assert RunConfig.from_file(path).seed == 5
 
 
 def test_tol_flag_is_gone(tmp_path, capsys):
@@ -631,57 +643,38 @@ def test_stage_names_cover_parser():
                       "jost", "verify")
 
 
-def test_thread_budget(monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("LEVITAN_THREADS", "3")
-    _apply_thread_budget()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("LEVITAN_THREADS", "0")
-    _apply_thread_budget()  # 0 = leave the libraries on automatic
-    assert "OMP_NUM_THREADS" not in os.environ
-    monkeypatch.setenv("LEVITAN_THREADS", "nope")
-    assert main(["fixture", "free"]) == 2
+def _env_with_src(**extra):
+    env = dict(os.environ, **extra)
+    src = str(Path(levitan.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
-_COUNT_THREADS = """
-import os
+_ENV_CHANGES_ON_IMPORT = """
+import json, os
+before = dict(os.environ)
 import levitan
-import numpy as np
-a = np.random.default_rng(0).random((800, 800))
-a @ a
-print(len(os.listdir("/proc/self/task")))
+after = dict(os.environ)
+print(json.dumps({k: [before.get(k), after.get(k)]
+                  for k in sorted(set(before) | set(after))
+                  if before.get(k) != after.get(k)}))
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
-                    reason="thread count read from /proc")
-def test_thread_budget_takes_effect():
-    # the budget must reach OpenBLAS, which reads it once when numpy loads:
-    # a fresh interpreter that imports levitan first runs the matmul on the
-    # main thread alone
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS")}
-    env["LEVITAN_THREADS"] = "1"
-    src = str(Path(levitan.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _COUNT_THREADS], env=env,
-                         capture_output=True, text=True, check=True)
-    assert int(out.stdout.strip()) == 1
+def test_import_leaves_the_environment_alone():
+    # thread caps are the libraries' own variables, set by the caller; no
+    # package variable rewrites them
+    env = _env_with_src(LEVITAN_THREADS="3", OMP_NUM_THREADS="7")
+    out = subprocess.run([sys.executable, "-c", _ENV_CHANGES_ON_IMPORT],
+                         env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {}
 
 
 def test_python_m_levitan_writes_fixture(tmp_path):
-    env = dict(os.environ)
-    src = str(Path(levitan.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     out = tmp_path / "one_gap.json"
     done = subprocess.run([sys.executable, "-m", "levitan", "fixture",
-                           "one_gap", "--out", str(out)], env=env,
+                           "one_gap", "--out", str(out)], env=_env_with_src(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     cfg = RunConfig.from_file(out)
