@@ -505,13 +505,13 @@ def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     psi_x1 = probe_csv(ctx, zpts, xs, out / "weyl_probes.csv")[:, :, 0]
     classify_poles(ctx)
 
-    # per z probe, one (c, s) solve, m+-(z, 0) pair and g serve the Wronskian
-    # and the ODE side of the two psi routes at x1 = xs[0]; the product side
-    # is probe_csv's first row (it refused any z too near a gap)
+    # one Magnus ladder for all z probes; each probe's (c, s), m+-(z, 0) and
+    # g serve the Wronskian and the ODE side of the psi routes at x1 = xs[0];
+    # the product side is probe_csv's first row (it refused z near a gap)
     x1 = float(xs[0])
     w_worst = r_worst = 0.0
-    for pt, product in zip(zpts, psi_x1.tolist()):
-        resid, g, ode = wronskian_check(ctx, pt, x1)
+    for (resid, g, ode), product in zip(wronskian_check(ctx, zpts, x1),
+                                        psi_x1.tolist()):
         w_worst = max(w_worst, resid * abs(g))
         for a, b in zip(product, ode):
             r_worst = max(r_worst, abs(a - b) / max(abs(a), abs(b)))
@@ -552,14 +552,12 @@ def _stage_kernel(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
 
 def _stage_jost(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     ctx, grid, pert = st["ctx"], st["grid"], st["pert"]
-    profiles = []
     with open(out / "jost.csv", "w") as fh:
         fh.write("re_z,im_z,side,x,re_phi,im_phi,abs_phi\n")
-        for i, pt in enumerate(st["zpts"]):
+        xs, profiles = jost_profile(ctx, grid, st["zpts"])
+        for i, (pt, vals) in enumerate(zip(st["zpts"], profiles)):
             if i:
                 fh.write("\n\n")  # double blank line: next gnuplot index
-            xs, vals = jost_profile(ctx, grid, pt)
-            profiles.append(vals)
             fmt = "%.17g,%.17g,%s,%%.17g,%%.17g,%%.17g,%%.17g\n" % (
                 pt.z.real, pt.z.imag, pt.side.value)
             # hypot, as abs() of each value: np.abs of a complex array can

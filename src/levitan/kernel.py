@@ -600,21 +600,25 @@ def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
 
 
 def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
-    """phi on the grid's own x-lattice, as (positions, values).
+    """phi on the grid's own x-lattice, as (positions, values); for a
+    sequence of points, values has one row per point.
 
     Equivalent to calling jost_from_kernel at every lattice point up to the
     truncation radius, but psi is integrated once over the whole lattice and
     shared across rows, so the profile costs one quadrature pass instead of
-    one per point.  The pipeline's ``oracle_equivalence`` row reads its
-    kernel-route phi off this profile, at lattice points 0 and M // 2.
+    one per point (one ``psi_on_grid`` pass for a sequence of points).  The
+    pipeline's ``oracle_equivalence`` row reads its kernel-route phi off
+    this profile, at lattice points 0 and M // 2.
     """
     pos, m = grid.positions, grid.half_width
     psi = psi_on_grid(ctx.mirrored() if grid.side == "-" else ctx, p, pos, +1)
     i, l = grid.triangle
-    phi = psi[:m + 1] + grid.row_trapezoid(grid.values[i + l, l]
-                                           * psi[i + 2 * l])
+    kv = grid.values[i + l, l]
+    phi = np.array([row[:m + 1] + grid.row_trapezoid(kv * row[i + 2 * l])
+                    for row in np.atleast_2d(psi)]).reshape(
+                        psi.shape[:-1] + (m + 1,))
     if grid.side == "-":
-        return -pos[m::-1], phi[::-1]
+        return -pos[m::-1], phi[..., ::-1]
     return pos[:m + 1].copy(), phi
 
 
@@ -652,7 +656,7 @@ def jost_direct(ctx: WeylContext, perturbation: PerturbationProfile, p, x,
     ends = np.cumsum(sizes)
     starts = ends - sizes
     ys = np.concatenate(grids)
-    pref, w = _psi_parts(ctx, pt, ys)
+    pref, w = next(_psi_parts(ctx, [pt], ys))
     psi_p, psi_m = pref * np.exp(w), pref * np.exp(-w)
     own = psi_p if sgn > 0 else psi_m
     hq = h * np.asarray(perturbation(ys), dtype=float)

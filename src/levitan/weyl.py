@@ -25,7 +25,10 @@ cosine/sine-type solutions of -y'' + p y = z y, propagated from x = 0 by a
 fourth-order Magnus method on p(x) alone: psi = c + m+-(z, 0) s.  The two
 routes share nothing numerically (quadrature plus square roots versus a
 Magnus propagator), which is what makes their agreement a meaningful check;
-do not "simplify" one in terms of the other.
+do not "simplify" one in terms of the other.  Several z probes share one
+pass of either route (``psi_on_grid``, ``probe_csv``, ``wronskian_check``):
+it reads what does not depend on z once and gives each probe the floats,
+and the error, of a pass for it alone.
 
 The product representation needs z away from the gaps (the square-root
 prefactor degenerates as z approaches a moving mu_j); within eps_gap of a gap
@@ -232,15 +235,16 @@ _MAX_LIVE = 4096       # panels one refinement level may evaluate
 _S, _COEF, _INTEG = cheb_lobatto(_DEGREE)
 
 
-def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
-                   xs: np.ndarray) -> np.ndarray:
+def _flow_exponent(ctx: WeylContext, pts, xs: np.ndarray):
     """W(x) = int_0^x Y^{1/2}(z) / G(z, t) dt at every x of a sorted, unique
-    array: the panel engine behind every product-route psi.
+    array, yielded for each spectral point of ``pts`` in turn: the panel
+    engine behind every product-route psi.
 
     The base panels break at the multiples of _PANEL from x = 0 and at the
     span ends only: no x and no edge touch cuts them (mu_j = m_j - w_j cos
-    theta_j is as smooth at a touch as anywhere).  Failing panels are
-    bisected, one vectorized ``mu_at`` call per level, up to _MAX_DEPTH
+    theta_j is as smooth at a touch as anywhere), so the angles at their
+    nodes are read once for all points.  Each point bisects its own failing
+    panels, one vectorized ``mu_at`` call per level, up to _MAX_DEPTH
     levels or a level over _MAX_LIVE panels; below that a base panel's
     refinement depends on its end points only.  W at x sums the leaf
     integrals from 0 out to x's leaf and adds that leaf's indefinite
@@ -249,73 +253,85 @@ def _flow_exponent(ctx: WeylContext, pt: SpectralPoint,
     to and including that leaf; QuadratureFailure above _QUAD_TOL (1 + |W|).
     """
     lo, hi = min(xs[0], 0.0), max(xs[-1], 0.0)
-    if lo == hi:
-        return np.zeros(len(xs), dtype=complex)
-    sq = eval_sqrtY(ctx.band, pt)
-    z, w, traj = pt.z, ctx.band.edge_weight[1::2], ctx.trajectory
-    inv_g = lambda ts: sq / np.prod((z - traj.mu_at(ts)) * w, axis=-1)
+    wt, traj = ctx.band.edge_weight[1::2], ctx.trajectory
     fill = _PANEL * np.arange(math.ceil(lo / _PANEL),
                               math.floor(hi / _PANEL) + 1)
     cuts = np.unique(np.concatenate([fill, [lo, 0.0, hi]]))
     cuts = cuts[(cuts >= lo) & (cuts <= hi)]
+    base = None
+    for pt in pts:
+        if lo == hi:
+            yield np.zeros(len(xs), dtype=complex)
+            continue
+        sq, z = eval_sqrtY(ctx.band, pt), pt.z
+        leaves = []   # (a, b, integrand at nodes, integral, tail) per level
+        a, b, mu = cuts[:-1], cuts[1:], base
+        for depth in range(_MAX_DEPTH + 1):
+            half = 0.5 * (b - a)
+            if mu is None:
+                mu = traj.mu_at((a + half)[:, None] + half[:, None] * _S)
+            if depth == 0:
+                base = mu      # the base panels' angles serve every point
+            f = sq / np.prod((z - mu) * wt, axis=-1)
+            val = half * (f @ _INTEG[-1])
+            tail = np.abs(f @ _COEF[-_TAIL:].T).max(axis=1) * (b - a)
+            done = tail <= _PANEL_TOL * (np.abs(val) + (b - a))
+            if depth == _MAX_DEPTH or 2 * np.count_nonzero(~done) > _MAX_LIVE:
+                done[:] = True
+            leaves.append((a[done], b[done], f[done], val[done], tail[done]))
+            if done.all():
+                break
+            mid = 0.5 * (a[~done] + b[~done])
+            a, b, mu = (np.concatenate([a[~done], mid]),
+                        np.concatenate([mid, b[~done]]), None)
+        order = np.argsort(np.concatenate([leaf[0] for leaf in leaves]))
+        a, b, f, val, tail = (np.concatenate(part)[order]
+                              for part in zip(*leaves))
 
-    leaves = []   # (a, b, integrand at the nodes, integral, tail) per level
-    a, b = cuts[:-1], cuts[1:]
-    for depth in range(_MAX_DEPTH + 1):
-        half = 0.5 * (b - a)
-        f = inv_g((a + half)[:, None] + half[:, None] * _S)
-        val = half * (f @ _INTEG[-1])
-        tail = np.abs(f @ _COEF[-_TAIL:].T).max(axis=1) * (b - a)
-        done = tail <= _PANEL_TOL * (np.abs(val) + (b - a))
-        if depth == _MAX_DEPTH or 2 * np.count_nonzero(~done) > _MAX_LIVE:
-            done[:] = True
-        leaves.append((a[done], b[done], f[done], val[done], tail[done]))
-        if done.all():
-            break
-        mid = 0.5 * (a[~done] + b[~done])
-        a, b = np.concatenate([a[~done], mid]), np.concatenate([mid, b[~done]])
-    order = np.argsort(np.concatenate([leaf[0] for leaf in leaves]))
-    a, b, f, val, tail = (np.concatenate(part)[order] for part in zip(*leaves))
-
-    # outward sums from 0 to every leaf end; x's leaf k adds -int_x^b left
-    # of 0 (its inner end is b) and int_a^x right of it
-    i0 = int(np.searchsorted(a, 0.0))
-    outward = lambda v: np.concatenate([-np.cumsum(v[:i0][::-1])[::-1], [0.0],
-                                        np.cumsum(v[i0:])])
-    k = np.minimum(np.searchsorted(a, xs, side="right") - 1, len(a) - 1)
-    neg = k < i0
-    rows = barycentric_matrix(2.0 * (xs - a[k]) / (b - a)[k] - 1.0,
-                              _S) @ _INTEG
-    rows[neg] -= _INTEG[-1]
-    part = 0.5 * (b - a)[k] * np.einsum("ij,ij->i", rows, f[k])
-    w = outward(val)[k + neg] + part
-    e = np.abs(outward(tail))[k + ~neg]
-    bad = e > _QUAD_TOL * (1.0 + np.abs(w))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureFailure(
-            "flow integral error %.3g exceeds tolerance at z = %s, x = %g"
-            % (e[i], z, xs[i]))
-    return w
+        # outward sums from 0 to every leaf end; x's leaf k adds -int_x^b
+        # left of 0 (its inner end is b) and int_a^x right of it
+        i0 = int(np.searchsorted(a, 0.0))
+        outward = lambda v: np.concatenate([-np.cumsum(v[:i0][::-1])[::-1],
+                                            [0.0], np.cumsum(v[i0:])])
+        k = np.minimum(np.searchsorted(a, xs, side="right") - 1, len(a) - 1)
+        neg = k < i0
+        rows = barycentric_matrix(2.0 * (xs - a[k]) / (b - a)[k] - 1.0,
+                                  _S) @ _INTEG
+        rows[neg] -= _INTEG[-1]
+        part = 0.5 * (b - a)[k] * np.einsum("ij,ij->i", rows, f[k])
+        w = outward(val)[k + neg] + part
+        e = np.abs(outward(tail))[k + ~neg]
+        bad = e > _QUAD_TOL * (1.0 + np.abs(w))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QuadratureFailure(
+                "flow integral error %.3g exceeds tolerance at z = %s, x = %g"
+                % (e[i], z, xs[i]))
+        yield w
 
 
-def _psi_parts(ctx: WeylContext, p, xs):
-    """(prefactor, W) at every x of xs (any order, repeats allowed), from one
-    pass of the panel engine; psi_+- = prefactor exp(+-W), exactly 1 at 0."""
-    pt = as_point(p)
-    d = ctx.band.gap_distance(pt.z)
-    if d < ctx.eps_gap:
-        raise TooCloseToGap(
-            "z = %s is %.3g from a gap hull; the product representation "
-            "needs at least eps_gap = %.3g (use the ODE route instead)"
-            % (pt.z, d, ctx.eps_gap))
+def _psi_parts(ctx: WeylContext, points, xs):
+    """(prefactor, W) at every x of xs (any order, repeats allowed), yielded
+    for each point in turn from one pass of the panel engine, which reads
+    the angles at xs and 0 once; psi_+- = prefactor exp(+-W), exactly 1 at
+    0.  A point's error is raised at its turn, as its own call raises it."""
+    pts = [as_point(p) for p in points]
     xs = np.asarray(xs, dtype=float)
     ux, back = np.unique(xs, return_inverse=True)
-    w = _flow_exponent(ctx, pt, ux)[back]
-    mu_0 = ctx.trajectory.mu_at(0.0)
-    pref = np.prod(principal_sqrt((pt.z - ctx.trajectory.mu_at(xs))
-                                  / (pt.z - mu_0)), axis=-1)
-    return np.where(xs == 0.0, 1.0, pref), w
+    flows = _flow_exponent(ctx, pts, ux)
+    mu_x = None
+    for pt in pts:
+        d = ctx.band.gap_distance(pt.z)
+        if d < ctx.eps_gap:
+            raise TooCloseToGap(
+                "z = %s is %.3g from a gap hull; the product representation "
+                "needs at least eps_gap = %.3g (use the ODE route instead)"
+                % (pt.z, d, ctx.eps_gap))
+        w = next(flows)[back]
+        if mu_x is None:
+            mu_0, mu_x = ctx.trajectory.mu_at(0.0), ctx.trajectory.mu_at(xs)
+        pref = np.prod(principal_sqrt((pt.z - mu_x) / (pt.z - mu_0)), axis=-1)
+        yield np.where(xs == 0.0, 1.0, pref), w
 
 
 def eval_psi_product(ctx: WeylContext, p, x: float, sign) -> complex:
@@ -325,26 +341,29 @@ def eval_psi_product(ctx: WeylContext, p, x: float, sign) -> complex:
     and QuadratureFailure if the flow integral cannot be trusted.
     """
     sgn = _check_sign(sign)
-    pref, w = _psi_parts(ctx, p, [x])
+    pref, w = next(_psi_parts(ctx, [p], [x]))
     return complex(pref[0] * np.exp(sgn * w[0]))
 
 
 def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign) -> np.ndarray:
-    """psi_+- at every point of a strictly increasing grid in one pass.
+    """psi_+- at every point of a strictly increasing grid in one pass; for
+    a sequence of spectral points, one row per point from one pass.
 
     One panel partition covers the whole span and does not depend on the
     grid: the grid points are read off the panels' indefinite integrals, so
     a finer grid costs no more integrand samples, and neighboring grid
     values share their quadrature history; errors are correlated instead of
     independent, which downstream finite differences rely on.  Raises like
-    :func:`eval_psi_product`.
+    :func:`eval_psi_product`, for the first point that fails.
     """
     sgn = _check_sign(sign)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or np.any(np.diff(xs) <= 0.0):
         raise ValueError("xs must be strictly increasing")
-    pref, w = _psi_parts(ctx, p, xs)
-    return pref * np.exp(sgn * w)
+    one = np.ndim(p) == 0
+    psi = [pref * np.exp(sgn * w)
+           for pref, w in _psi_parts(ctx, [p] if one else p, xs)]
+    return psi[0] if one else np.array(psi).reshape(len(psi), len(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +372,9 @@ def psi_on_grid(ctx: WeylContext, p, xs: np.ndarray, sign) -> np.ndarray:
 
 # the (c, s) propagator: a pass of n equal steps samples p at both Gauss
 # points of _ODE_BATCH steps at a time and multiplies each batch into one
-# running 2x2 product, so its memory does not grow with n.  The first pass
-# takes steps of at most _ODE_STEP; passes double until two agree within
-# _ODE_TOL, and a pass past _ODE_MAX_STEPS steps is not tried
+# running 2x2 product per z, so its memory does not grow with n.  The first
+# pass takes steps of at most _ODE_STEP; passes double until two agree
+# within _ODE_TOL, and a pass past _ODE_MAX_STEPS steps is not tried
 _ODE_STEP = 0.05
 _ODE_TOL = 1e-12
 _ODE_BATCH = 512
@@ -364,29 +383,31 @@ _GAUSS = np.array([-0.5, 0.5]) / math.sqrt(3.0)
 
 
 def _mul2(a, b):
-    """a @ b for stacks of 2x2 matrices laid out as (2, 2, k)."""
+    """a @ b for stacks of 2x2 matrices laid out as (2, 2, ..., k)."""
     return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
 
 
-def _magnus_pass(ctx: WeylContext, z: complex, x: float,
-                 n: int) -> np.ndarray:
+def _magnus_pass(ctx: WeylContext, zs: np.ndarray, x: float,
+                 n: int) -> list:
     """Y(x) = [[c, s], [c', s']] from n equal fourth-order Magnus steps
-    for y' = [[0, 1], [p - z, 0]] y, Y(0) = I.
+    for y' = [[0, 1], [p - z, 0]] y, Y(0) = I, one 2x2 array per z of zs.
 
     A step of signed length h samples q = p - z at the Gauss points
     t_mid -+ h / (2 sqrt 3), giving Omega = [[g, h], [h qbar, -g]] with
     qbar = (q_1 + q_2) / 2 and g = (sqrt 3 / 12) h^2 (q_1 - q_2).  Omega is
     traceless, so exp(Omega) = cosh(r) I + (sinh(r) / r) Omega with
-    r^2 = g^2 + h^2 qbar.  Each batch is reduced by a pairwise tree, later
-    steps on the left.  Raises QuadratureFailure on a non-finite result.
+    r^2 = g^2 + h^2 qbar.  A batch, sampled once for all z, is reduced by a
+    pairwise tree on (2, 2, z, step) arrays, later steps on the left, and
+    each z's running product takes it by a 2x2 matmul of its own, on
+    C-ordered operands as for one z (strided ones may round otherwise).
     """
     h = x / n
-    acc = np.eye(2, dtype=complex)
+    acc = [np.eye(2, dtype=complex)] * len(zs)
     for k0 in range(0, n, _ODE_BATCH):
         mid = h * (np.arange(k0, min(k0 + _ODE_BATCH, n)) + 0.5)
-        q = ctx.p_of(mid[:, None] + h * _GAUSS) - z
-        hq = 0.5 * h * (q[:, 0] + q[:, 1])
-        g = (math.sqrt(3.0) / 12.0) * h * h * (q[:, 0] - q[:, 1])
+        q = ctx.p_of(mid[:, None] + h * _GAUSS) - zs[:, None, None]
+        hq = 0.5 * h * (q[..., 0] + q[..., 1])
+        g = (math.sqrt(3.0) / 12.0) * h * h * (q[..., 0] - q[..., 1])
         r = np.sqrt(g * g + h * hq)
         ch = np.cosh(r)
         with np.errstate(invalid="ignore"):
@@ -396,39 +417,55 @@ def _magnus_pass(ctx: WeylContext, z: complex, x: float,
             k = m.shape[-1] // 2 * 2
             m = np.concatenate([_mul2(m[..., 1:k:2], m[..., 0:k:2]),
                                 m[..., k:]], axis=-1)
-        acc = m[..., 0] @ acc
-    if not np.all(np.isfinite(acc)):
-        raise QuadratureFailure("ODE integration to x = %g failed: "
-                                "non-finite solution from %d steps" % (x, n))
+        acc = [np.ascontiguousarray(m[:, :, j, 0]) @ y
+               for j, y in enumerate(acc)]
     return acc
 
 
-def _ode_cs(ctx: WeylContext, z: complex, x: float):
+def _ode_cs(ctx: WeylContext, zs, x: float):
     """Solve -y'' + p y = z y from 0 to x for the (c, s) basis.
 
-    Returns (c, c', s, s') at x.  c(0)=1, c'(0)=0, s(0)=0, s'(0)=1.  The
-    solution is a fourth-order Magnus propagator (Iserles & Norsett, Phil.
-    Trans. R. Soc. A 357, 1999) on equal steps; it uses p(x) only.  The
-    first pass takes steps of at most _ODE_STEP, and the step count
-    doubles until two passes, n and 2n steps, agree:
+    Yields (c, c', s, s') at x for each z of zs in turn.  c(0)=1, c'(0)=0,
+    s(0)=0, s'(0)=1.  The solution is a fourth-order Magnus propagator
+    (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999) on equal steps;
+    it uses p(x) only.  The first pass takes steps of at most _ODE_STEP,
+    and the step count doubles until two passes, n and 2n steps, agree:
     max |Y_2n - Y_n| <= _ODE_TOL (1 + max |Y_2n|); the finer one is
-    returned.  Raises QuadratureFailure on a non-finite pass or when the
-    next pass would exceed _ODE_MAX_STEPS steps.
+    returned.  All z share the passes, each sampling p once, and each z
+    leaves at the pass where its own two agree.  A z's QuadratureFailure,
+    on a non-finite pass or when the next pass would exceed _ODE_MAX_STEPS
+    steps, is raised at its turn.
     """
-    if x == 0.0:
-        return 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j
-    n = math.ceil(abs(x) / _ODE_STEP)
-    fine = _magnus_pass(ctx, z, x, n)
-    while 2 * n <= _ODE_MAX_STEPS:
-        coarse, n = fine, 2 * n
-        fine = _magnus_pass(ctx, z, x, n)
-        if np.max(np.abs(fine - coarse)) <= \
-                _ODE_TOL * (1.0 + np.max(np.abs(fine))):
-            return (complex(fine[0, 0]), complex(fine[1, 0]),
-                    complex(fine[0, 1]), complex(fine[1, 1]))
-    raise QuadratureFailure(
-        "ODE integration to x = %g failed: no two passes of up to %d steps "
-        "agree within %g" % (x, n, _ODE_TOL))
+    zs = np.asarray(zs, dtype=complex)
+    out = [(1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)] * len(zs)
+    live = list(range(len(zs))) if x != 0.0 else []
+    n, coarse = math.ceil(abs(x) / _ODE_STEP), {}
+    while live:
+        keep = []
+        for i, fine in zip(live, _magnus_pass(ctx, zs[live], x, n)):
+            if not np.all(np.isfinite(fine)):
+                out[i] = QuadratureFailure(
+                    "ODE integration to x = %g failed: non-finite solution "
+                    "from %d steps" % (x, n))
+            elif i in coarse and np.max(np.abs(fine - coarse[i])) <= \
+                    _ODE_TOL * (1.0 + np.max(np.abs(fine))):
+                out[i] = (complex(fine[0, 0]), complex(fine[1, 0]),
+                          complex(fine[0, 1]), complex(fine[1, 1]))
+            else:
+                coarse[i] = fine
+                keep.append(i)
+        live = keep
+        if 2 * n > _ODE_MAX_STEPS:
+            break
+        n *= 2
+    for i in live:
+        out[i] = QuadratureFailure(
+            "ODE integration to x = %g failed: no two passes of up to %d "
+            "steps agree within %g" % (x, n, _ODE_TOL))
+    for res in out:
+        if isinstance(res, QuadratureFailure):
+            raise res
+        yield res
 
 
 def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
@@ -442,7 +479,7 @@ def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
     sgn = _check_sign(sign)
     pt = as_point(p)
     m0 = eval_m(ctx, pt, 0.0, sgn)
-    c, _, s, _ = _ode_cs(ctx, pt.z, x)
+    c, _, s, _ = next(_ode_cs(ctx, [pt.z], x))
     return c + m0 * s
 
 
@@ -450,7 +487,7 @@ def eval_psi_ode(ctx: WeylContext, p, x: float, sign) -> complex:
 # Wronskian and structure checks
 # ---------------------------------------------------------------------------
 
-def wronskian_check(ctx: WeylContext, p, x_probe: float) -> tuple:
+def wronskian_check(ctx: WeylContext, p, x_probe: float):
     """|W(psi_-, psi_+)(x_probe) + 1/g(z)|, from the (c, s) solve.
 
     Since W(psi_-, psi_+) = (m_+ - m_-)(c s' - c' s) and (m_+ - m_-) g = -1,
@@ -459,19 +496,25 @@ def wronskian_check(ctx: WeylContext, p, x_probe: float) -> tuple:
     the residual reads rounding; the accuracy of the ODE route is checked
     against the product route instead, by the pipeline's ``weyl_routes``
     row, which shares this solve through the return value
-    (residual, g(z), (psi_+, psi_-) at x_probe).
+    (residual, g(z), (psi_+, psi_-) at x_probe); for a sequence of points,
+    a list of them from one Magnus ladder, raising as point by point.
     (Through the product representation the identity collapses to algebra
     that holds no matter how wrong the trajectory is.)
     """
-    pt = as_point(p)
-    m_plus = eval_m(ctx, pt, 0.0, +1)
-    m_minus = eval_m(ctx, pt, 0.0, -1)
-    c, cp, s, sp = _ode_cs(ctx, pt.z, x_probe)
-    psi_p, dpsi_p = c + m_plus * s, cp + m_plus * sp
-    psi_m, dpsi_m = c + m_minus * s, cp + m_minus * sp
-    w = psi_m * dpsi_p - dpsi_m * psi_p
-    g = eval_green(ctx, pt)
-    return float(abs(w + 1.0 / g)), g, (psi_p, psi_m)
+    one = np.ndim(p) == 0
+    pts = [as_point(q) for q in ([p] if one else p)]
+    cs = _ode_cs(ctx, [pt.z for pt in pts], x_probe)
+    out = []
+    for pt in pts:
+        m_plus = eval_m(ctx, pt, 0.0, +1)
+        m_minus = eval_m(ctx, pt, 0.0, -1)
+        c, cp, s, sp = next(cs)
+        psi_p, dpsi_p = c + m_plus * s, cp + m_plus * sp
+        psi_m, dpsi_m = c + m_minus * s, cp + m_minus * sp
+        w = psi_m * dpsi_p - dpsi_m * psi_p
+        g = eval_green(ctx, pt)
+        out.append((float(abs(w + 1.0 / g)), g, (psi_p, psi_m)))
+    return out[0] if one else out
 
 
 _STENCIL_STEP = 1e-2
@@ -564,17 +607,19 @@ def classify_poles(ctx: WeylContext) -> PoleClassification:
 # ---------------------------------------------------------------------------
 
 def probe_csv(ctx: WeylContext, points, xs, path) -> np.ndarray:
-    """CSV sweep of psi_+-, m_+, g over points x positions; one panel-engine
-    pass per point, rows in the order of ``xs``; returns the psi it wrote,
-    indexed [point, (psi_+, psi_-), x]."""
+    """CSV sweep of psi_+-, m_+, g over points x positions, rows in the
+    order of ``xs``, from one panel-engine pass for all points; returns the
+    psi it wrote, indexed [point, (psi_+, psi_-), x]."""
+    pts = [as_point(p) for p in points]
     xs = np.asarray(xs, dtype=float)
+    parts = _psi_parts(ctx, pts, xs)
     psi = []
     with open(path, "w") as fh:
         fh.write("re_z,im_z,side,x,re_psi_plus,im_psi_plus,re_psi_minus,"
                  "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g\n")
-        for pt in map(as_point, points):
+        for pt in pts:
             g = eval_green(ctx, pt)
-            pref, w = _psi_parts(ctx, pt, xs)
+            pref, w = next(parts)
             psi.append([pref * np.exp(w), pref * np.exp(-w)])
             mp = [eval_m(ctx, pt, x, +1) for x in xs.tolist()]
             # psi_+, psi_- and m_+, each viewed as its (re, im) column pair

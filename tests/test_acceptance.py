@@ -154,7 +154,7 @@ def test_02_cross_representation_agreement(ctx1, ctx2, ctx3):
 def _wronskian(ctx, z, x):
     m_plus = eval_m(ctx, z, 0.0, +1)
     m_minus = eval_m(ctx, z, 0.0, -1)
-    c, cp, s, sp = _ode_cs(ctx, complex(z), x)
+    c, cp, s, sp = next(_ode_cs(ctx, [complex(z)], x))
     psi_p, dpsi_p = c + m_plus * s, cp + m_plus * sp
     psi_m, dpsi_m = c + m_minus * s, cp + m_minus * sp
     return psi_m * dpsi_p - dpsi_m * psi_p

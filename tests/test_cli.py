@@ -26,7 +26,7 @@ from levitan import (
     validate_band_structure,
 )
 from levitan.cli import _STAGE_FNS, STAGES, main
-from levitan.errors import MissingArtifact, QuadratureFailure
+from levitan.errors import MissingArtifact, QuadratureFailure, TooCloseToGap
 
 ARTIFACTS = ("band.json", "trajectory.csv", "potential.csv",
              "weyl_probes.csv", "kernel.csv", "kernel_meta.json",
@@ -323,10 +323,11 @@ def _per_stage_counts(monkeypatch, counts, stages):
 
 
 def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
-    # per z probe the weyl stage makes one (c, s) solve and one flow-integral
-    # pass, probe_csv's; the jost stage reads phi via the kernel off the
-    # profiles it writes, so its passes are one per profile and one per
-    # jost_direct call (one per z probe, for both lattice points)
+    # the weyl stage makes one Magnus ladder and one flow-integral pass,
+    # probe_csv's, for all its z probes; the jost stage reads phi via the
+    # kernel off the profiles it writes, so its passes are one for all the
+    # profiles and one per jost_direct call (one per z probe, for both
+    # lattice points, on the first two probes)
     from levitan import kernel, weyl
     counts = {}
     for module, attr in ((weyl, "_ode_cs"), (weyl, "_flow_exponent"),
@@ -339,10 +340,59 @@ def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
     assert run_pipeline(cfg).passed
     nz = len(cfg.z_probes)
     assert nz == 3
-    assert per_stage["weyl"] == {"_ode_cs": nz, "_flow_exponent": nz,
+    assert per_stage["weyl"] == {"_ode_cs": 1, "_flow_exponent": 1,
                                  "jost_from_kernel": 0, "jost_profile": 0}
-    assert per_stage["jost"] == {"_ode_cs": 0, "_flow_exponent": nz + 2,
-                                 "jost_from_kernel": 0, "jost_profile": nz}
+    assert per_stage["jost"] == {"_ode_cs": 0, "_flow_exponent": 1 + 2,
+                                 "jost_from_kernel": 0, "jost_profile": 1}
+
+
+def test_probe_within_eps_gap_is_named(tmp_path):
+    # the second of three z probes is within eps_gap of the gap [1, 2]: the
+    # weyl stage raises what that probe's own product-route call raises,
+    # after writing the first probe's rows, as probe by probe
+    from levitan import SpectralPoint, WeylContext, eval_psi_product
+    cfg = generate_fixture("one_gap")
+    near = (2.0, 5e-4, "off_axis")   # eps_gap = 1e-3 of the gap width 1
+    cfg = replace(cfg, out_dir=str(tmp_path / "run"),
+                  z_probes=(cfg.z_probes[0], near, cfg.z_probes[1]))
+    st = {}
+    for stage in ("validate", "flow"):
+        _STAGE_FNS[stage](cfg, st, {}, tmp_path)
+    with pytest.raises(TooCloseToGap) as alone:
+        eval_psi_product(WeylContext(st["band"], st["traj"]),
+                         SpectralPoint(complex(2.0, 5e-4)), 0.7, +1)
+    assert "z = (2+0.0005j)" in str(alone.value)
+    with pytest.raises(TooCloseToGap) as exc:
+        run_pipeline(cfg)
+    assert str(exc.value) == str(alone.value)
+    run = tmp_path / "run"
+    err = json.loads((run / "error.json").read_text())
+    assert err == {"error": {"stage": "weyl", "type": "TooCloseToGap",
+                             "message": str(alone.value)}}
+    rows = (run / "weyl_probes.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(cfg.x_probes)
+    assert all(row.startswith("-1,0,off_axis,") for row in rows)
+
+
+def test_reversed_z_probes_permute_the_probe_blocks(tmp_path):
+    # the probes share only z-independent reads, so reversing probes.z
+    # reverses the per-probe blocks of weyl_probes.csv and jost.csv and
+    # changes no byte inside a block
+    cfg = generate_fixture("periodic_like", n=4)
+    runs = {}
+    for name, zs in (("fwd", cfg.z_probes), ("rev", cfg.z_probes[::-1])):
+        out = tmp_path / name
+        assert run_pipeline(replace(cfg, out_dir=str(out),
+                                    z_probes=zs)).passed
+        probes = (out / "weyl_probes.csv").read_text().splitlines(True)
+        n = len(cfg.x_probes)
+        jost = (out / "jost.csv").read_text().split("\n", 1)[1]
+        runs[name] = (["".join(probes[i:i + n])
+                       for i in range(1, len(probes), n)],
+                      [block.strip("\n") for block in jost.split("\n\n\n")])
+    for fwd, rev in zip(runs["fwd"], runs["rev"]):
+        assert len(fwd) == len(cfg.z_probes) == len(set(fwd))
+        assert fwd == rev[::-1]
 
 
 def test_verify_stage_checks_in_batches(tmp_path, monkeypatch):

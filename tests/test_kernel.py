@@ -884,6 +884,23 @@ def test_jost_profile_matches_row_reference(kgap):
         assert np.all(np.abs(vals - ref) <= 1e-14 * np.abs(ref))
 
 
+def test_jost_profile_batch_is_each_points_call(kgap):
+    # one psi_on_grid pass for a sequence of points, on a + grid and on a -
+    # grid (the mirrored context): every row is its point's own profile,
+    # bit for bit
+    points = [SpectralPoint(-1.0 + 0.0j), SpectralPoint.upper(0.5),
+              SpectralPoint(0.3 + 0.7j)]
+    for side in ("+", "-"):
+        grid = solve_kernel(kgap, BUMP_NARROW, side,
+                            GridParams(x0=-1.5, h=0.05), tol=1e-10)
+        xs, vals = jost_profile(kgap, grid, points)
+        assert vals.shape == (len(points), grid.half_width + 1)
+        for row, z in zip(vals, points):
+            one_xs, one = jost_profile(kgap, grid, z)
+            assert xs.tobytes() == one_xs.tobytes()
+            assert row.tobytes() == one.tobytes()
+
+
 @pytest.fixture(scope="module")
 def k10():
     # the periodic_like n = 10 fixture's band and divisor, on a window that

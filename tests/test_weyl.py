@@ -126,7 +126,7 @@ def test_free_green(free_ctx):
 
 
 def test_free_cs_solution_values(free_ctx):
-    c, cp, s, sp = _ode_cs(free_ctx, 4.0 + 0j, math.pi / 2)
+    c, cp, s, sp = next(_ode_cs(free_ctx, [4.0 + 0j], math.pi / 2))
     # c = cos(2x), s = sin(2x)/2 at z = 4
     assert abs(c + 1.0) < 1e-9
     assert abs(s) < 1e-9
@@ -141,7 +141,8 @@ def test_free_cs_solution_values(free_ctx):
 def test_magnus_pass_fourth_order(gap2_ctx):
     # each doubling of the step count cuts the pass difference 16-fold
     for z in (-1.0, 2.5 + 0.3j):
-        ys = [_magnus_pass(gap2_ctx, z, 1.5, n) for n in (30, 60, 120)]
+        ys = [_magnus_pass(gap2_ctx, np.array([z]), 1.5, n)[0]
+              for n in (30, 60, 120)]
         d1, d2 = (np.max(np.abs(b - a)) for a, b in zip(ys, ys[1:]))
         assert 10.0 <= d1 / d2 <= 22.0
 
@@ -157,7 +158,7 @@ def test_ode_cs_matches_dop853(gap1_ctx, gap2_ctx, gap10_ctx):
         for z in (-1.0, 1.5 + 0.9j, top + 2.0 + 1.4j, near):
             for x in (-2.0, 1.5):
                 want = dop853_cs(ctx, z, x)
-                got = np.array(_ode_cs(ctx, z, x))
+                got = np.array(next(_ode_cs(ctx, [z], x)))
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -174,7 +175,7 @@ def test_ode_tol_sets_the_sample_count(gap2_ctx, monkeypatch):
     for tol in (1e-8, 1e-12):
         counts.append(0)
         monkeypatch.setattr(weyl, "_ODE_TOL", tol)
-        vals.append(np.array(_ode_cs(gap2_ctx, 1.5 + 0.9j, 2.0)))
+        vals.append(np.array(next(_ode_cs(gap2_ctx, [1.5 + 0.9j], 2.0))))
     assert counts[0] < counts[1]
     assert np.max(np.abs(vals[0] - vals[1])) <= 1e-8 * np.max(np.abs(vals[1]))
 
@@ -183,7 +184,7 @@ def test_ode_cs_step_cap(gap1_ctx, monkeypatch):
     # a tolerance below rounding: no two passes agree before the step cap
     monkeypatch.setattr("levitan.weyl._ODE_TOL", 1e-18)
     with pytest.raises(QuadratureFailure, match="no two passes"):
-        _ode_cs(gap1_ctx, -1.0, 2.0)
+        next(_ode_cs(gap1_ctx, [-1.0], 2.0))
 
 
 def test_ode_cs_memory_does_not_grow_with_steps(gap10_ctx):
@@ -194,11 +195,55 @@ def test_ode_cs_memory_does_not_grow_with_steps(gap10_ctx):
     for x in (-3.0, 3.0):
         tracemalloc.start()
         try:
-            _ode_cs(gap10_ctx, z, x)
+            next(_ode_cs(gap10_ctx, [z], x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def _bits(*vals):
+    """The bytes of complex values, so that equal means bit for bit."""
+    return np.asarray(vals, dtype=complex).tobytes()
+
+
+def test_ode_ladder_batch_is_each_z_alone(gap1_ctx, monkeypatch):
+    # at x = 0.7, z far below E_0 needs 8 passes, z = 0.5 on a band rim 7
+    # and z = -1 6: each leaves the shared ladder at its own pass with the
+    # floats of its own ladder, and p is sampled once per pass for all
+    from levitan import weyl
+    zs = [-1000.0, SpectralPoint.upper(0.5).z, -1.0]
+    passes = []
+    magnus = weyl._magnus_pass
+
+    def counted(ctx, z, x, n):
+        passes.append(len(z))
+        return magnus(ctx, z, x, n)
+
+    monkeypatch.setattr(weyl, "_magnus_pass", counted)
+    alone, counts = [], []
+    for z in zs:
+        passes.clear()
+        alone.append(next(_ode_cs(gap1_ctx, [z], 0.7)))
+        counts.append(len(passes))
+    assert counts == [8, 7, 6]
+    passes.clear()
+    batch = list(_ode_cs(gap1_ctx, zs, 0.7))
+    assert passes == [3] * 6 + [2, 1]
+    assert _bits(*sum(batch, ())) == _bits(*sum(alone, ()))
+    assert list(_ode_cs(gap1_ctx, zs, 0.0)) == [(1.0, 0.0, 0.0, 1.0)] * 3
+
+
+def test_ode_ladder_raises_in_z_order(gap1_ctx, monkeypatch):
+    # with a tolerance below rounding, z = -1 runs to the step cap, while
+    # z = -1e300 overflows on the first pass: the first z's failure is the
+    # one raised, as when each z is solved in turn
+    monkeypatch.setattr("levitan.weyl._ODE_TOL", 1e-18)
+    for zs, match in (([-1.0, -1e300], "no two passes"),
+                      ([-1e300, -1.0], "non-finite solution from 40 steps")):
+        with pytest.raises(QuadratureFailure, match=match), \
+                np.errstate(over="ignore", invalid="ignore"):
+            list(_ode_cs(gap1_ctx, zs, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +553,71 @@ def psi_quad(ctx, p, x, sign):
     return pref * cmath.exp(sign * flow_integral_quad(ctx, p, x))
 
 
+# off axis below E_0, on an upper and a lower band rim, and off axis
+BATCH_POINTS = (-1.0, SpectralPoint.upper(0.5), SpectralPoint.lower(2.5),
+                0.3 + 0.7j)
+
+
+def test_psi_on_grid_batch_is_each_points_call(gap1_ctx):
+    # one pass for a sequence of points reads the base panels' angles once;
+    # every row is its point's own call, bit for bit, on the context and on
+    # its mirror image
+    xs = np.linspace(-2.0, 2.5, 19)
+    for ctx in (gap1_ctx, gap1_ctx.mirrored()):
+        for sgn in (+1, -1):
+            batch = psi_on_grid(ctx, list(BATCH_POINTS), xs, sgn)
+            assert batch.shape == (len(BATCH_POINTS), len(xs))
+            for row, p in zip(batch, BATCH_POINTS):
+                assert row.tobytes() == psi_on_grid(ctx, p, xs, sgn).tobytes()
+
+
+def test_psi_on_grid_batch_under_a_refinement_cap(gap1_ctx, monkeypatch):
+    # only z = 1.5 + 0.01j, over the gap, reaches a cap.  Below two
+    # bisection levels it is accepted with other floats, the other points
+    # keep theirs, and the batch is each point's call
+    from levitan import weyl
+    xs = np.linspace(-2.0, 2.0, 9)
+    near = SpectralPoint(1.5 + 0.01j)
+    points = list(BATCH_POINTS[:2]) + [near] + list(BATCH_POINTS[2:])
+    free = [psi_on_grid(gap1_ctx, p, xs, +1).tobytes() for p in points]
+    monkeypatch.setattr(weyl, "_MAX_DEPTH", 2)
+    batch = psi_on_grid(gap1_ctx, points, xs, +1)
+    for p, row, f in zip(points, batch, free):
+        alone = psi_on_grid(gap1_ctx, p, xs, +1).tobytes()
+        assert row.tobytes() == alone
+        assert (alone == f) == (p is not near)
+    # a level of over 50 failing panels on [-2, 2] stops its refinement
+    # there, and its flow integral fails as in its own call
+    monkeypatch.setattr(weyl, "_MAX_LIVE", 100)
+    with pytest.raises(QuadratureFailure) as alone:
+        psi_on_grid(gap1_ctx, near, xs, +1)
+    with pytest.raises(QuadratureFailure) as batch:
+        psi_on_grid(gap1_ctx, points, xs, +1)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_psi_batch_raises_at_the_failing_points_turn(gap1_ctx):
+    # the second of three points is within eps_gap: the batch raises what
+    # that point's own call raises, after yielding the first point
+    from levitan.weyl import _psi_parts
+    near = SpectralPoint(2.0 + 0.5j * gap1_ctx.eps_gap)
+    points = [SpectralPoint(-1.0), near, SpectralPoint(0.3 + 0.7j)]
+    xs = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(TooCloseToGap) as alone:
+        psi_on_grid(gap1_ctx, near, xs, +1)
+    assert "z = %s" % near.z in str(alone.value)
+    with pytest.raises(TooCloseToGap) as batch:
+        psi_on_grid(gap1_ctx, points, xs, +1)
+    assert str(batch.value) == str(alone.value)
+    parts = _psi_parts(gap1_ctx, points, xs)
+    pref, w = next(parts)
+    assert (pref * np.exp(w)).tobytes() == \
+        psi_on_grid(gap1_ctx, points[0], xs, +1).tobytes()
+    with pytest.raises(TooCloseToGap) as turn:
+        next(parts)
+    assert str(turn.value) == str(alone.value)
+
+
 def test_psi_on_grid_quad_guard(gap1_ctx, monkeypatch):
     xs = np.linspace(0.0, 2.0, 11)
     monkeypatch.setattr("levitan.weyl._QUAD_TOL", 1e-16)
@@ -606,6 +716,19 @@ def test_wronskian_returns_g_and_the_ode_route_psi(gap1_ctx, gap2_ctx):
             assert g == eval_green(ctx, z)
             assert psi_p == eval_psi_ode(ctx, z, 0.7, +1)
             assert psi_m == eval_psi_ode(ctx, z, 0.7, -1)
+
+
+def test_wronskian_check_batch_is_each_points_call(gap1_ctx, gap2_ctx):
+    # one Magnus ladder for a sequence of points; every tuple is its point's
+    # own call, bit for bit
+    for ctx in (gap1_ctx, gap2_ctx):
+        for x in (0.7, -1.3, 0.0):
+            batch = wronskian_check(ctx, list(BATCH_POINTS), x)
+            assert len(batch) == len(BATCH_POINTS)
+            for got, p in zip(batch, BATCH_POINTS):
+                want = wronskian_check(ctx, p, x)
+                assert got[0] == want[0]
+                assert _bits(got[1], *got[2]) == _bits(want[1], *want[2])
 
 
 def test_wronskian_x_independence(gap1_ctx):
@@ -793,7 +916,7 @@ def test_probe_csv_matches_per_value_writer(tmp_path, gap1_ctx):
               "im_psi_minus,re_m_plus,im_m_plus,re_g,im_g\n")]
     for pt in map(as_point, points):
         g = eval_green(gap1_ctx, pt)
-        pref, w = _psi_parts(gap1_ctx, pt, [float(x) for x in xs])
+        pref, w = next(_psi_parts(gap1_ctx, [pt], [float(x) for x in xs]))
         for x, pp, pm in zip(xs, (pref * np.exp(w)).tolist(),
                              (pref * np.exp(-w)).tolist()):
             mp = eval_m(gap1_ctx, pt, float(x), +1)
@@ -802,3 +925,31 @@ def test_probe_csv_matches_per_value_writer(tmp_path, gap1_ctx):
                    f17(mp.real), f17(mp.imag), f17(g.real), f17(g.imag)]
             lines.append(",".join(row) + "\n")
     assert (tmp_path / "fast.csv").read_text() == "".join(lines)
+
+
+def test_probe_csv_batch_is_point_by_point(tmp_path, gap1_ctx):
+    # unsorted and repeated x probes: the file is the header and then each
+    # point's rows as its own call writes them, and so is the returned psi
+    xs = [0.5, -1.0, 0.5, 0.0, -0.25, 2.0, -1.0]
+    psi = probe_csv(gap1_ctx, BATCH_POINTS, xs, tmp_path / "all.csv")
+    header, blocks = None, []
+    for i, p in enumerate(BATCH_POINTS):
+        one = probe_csv(gap1_ctx, [p], xs, tmp_path / ("%d.csv" % i))
+        assert one.tobytes() == psi[i:i + 1].tobytes()
+        header, *rows = (tmp_path / ("%d.csv" % i)).read_text().splitlines(True)
+        assert len(rows) == len(xs)
+        blocks += rows
+    assert (tmp_path / "all.csv").read_text() == header + "".join(blocks)
+
+
+def test_probe_csv_raises_in_point_order(tmp_path, gap1_ctx):
+    # point 1 is the band edge E_0, whose Green function diverges, and point
+    # 2 is within eps_gap: as point by point, E_0 is refused first, after
+    # point 0's rows are written
+    near = SpectralPoint(2.0 + 0.5j * gap1_ctx.eps_gap)
+    path = tmp_path / "probes.csv"
+    with pytest.raises(BranchAtEdge):
+        probe_csv(gap1_ctx, [-1.0, 0.0, near], [0.5, -0.5], path)
+    assert len(path.read_text().splitlines()) == 1 + 2
+    with pytest.raises(TooCloseToGap):
+        probe_csv(gap1_ctx, [-1.0, near, 0.0], [0.5, -0.5], path)
