@@ -473,26 +473,28 @@ def _stage_flow(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     lo = min(cfg.x0, 0.0, min(xs), pert.support[0]) - _WINDOW_MARGIN
     traj = integrate_dubrovin(band, divisor, lo, hi, cfg.flow_step,
                               tol=cfg.flow_tol)
-    trajectory_to_csv(band, traj, out / "trajectory.csv")
+    ps = trace_potential(band, traj)
+    xp_text = trajectory_to_csv(band, traj, out / "trajectory.csv", ps)
     overstep = 0.0
     for j, (glo, ghi) in enumerate(band.gaps):
         mu_j = traj.mu_grid[:, j]
         overstep = max(overstep, float(np.max(glo - mu_j)),
                        float(np.max(mu_j - ghi)))
     checks["confinement"] = _check(max(overstep, 0.0), 1e-12)
-    st.update(pert=pert, x_cut=float(x_cut), traj=traj)
+    st.update(pert=pert, x_cut=float(x_cut), traj=traj, potential=ps,
+              xp_text=xp_text)
 
 
 def _stage_potential(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
-    ps = trace_potential(st["band"], st["traj"])
+    # the trace formula ran once, in the flow stage; its x and p text is
+    # the trajectory table's own
+    ps = st["potential"]
     with open(out / "potential.csv", "w") as fh:
         fh.write("x,p\n")
-        write_rows(fh, "%.17g,%.17g\n",
-                   np.column_stack([ps.x_grid, ps.p_values]))
+        write_rows(fh, "%s,%s\n", st["xp_text"])
     excess = max(float(np.max(ps.p_values - ps.p_upper)),
                  float(np.max(ps.p_lower - ps.p_values)))
     checks["potential_bounds"] = _check(excess, 1e-9)
-    st["potential"] = ps
 
 
 def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
@@ -603,10 +605,13 @@ def _stage_verify(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     checks["structural_identity"] = _check(worst, 1e-5)
 
     # the flow back from the window's right end: only its end angles are
-    # read, so no output grid or spline is built for it
+    # read, so no output grid or spline is built for it.  Its panels start
+    # their sweeps from the forward trajectory along the same path; the
+    # sweeps still stop at the back flow's own fixed point
     hi_node = float(traj.x_grid[-1])
     theta_back = flow_end_angles(band, traj.divisor_at(hi_node), -hi_node,
-                                 tol=cfg.flow_tol)
+                                 tol=cfg.flow_tol,
+                                 guess=lambda s: traj.theta_at(hi_node + s))
     if band.gap_count:
         round_trip = float(np.max(np.abs(traj.mu_of_theta(theta_back)
                                          - traj.mu_at(0.0))))

@@ -64,9 +64,10 @@ _TOL_SAFETY = 100.0
 _TOL_FLOOR = 100.0 * np.finfo(float).eps
 # Chebyshev-Picard panels: _PANEL_DEGREE + 1 Lobatto nodes on panels of at
 # most _PANEL_LENGTH, halved down to _PANEL_FLOOR; at most _MAX_SWEEPS
-# Picard sweeps per attempt; _TAIL trailing coefficients tested; warm
-# starts from the previous panel's series truncated to _WARM_DEGREE (a
-# longer series only amplifies its rounding noise beyond the panel)
+# Picard sweeps per attempt; _TAIL trailing coefficients tested; without a
+# guess, warm starts from the previous panel's series truncated to
+# _WARM_DEGREE (a longer series only amplifies its rounding noise beyond
+# the panel)
 _PANEL_DEGREE = 48
 _PANEL_LENGTH = 1.0
 _PANEL_FLOOR = 1e-6
@@ -123,20 +124,28 @@ def _omega(band: BandStructure, theta: np.ndarray) -> np.ndarray:
     """Angle-form right sides; strictly positive on the whole torus.
 
     Vectorized over leading axes: theta of shape (..., N) gives (..., N).
+    The factors of gap j run over the other gaps only: row s of the table
+    ``other`` holds the s-th gap k != j, ascending, so each factor is formed
+    on a contiguous (other gap, gap, node) slab and the own-gap factor never
+    is.  The product over the slab axis multiplies in ascending k, so every
+    value is the float of the full product with its own-gap factor set to 1.
     """
     mu = band.gap_mid - band.gap_half * np.cos(theta)
     base = 2.0 * np.sqrt(mu - band.edges[0])
     n = mu.shape[-1]
-    if n == 1:
+    if n <= 1:
         return base
-    lo = band.edge_array[1::2]
-    hi = band.edge_array[2::2]
-    a = (mu[..., :, None] - lo) * (mu[..., :, None] - hi)
-    b = np.abs(mu[..., :, None] - mu[..., None, :])
-    diag = np.arange(n)
-    a[..., diag, diag] = 1.0
-    b[..., diag, diag] = 1.0
-    return base * np.prod(np.sqrt(a) / b, axis=-1)
+    s = np.arange(n - 1)[:, None]
+    other = s + (s >= np.arange(n))
+    m = mu.reshape(-1, n).T.copy()
+    lo = band.edge_array[1::2].take(other)[..., None]
+    hi = band.edge_array[2::2].take(other)[..., None]
+    f = m - lo
+    f *= m - hi
+    np.sqrt(f, out=f)
+    d = m - m.take(other, axis=0)
+    f /= np.abs(d, out=d)
+    return base * np.prod(f, axis=0).T.reshape(mu.shape)
 
 
 @dataclass
@@ -328,26 +337,33 @@ class DivisorTrajectory:
 
 
 def _flow_panels(band: BandStructure, theta0: np.ndarray, x_end: float,
-                 target: float) -> list:
+                 target: float, start=None) -> list:
     """Chebyshev-Picard panels of the angle flow from theta0 at x = 0 to
     ``x_end``.
 
     Returns ``(a, span, theta_nodes)`` per accepted panel, in order of
-    integration; ``span`` carries the direction of ``x_end``.  The first
-    panel's sweeps start from theta0 throughout, each later one's from the
-    previous panel's extrapolation, and a halved one's from its first
-    half's interpolant.  Raises NoConvergence (sweeps) or
-    QuadratureFailure (tail) once a panel would be halved below
-    _PANEL_FLOOR.
+    integration; ``span`` carries the direction of ``x_end``.  Given
+    ``start``, a callable of x on any branch, each panel's sweeps start from
+    start(x) + theta0 - start(0) at its nodes.  Otherwise the first panel's
+    start from theta0 throughout, each later one's from the previous
+    panel's extrapolation, and a halved one's from its first half's
+    interpolant.  The start sets only how many sweeps a panel takes: they
+    stop at the same target whatever it is.  Raises
+    NoConvergence (sweeps) or QuadratureFailure (tail) once a panel would
+    be halved below _PANEL_FLOOR.
     """
     direction = math.copysign(1.0, x_end)
     a, length, theta_a = 0.0, _PANEL_LENGTH, theta0
     guess = np.broadcast_to(theta0, (len(_S), len(theta0)))
+    if start is not None:
+        shift = theta0 - start(0.0)
     panels = []
     while direction * (x_end - a) > 0.0:
         last = abs(x_end - a) <= length
         span = (x_end - a) if last else direction * length
-        if guess is None:
+        if start is not None:
+            guess = start(a + (0.5 * span) * (_S + 1.0)) + shift
+        elif guess is None:
             _, prev_span, prev = panels[-1]
             guess = _extrapolate(prev, 1.0 + (_S + 1.0) * span / prev_span)
         deltas = []
@@ -389,7 +405,8 @@ def _extrapolate(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
-                    x_end: float, tol: float = 1e-10) -> np.ndarray:
+                    x_end: float, tol: float = 1e-10,
+                    guess=None) -> np.ndarray:
     """The angles at ``x_end`` of the flow from ``divisor`` at x = 0, after
     the guards of every flow run: ValueError for a divisor that does not
     fit the band, DegenerateGap for a gap too thin to integrate.
@@ -400,6 +417,12 @@ def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
     which ``integrate_dubrovin`` also puts in its row at a window end x_end
     (barycentric interpolation at t = +-1 returns the node), without an
     output grid or spline.
+
+    ``guess``, a callable of x, gives angles close to this flow's on
+    [0, x_end], on any branch: a trajectory already integrated along the
+    same path, say.  Each panel's sweeps then start from it, moved onto
+    this flow's branch; they stop at the same target, so the guess changes
+    only how many sweeps are made.
     """
     divisor.validate_against(band)
     if band.gap_count and band.gap_half.min() <= _DEGENERATE_WIDTH * max(
@@ -412,7 +435,7 @@ def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
     if x_end == 0.0 or not band.gap_count:
         return theta0
     panels = _flow_panels(band, theta0, x_end,
-                          max(tol / _TOL_SAFETY, _TOL_FLOOR))
+                          max(tol / _TOL_SAFETY, _TOL_FLOOR), guess)
     return panels[-1][2][-1]
 
 
@@ -530,23 +553,40 @@ def potential_on(band: BandStructure, trajectory: DivisorTrajectory, x):
 # export
 # ---------------------------------------------------------------------------
 
+def _f17_column(values) -> np.ndarray:
+    """Every value through %.17g, as f17 writes it, by one ``%`` call:
+    an object array of str."""
+    text = ("%.17g\n" * len(values)) % tuple(values.tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)
+
+
 def trajectory_to_csv(band: BandStructure, trajectory: DivisorTrajectory,
-                      path) -> None:
+                      path, potential: PotentialSamples | None = None
+                      ) -> np.ndarray:
     """CSV with header x,theta_1..theta_N,mu_1..mu_N,sigma_1..sigma_N,p,
-    written a block of rows per ``%`` call by ``write_rows``."""
+    written a block of rows per ``%`` call by ``write_rows``.
+
+    p is ``potential``'s when it is given (the trace formula on this grid),
+    else ``trace_potential``'s.  Returns the x and p text of each row, as
+    written, in a (rows, 2) object array, so that a table of p alone
+    repeats those bytes without formatting them again."""
     n = band.gap_count
     cols = (["x"]
             + ["theta_%d" % j for j in range(1, n + 1)]
             + ["mu_%d" % j for j in range(1, n + 1)]
             + ["sigma_%d" % j for j in range(1, n + 1)]
             + ["p"])
-    # every float through %.17g, as f17 writes it; sigma, stacked as
-    # +-1.0 among the floats, through %d.  With no object made per row,
-    # the table costs about what %.17g itself does
-    fmt = ",".join(["%.17g"] * (1 + 2 * n) + ["%d"] * n + ["%.17g"]) + "\n"
-    rows = np.column_stack([trajectory.x_grid, trajectory.theta,
-                            trajectory.mu_grid, trajectory.sigma_grid,
-                            trace_potential(band, trajectory).p_values])
+    if potential is None:
+        potential = trace_potential(band, trajectory)
+    xp = np.column_stack([_f17_column(trajectory.x_grid),
+                          _f17_column(potential.p_values)])
+    # theta and mu through %.17g, as f17 writes it, sigma through %d, and x
+    # and p as the text above.  With no object made per row, the table
+    # costs about what %.17g itself does
+    fmt = ",".join(["%s"] + ["%.17g"] * (2 * n) + ["%d"] * n + ["%s"]) + "\n"
+    rows = np.column_stack([xp[:, 0], trajectory.theta, trajectory.mu_grid,
+                            trajectory.sigma_grid, xp[:, 1]])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         write_rows(fh, fmt, rows)
+    return xp

@@ -58,6 +58,26 @@ def flow_integral_quad(ctx, p, x):
     return complex(*parts)
 
 
+def omega_full_product(band, theta):
+    """The angle-form right sides as a product over all N gaps along the
+    last axis, with the own-gap factor set to 1 on the diagonal of the
+    (..., N, N) edge products and distances: a reference for
+    ``dubrovin._omega``, which never forms that factor."""
+    mu = band.gap_mid - band.gap_half * np.cos(theta)
+    base = 2.0 * np.sqrt(mu - band.edges[0])
+    n = mu.shape[-1]
+    if n == 1:
+        return base
+    lo = band.edge_array[1::2]
+    hi = band.edge_array[2::2]
+    a = (mu[..., :, None] - lo) * (mu[..., :, None] - hi)
+    b = np.abs(mu[..., :, None] - mu[..., None, :])
+    diag = np.arange(n)
+    a[..., diag, diag] = 1.0
+    b[..., diag, diag] = 1.0
+    return base * np.prod(np.sqrt(a) / b, axis=-1)
+
+
 def dop853_flow(band, divisor, x_min, x_max, step, tol):
     """Angles theta_j on ``integrate_dubrovin``'s output grid by scipy's
     DOP853 with ``rtol = atol = max(tol / 100, 100 eps)``, sampled through

@@ -346,6 +346,21 @@ def test_each_stage_computes_each_psi_once(tmp_path, monkeypatch):
                                  "jost_from_kernel": 0, "jost_profile": 1}
 
 
+def test_trace_formula_runs_once_per_run(tmp_path, monkeypatch):
+    # the flow stage evaluates p on the grid once, and potential.csv
+    # repeats the x and p text of trajectory.csv
+    from levitan import dubrovin
+    counts = {}
+    _count_calls(monkeypatch, counts, dubrovin, "trace_potential")
+    cfg = replace(generate_fixture("periodic_like", n=4),
+                  out_dir=str(tmp_path))
+    assert run_pipeline(cfg).passed
+    assert counts["trace_potential"] == 1
+    rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    assert (tmp_path / "potential.csv").read_text().splitlines()[1:] == [
+        row[:row.index(",")] + row[row.rindex(","):] for row in rows]
+
+
 def test_probe_within_eps_gap_is_named(tmp_path):
     # the second of three z probes is within eps_gap of the gap [1, 2]: the
     # weyl stage raises what that probe's own product-route call raises,

@@ -26,7 +26,12 @@ from levitan.errors import (
     StepTooLarge,
 )
 
-from conftest import dop853_flow, midpoint_divisor, periodic_edges
+from conftest import (
+    dop853_flow,
+    midpoint_divisor,
+    omega_full_product,
+    periodic_edges,
+)
 
 
 ONE_GAP_DMU0 = 1.2247448713915892  # sqrt(1.5): hand-evaluated flow at mu=1.5
@@ -83,6 +88,28 @@ def test_tiny_step_rk4_reference(one_gap_band, one_gap_traj):
         mu = mu + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     got = one_gap_traj.mu_at(0.2)[0]
     assert got == pytest.approx(mu[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 10, 60])
+def test_omega_is_the_full_product_bit_for_bit(n):
+    # the other-gap slabs give the floats of the full product with its
+    # own-gap factor set to 1, for one node, a panel, a stack of panels
+    # and an output grid; touch angles included
+    band = BandStructure(periodic_edges(n))
+    rng = np.random.default_rng(n)
+    levels = np.array([0.0, 1.0, 2.0, 3.0]) * math.pi
+    for shape in [(n,), (49, n), (2, 49, n), (1366, n)]:
+        theta = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, size=shape)
+        touch = rng.uniform(size=shape) < 0.25
+        theta[touch] = rng.choice(levels, size=int(touch.sum()))
+        if n:  # and rows with every mu_j on an edge
+            rows = theta.reshape(-1, n)
+            k = min(4, len(rows))
+            rows[:k] = levels[:k, None]
+        got = dubrovin._omega(band, theta)
+        want = omega_full_product(band, theta)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +196,9 @@ def _bits(a) -> list:
     ("random", {"n": 6, "seed": 0}),
 ])
 def test_flow_end_angles_are_the_window_end_rows(kind, kwargs, tmp_path):
-    # the pipeline's own flow, and its flow back from the window's right
-    # end as the verify stage runs it: the end angles are the rows the
-    # integrator writes at the window ends, bit for bit
+    # the pipeline's own flow, and a flow back from the window's right end
+    # started cold, as the integrator starts it: the end angles are the
+    # rows the integrator writes at the window ends, bit for bit
     cfg = replace(generate_fixture(kind, **kwargs), out_dir=str(tmp_path))
     st = {}
     for stage in ("validate", "flow"):
@@ -205,6 +232,85 @@ def test_flow_end_angles_raise_what_the_integrator_raises(one_gap_band):
         with pytest.raises(exc) as end:
             dubrovin.flow_end_angles(band, div, -1.0, tol=1e-10)
         assert str(end.value) == str(flow.value)
+
+
+def _pipeline_state(cfg, tmp_path, last):
+    """Stage state of a pipeline run through stage ``last``."""
+    st = {}
+    for stage in cli.STAGES[:cli.STAGES.index(last) + 1]:
+        cli._STAGE_FNS[stage](cfg, st, {}, tmp_path)
+    return st
+
+
+def _counting_omega(monkeypatch):
+    calls = []
+    omega = dubrovin._omega
+
+    def counting(band, theta):
+        calls.append(1)
+        return omega(band, theta)
+
+    monkeypatch.setattr(dubrovin, "_omega", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("one_gap", {}),
+    ("periodic_like", {"n": 10}),
+    ("random", {"n": 6, "seed": 0}),
+])
+def test_warm_back_flow_ends_where_the_cold_one_does(kind, kwargs, tmp_path,
+                                                     monkeypatch):
+    # the verify stage's back flow starts each panel from the forward
+    # trajectory; the sweeps stop at the same target, so the end angles
+    # are the cold flow's to within a few panel targets, from a good guess
+    # or a bad one (0.3 rad off at every node but the start)
+    cfg = replace(generate_fixture(kind, **kwargs), out_dir=str(tmp_path))
+    st = _pipeline_state(cfg, tmp_path, "flow")
+    band, traj, tol = st["band"], st["traj"], cfg.flow_tol
+    target = max(tol / 100.0, 100.0 * np.finfo(float).eps)
+    hi = float(traj.x_grid[-1])
+    end = traj.divisor_at(hi)
+
+    def forward(s):
+        return traj.theta_at(hi + s)
+
+    def bad(s):
+        return forward(s) + np.where(np.asarray(s)[..., None] == 0.0, 0.0, 0.3)
+
+    calls = _counting_omega(monkeypatch)
+    counts, ends = [], []
+    for guess in (None, forward, bad):
+        calls.clear()
+        ends.append(dubrovin.flow_end_angles(band, end, -hi, tol, guess=guess))
+        counts.append(len(calls))
+    cold, warm, poor = ends
+    assert np.abs(warm - cold).max() <= 10.0 * target
+    assert np.abs(poor - cold).max() <= 10.0 * target
+    assert counts[1] < counts[0] and counts[1] < counts[2]
+
+
+def test_verify_back_flow_is_warm_and_still_checks(tmp_path, monkeypatch):
+    # the warm start halves the verify stage's Omega calls on the ten-gap
+    # fixture (66 when each panel started from its predecessor).  The back
+    # flow's guess comes from the trajectory under test, but its end angles
+    # do not: moving the forward trajectory's last node by 1e-6 rad still
+    # fails the reversibility row
+    cfg = replace(generate_fixture("periodic_like", n=10),
+                  out_dir=str(tmp_path))
+    st = _pipeline_state(cfg, tmp_path, "jost")
+    calls = _counting_omega(monkeypatch)
+    checks = {}
+    cli._STAGE_FNS["verify"](cfg, st, checks, tmp_path)
+    assert checks["reversibility"]["pass"]
+    assert len(calls) <= 35
+
+    traj = st["traj"]
+    theta = traj.theta.copy()
+    theta[-1] += 1e-6
+    st["traj"] = DivisorTrajectory(traj.band, traj.x_grid, theta, traj.dtheta)
+    cli._STAGE_FNS["verify"](cfg, st, checks, tmp_path)
+    assert not checks["reversibility"]["pass"]
 
 
 def test_out_of_range_message_names_the_worst_point(one_gap_traj):
