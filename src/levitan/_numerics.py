@@ -1,10 +1,10 @@
-"""Small shared numerical helpers: the round-trip float format and the block
-writer of the CSV tables, branch-safe square roots, the removed-factor
-products of a factor list, the reverse cumulative trapezoid, and the
-Chebyshev-Lobatto panel toolkit (nodes, the values-to-coefficients map, the
-spectral integration matrix and barycentric interpolation) behind both panel
-solvers: the divisor flow in :mod:`levitan.dubrovin` and the flow integral
-behind psi in :mod:`levitan.weyl`."""
+"""Small shared numerical helpers: the round-trip float format, its column
+form and the block writer of the CSV tables, branch-safe square roots, the
+removed-factor products of a factor list, the reverse cumulative trapezoid,
+and the Chebyshev-Lobatto panel toolkit (nodes, the values-to-coefficients
+map, the spectral integration matrix and barycentric interpolation) behind
+both panel solvers: the divisor flow in :mod:`levitan.dubrovin` and the
+flow integral behind psi in :mod:`levitan.weyl`."""
 
 from __future__ import annotations
 
@@ -15,6 +15,13 @@ from numpy.polynomial import chebyshev
 def f17(x) -> str:
     """Format a binary64 with 17 significant digits (round-trip exact)."""
     return "%.17g" % float(x)
+
+
+def f17_column(values) -> np.ndarray:
+    """Every value of a 1-D array through %.17g, as f17 writes it, by one
+    ``%`` call: an object array of str."""
+    text = ("%.17g\n" * len(values)) % tuple(values.tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)
 
 
 # values per block of write_rows: a few thousand rows of a narrow table, and
@@ -41,14 +48,11 @@ def principal_sqrt(w):
     ``np.sqrt(complex(-1, -0.0))`` returns ``-1j``; we always want the branch
     that is continuous from the upper half plane, so any exactly-zero imaginary
     part (either sign) is normalized to +0.0 before taking the root.
-    Accepts scalars or arrays.
+    Takes and returns arrays.
     """
     w = np.asarray(w, dtype=complex)
     w = np.where(w.imag == 0.0, w.real + 0.0j, w)
-    out = np.sqrt(w)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.sqrt(w)
 
 
 def removed_products(d) -> np.ndarray:

@@ -41,6 +41,7 @@ from .dubrovin import (
     DirichletDivisor,
     flow_end_angles,
     integrate_dubrovin,
+    potential_of_angles,
     trace_potential,
     trajectory_to_csv,
 )
@@ -473,27 +474,28 @@ def _stage_flow(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     lo = min(cfg.x0, 0.0, min(xs), pert.support[0]) - _WINDOW_MARGIN
     traj = integrate_dubrovin(band, divisor, lo, hi, cfg.flow_step,
                               tol=cfg.flow_tol)
-    ps = trace_potential(band, traj)
-    xp_text = trajectory_to_csv(band, traj, out / "trajectory.csv", ps)
+    p = trace_potential(band, traj)
+    xp_text = trajectory_to_csv(band, traj, out / "trajectory.csv", p)
     overstep = 0.0
     for j, (glo, ghi) in enumerate(band.gaps):
         mu_j = traj.mu_grid[:, j]
         overstep = max(overstep, float(np.max(glo - mu_j)),
                        float(np.max(mu_j - ghi)))
     checks["confinement"] = _check(max(overstep, 0.0), 1e-12)
-    st.update(pert=pert, x_cut=float(x_cut), traj=traj, potential=ps,
+    st.update(pert=pert, x_cut=float(x_cut), traj=traj, potential=p,
               xp_text=xp_text)
 
 
 def _stage_potential(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     # the trace formula ran once, in the flow stage; its x and p text is
-    # the trajectory table's own
-    ps = st["potential"]
+    # the trajectory table's own.  p's bounds: every mu_j on its upper
+    # edge (theta_j = pi), and every one on its lower edge (theta_j = 0)
+    p = st["potential"]
     with open(out / "potential.csv", "w") as fh:
         fh.write("x,p\n")
         write_rows(fh, "%s,%s\n", st["xp_text"])
-    excess = max(float(np.max(ps.p_values - ps.p_upper)),
-                 float(np.max(ps.p_lower - ps.p_values)))
+    lo, hi = potential_of_angles(st["band"], np.array([[math.pi], [0.0]]))
+    excess = max(float(np.max(p - hi)), float(np.max(lo - p)))
     checks["potential_bounds"] = _check(excess, 1e-9)
 
 
@@ -531,8 +533,9 @@ def _stage_weyl(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
 
 def _stage_kernel(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     ctx, pert = st["ctx"], st["pert"]
+    # the truncation radius is the flow stage's, which sized the window
     grid = solve_kernel(ctx, pert, "+",
-                        GridParams(cfg.x0, cfg.h, cfg.x_max, _TAIL_EPS),
+                        GridParams(cfg.x0, cfg.h, st["x_cut"], _TAIL_EPS),
                         tol=cfg.tol, max_iter=cfg.max_iter)
     grid.to_csv(out / "kernel.csv")
     grid.write_metadata(out / "kernel_meta.json")
@@ -612,11 +615,8 @@ def _stage_verify(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
     theta_back = flow_end_angles(band, traj.divisor_at(hi_node), -hi_node,
                                  tol=cfg.flow_tol,
                                  guess=lambda s: traj.theta_at(hi_node + s))
-    if band.gap_count:
-        round_trip = float(np.max(np.abs(traj.mu_of_theta(theta_back)
-                                         - traj.mu_at(0.0))))
-    else:
-        round_trip = 0.0
+    round_trip = float(np.max(np.abs(traj.mu_of_theta(theta_back)
+                                     - traj.mu_at(0.0)), initial=0.0))
     checks["reversibility"] = _check(round_trip, 10.0 * cfg.flow_tol)
 
     checks["moment"] = _check(pert.moment_value, math.inf)

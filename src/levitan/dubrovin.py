@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.interpolate import CubicHermiteSpline
 
-from ._numerics import barycentric_matrix, cheb_lobatto, write_rows
+from ._numerics import barycentric_matrix, cheb_lobatto, f17_column, write_rows
 from .errors import (
     DegenerateGap,
     NoConvergence,
@@ -51,7 +51,6 @@ from .spectral import BandStructure
 __all__ = [
     "DirichletDivisor",
     "DivisorTrajectory",
-    "PotentialSamples",
     "integrate_dubrovin",
     "trace_potential",
     "trajectory_to_csv",
@@ -266,14 +265,10 @@ class DivisorTrajectory:
         inside = (c3 > 0.0) & (s > 0.0) & (s < h)
         return not np.any(dip[inside] <= 0.0)
 
-    def touch_points(self, gap_index: int, edge: str, lo=None, hi=None) -> np.ndarray:
-        """x values where mu_j touches its 'lower' or 'upper' gap edge inside
-        [lo, hi] (defaults: full range); see :meth:`_level_crossings`."""
-        full = self._level_crossings(gap_index, edge == "lower")
-        lo = self.x_min if lo is None else lo
-        hi = self.x_max if hi is None else hi
-        sel = full[(full >= lo - 1e-12) & (full <= hi + 1e-12)]
-        return np.clip(sel, lo, hi)
+    def touch_points(self, gap_index: int, edge: str) -> np.ndarray:
+        """x values where mu_j touches its 'lower' or 'upper' gap edge, over
+        the whole trajectory; see :meth:`_level_crossings`."""
+        return self._level_crossings(gap_index, edge == "lower")
 
     def _level_crossings(self, j: int, even: bool) -> np.ndarray:
         """Preimages of the levels k*pi (k even: the lower edge's touches;
@@ -513,20 +508,6 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
 # trace formula
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PotentialSamples:
-    """p(x) on the trajectory grid.
-
-    The bounds are what the gap confinement of the divisor forces through the
-    trace formula: p stays in [p_lower, p_upper] sample by sample.
-    """
-
-    x_grid: np.ndarray
-    p_values: np.ndarray
-    p_lower: float
-    p_upper: float
-
-
 def potential_of_angles(band: BandStructure, theta) -> np.ndarray:
     """The trace formula p = E_0 + sum_j (E_{2j-1} + E_2j - 2 mu_j) in the
     angles, E_0 + 2 sum_j w_j cos(theta_j): no sums of edges cancel.  The
@@ -535,51 +516,33 @@ def potential_of_angles(band: BandStructure, theta) -> np.ndarray:
                                         axis=-1)
 
 
-def trace_potential(band: BandStructure, trajectory: DivisorTrajectory) -> PotentialSamples:
-    """p at the trajectory's grid nodes, with its bounds: every mu_j on its
-    upper edge (theta_j = pi) and every one on its lower edge (theta_j = 0)."""
-    lo, hi = potential_of_angles(band, np.array([[math.pi], [0.0]]))
-    return PotentialSamples(trajectory.x_grid,
-                            potential_of_angles(band, trajectory.theta),
-                            float(lo), float(hi))
-
-
-def potential_on(band: BandStructure, trajectory: DivisorTrajectory, x):
-    """p evaluated through the spline at arbitrary x (vectorized)."""
-    return potential_of_angles(band, trajectory.theta_at(x))
+def trace_potential(band: BandStructure,
+                    trajectory: DivisorTrajectory) -> np.ndarray:
+    """p at the trajectory's grid nodes, by the trace formula."""
+    return potential_of_angles(band, trajectory.theta)
 
 
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
-def _f17_column(values) -> np.ndarray:
-    """Every value through %.17g, as f17 writes it, by one ``%`` call:
-    an object array of str."""
-    text = ("%.17g\n" * len(values)) % tuple(values.tolist())
-    return np.array(text.split("\n")[:-1], dtype=object)
-
-
 def trajectory_to_csv(band: BandStructure, trajectory: DivisorTrajectory,
-                      path, potential: PotentialSamples | None = None
-                      ) -> np.ndarray:
+                      path, potential: np.ndarray) -> np.ndarray:
     """CSV with header x,theta_1..theta_N,mu_1..mu_N,sigma_1..sigma_N,p,
     written a block of rows per ``%`` call by ``write_rows``.
 
-    p is ``potential``'s when it is given (the trace formula on this grid),
-    else ``trace_potential``'s.  Returns the x and p text of each row, as
-    written, in a (rows, 2) object array, so that a table of p alone
-    repeats those bytes without formatting them again."""
+    ``potential`` is p on this grid, as ``trace_potential`` gives it.
+    Returns the x and p text of each row, as written, in a (rows, 2) object
+    array, so that a table of p alone repeats those bytes without
+    formatting them again."""
     n = band.gap_count
     cols = (["x"]
             + ["theta_%d" % j for j in range(1, n + 1)]
             + ["mu_%d" % j for j in range(1, n + 1)]
             + ["sigma_%d" % j for j in range(1, n + 1)]
             + ["p"])
-    if potential is None:
-        potential = trace_potential(band, trajectory)
-    xp = np.column_stack([_f17_column(trajectory.x_grid),
-                          _f17_column(potential.p_values)])
+    xp = np.column_stack([f17_column(trajectory.x_grid),
+                          f17_column(potential)])
     # theta and mu through %.17g, as f17 writes it, sigma through %d, and x
     # and p as the text above.  With no object made per row, the table
     # costs about what %.17g itself does

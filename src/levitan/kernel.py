@@ -53,7 +53,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import RectBivariateSpline
 
-from ._numerics import rev_cumtrapz, write_rows
+from ._numerics import f17_column, rev_cumtrapz, write_rows
 from .errors import MomentViolation, NoConvergence
 from .spectral import as_point
 from .weyl import (WeylContext, _check_sign, _psi_parts, eval_green,
@@ -334,14 +334,16 @@ class KernelGrid:
                                    kx=k, ky=k, s=0)
 
     def to_csv(self, path) -> None:
-        """Upper-triangular rows x,y,K over the native lattice, ordered by x
-        and then y; every float through %.17g, as f17 writes it.  Each of
-        the 2M + 1 side-signed positions goes through %.17g once, and its
-        text serves every row that uses it; the rows are written a block
+        """Upper-triangular rows x,y,K over the native lattice, in the order
+        of ``triangle``: by x and then y, both ascending on a + grid and
+        both descending on a - grid, whose x and y are the physical ones,
+        -positions.  Every float goes through %.17g, as f17 writes it; each
+        of the 2M + 1 side-signed positions once, by ``f17_column``, and its
+        text serves every row that uses it.  The rows are written a block
         at a time by ``write_rows``."""
         i, l = self.triangle
         pos = -self.positions if self.side == "-" else self.positions
-        text = np.array(["%.17g" % v for v in pos.tolist()], dtype=object)
+        text = f17_column(pos)
         rows = np.column_stack([text[i], text[i + 2 * l],
                                 self.values[i + l, l].astype(object)])
         with open(path, "w") as fh:
@@ -488,8 +490,11 @@ class KernelBoundReport:
     ``violations`` lists every lattice point where |K(x,y)| exceeds
     C(x) Q(x+y) as ("pointwise", x, y, |K|, bound), ordered by x and then y,
     then every failing L2 row as ("L2", x, lhs, rhs), ordered by x; empty on
-    a passing run.  ``c1_fitted`` is the observed constant of the derivative
-    bound (reported, never asserted: the true constant is existential).
+    a passing run.  The x and y of ``violations`` and the x column of
+    ``c_of_x`` are ``grid.positions``: on a - grid, the coordinates of the
+    mirrored problem, the negated physical ones.  ``c1_fitted`` is the
+    observed constant of the derivative bound (reported, never asserted:
+    the true constant is existential).
     """
 
     c_const: float
@@ -513,7 +518,9 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
 
     Every point a bound needs is a node of the tail grid (x = x_i and
     u = x_{i+l} on the triangle), so the bounds come from two node vectors,
-    int_t^inf |q| and int_t^inf s|q|, without interpolation.
+    int_t^inf |q| and int_t^inf s|q|, without interpolation.  A - grid is
+    the + grid of the mirrored problem, so it is audited against the
+    mirrored perturbation, and its report is in that problem's coordinates.
     """
     if grid.side == "-":
         perturbation = perturbation.mirrored()

@@ -195,8 +195,6 @@ class BandStructure:
 
     def gap_distance(self, z: complex) -> float:
         """Distance from z to the union of closed gap hulls (inf if no gaps)."""
-        if self.gap_count == 0:
-            return math.inf
         z = complex(z)
         best = math.inf
         for lo, hi in self.gaps:

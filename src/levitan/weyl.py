@@ -50,7 +50,7 @@ from ._numerics import (
     removed_products,
     write_rows,
 )
-from .dubrovin import DivisorTrajectory, potential_of_angles, potential_on
+from .dubrovin import DivisorTrajectory, potential_of_angles
 from .errors import (
     AmbiguousPole,
     AtDivisorPole,
@@ -102,8 +102,8 @@ class WeylContext:
         return WeylContext(self.band, self.trajectory.mirrored())
 
     def p_of(self, x):
-        """Background potential through the trace formula (vectorized)."""
-        return potential_on(self.band, self.trajectory, x)
+        """Background potential by the trace formula at any x (vectorized)."""
+        return potential_of_angles(self.band, self.trajectory.theta_at(x))
 
 
 def _check_sign(sign) -> int:
@@ -118,8 +118,10 @@ def _check_sign(sign) -> int:
 # G, H and the Weyl functions
 # ---------------------------------------------------------------------------
 
-def _G(ctx: WeylContext, z: complex, mu: np.ndarray) -> complex:
-    return complex(np.prod((z - mu) * ctx.band.edge_weight[1::2]))
+def _G(ctx: WeylContext, z: complex, mu: np.ndarray):
+    """prod_j (z - mu_j) w_j along the last axis of mu, as NumPy gives it;
+    a caller that divides by one value takes it as a Python complex."""
+    return np.prod((z - mu) * ctx.band.edge_weight[1::2], axis=-1)
 
 
 def _mu_rates(ctx: WeylContext, theta: np.ndarray,
@@ -145,7 +147,7 @@ def _divisor_state(ctx: WeylContext, x: float):
 
 def eval_G(ctx: WeylContext, p, x: float) -> complex:
     """The divisor product G(z, x); entire in z, exactly 0 at z = mu_j(x)."""
-    return _G(ctx, as_point(p).z, ctx.trajectory.mu_at(x))
+    return complex(_G(ctx, as_point(p).z, ctx.trajectory.mu_at(x)))
 
 
 def eval_H(ctx: WeylContext, p, x: float) -> complex:
@@ -199,7 +201,7 @@ def eval_m(ctx: WeylContext, p, x: float, sign) -> complex:
             1.0 / (zj - ctx.band.edge_array))
         return complex((dh + sgn * dsq) / (w[j] * np.prod(d)))
     h = _H(ctx, z, theta, dtheta, mu)
-    g = _G(ctx, z, mu)
+    g = complex(_G(ctx, z, mu))
     sq = eval_sqrtY(ctx.band, pt)
     return complex((h + sgn * sq) / g)
 
@@ -253,7 +255,7 @@ def _flow_exponent(ctx: WeylContext, pts, xs: np.ndarray):
     to and including that leaf; QuadratureFailure above _QUAD_TOL (1 + |W|).
     """
     lo, hi = min(xs[0], 0.0), max(xs[-1], 0.0)
-    wt, traj = ctx.band.edge_weight[1::2], ctx.trajectory
+    traj = ctx.trajectory
     fill = _PANEL * np.arange(math.ceil(lo / _PANEL),
                               math.floor(hi / _PANEL) + 1)
     cuts = np.unique(np.concatenate([fill, [lo, 0.0, hi]]))
@@ -272,7 +274,7 @@ def _flow_exponent(ctx: WeylContext, pts, xs: np.ndarray):
                 mu = traj.mu_at((a + half)[:, None] + half[:, None] * _S)
             if depth == 0:
                 base = mu      # the base panels' angles serve every point
-            f = sq / np.prod((z - mu) * wt, axis=-1)
+            f = sq / _G(ctx, z, mu)
             val = half * (f @ _INTEG[-1])
             tail = np.abs(f @ _COEF[-_TAIL:].T).max(axis=1) * (b - a)
             done = tail <= _PANEL_TOL * (np.abs(val) + (b - a))
@@ -538,7 +540,7 @@ def structural_identity_check(ctx: WeylContext, p, x: float) -> float:
     traj = ctx.trajectory
     theta = traj.theta_at(np.array([x - 2 * h, x - h, x, x + h, x + 2 * h]))
     mu = traj.mu_of_theta(theta)
-    g_m2, g_m1, g, g_p1, g_p2 = (_G(ctx, z, row) for row in mu)
+    g_m2, g_m1, g, g_p1, g_p2 = (complex(_G(ctx, z, row)) for row in mu)
     d2g = (-g_m2 + 16 * g_m1 - 30 * g + 16 * g_p1 - g_p2) / (12.0 * h * h)
     pval = float(potential_of_angles(ctx.band, theta[2]))
     n_val = (pval - z) * g - 0.5 * d2g

@@ -278,9 +278,8 @@ def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
         _STAGE_FNS[stage](cfg, st, {}, tmp_path)
     assert len(st["zpts"]) > 1
 
-    ps = st["potential"]
     lines = ["x,p\n"] + ["%s,%s\n" % (f17(x), f17(p))
-                         for x, p in zip(ps.x_grid, ps.p_values)]
+                         for x, p in zip(st["traj"].x_grid, st["potential"])]
     assert (tmp_path / "potential.csv").read_text() == "".join(lines)
 
     lines = ["re_z,im_z,side,x,re_phi,im_phi,abs_phi\n"]
@@ -518,11 +517,11 @@ def test_ode_failure_writes_error_json(tmp_path, monkeypatch):
     # stops there instead of refining up to the step cap
     calls = []
 
-    def nan_potential(band, traj, x):
+    def nan_potential(ctx, x):
         calls.append(np.size(x))
         return np.full(np.shape(x), np.nan)
 
-    monkeypatch.setattr("levitan.weyl.potential_on", nan_potential)
+    monkeypatch.setattr("levitan.weyl.WeylContext.p_of", nan_potential)
     cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"))
     with pytest.raises(QuadratureFailure, match="non-finite"):
         run_pipeline(cfg)
@@ -618,6 +617,28 @@ def test_error_json_cleared_on_success(tmp_path):
 
 def test_unreadable_config(tmp_path):
     assert main(["all", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda out: RunConfig.from_json_dict([]), "must be a JSON object"),
+    (lambda out: run_pipeline(replace(generate_fixture("free"),
+                                      out_dir=str(out)), upto="bogus"),
+     "unknown stage 'bogus'"),
+], ids=["config_not_an_object", "unknown_stage"])
+def test_wrong_call_fails_loudly(tmp_path, call, words):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=re.escape(words)):
+        call(out)
+    assert not out.exists()
+
+
+def test_fixture_gap_count_over_ten_exits_2(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["fixture", "random", "-n", "11", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "between 0 and 10, got 11" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Divisor flow: integration, confinement, trace formula."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipj, ellipk, ellipkinc
 
-from levitan import BandStructure, eval_sqrtY, generate_fixture
+from levitan import BandStructure, WeylContext, eval_sqrtY, generate_fixture
 from levitan import cli, dubrovin
 from levitan.dubrovin import (
     DirichletDivisor,
     DivisorTrajectory,
     integrate_dubrovin,
-    potential_on,
+    potential_of_angles,
     trace_potential,
     trajectory_to_csv,
 )
@@ -340,6 +341,21 @@ def test_scalar_out_of_range_message(one_gap_traj, x):
         assert one_gap_traj.theta_at(inside).shape == (1,)
 
 
+@pytest.mark.parametrize("x_min, x_max, step, tol, words", [
+    (-1.0, 1.0, 0.0, 1e-10, "step and tol must be positive"),
+    (-1.0, 1.0, -0.01, 1e-10, "step and tol must be positive"),
+    (-1.0, 1.0, 0.01, 0.0, "step and tol must be positive"),
+    (0.5, 1.0, 0.01, 1e-10, "window [0.5, 1] must contain x = 0"),
+    (-1.0, -0.5, 0.01, 1e-10, "window [-1, -0.5] must contain x = 0"),
+], ids=["zero_step", "negative_step", "zero_tol", "window_right_of_0",
+        "window_left_of_0"])
+def test_integrate_rejects_bad_step_tol_and_window(one_gap_band, x_min,
+                                                   x_max, step, tol, words):
+    with pytest.raises(ValueError, match=re.escape(words)):
+        integrate_dubrovin(one_gap_band, DirichletDivisor(((1.5, 1),)),
+                           x_min, x_max, step, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # trace formula
 # ---------------------------------------------------------------------------
@@ -348,7 +364,7 @@ def test_trace_midpoint_divisor(n2_band):
     div = midpoint_divisor(n2_band)
     tr = integrate_dubrovin(n2_band, div, 0.0, 0.0, step=0.01, tol=1e-10)
     p = trace_potential(n2_band, tr)
-    assert p.p_values[0] == pytest.approx(n2_band.edges[0], abs=1e-12)
+    assert p[0] == pytest.approx(n2_band.edges[0], abs=1e-12)
 
 
 def test_trace_lower_edge_divisor(n2_band):
@@ -356,21 +372,22 @@ def test_trace_lower_edge_divisor(n2_band):
     tr = integrate_dubrovin(n2_band, div, 0.0, 0.0, step=0.01, tol=1e-10)
     p = trace_potential(n2_band, tr)
     gap_width_sum = sum(hi - lo for lo, hi in n2_band.gaps)
-    assert p.p_values[0] == pytest.approx(n2_band.edges[0] + gap_width_sum,
-                                          rel=1e-14)
-    assert p.p_values[0] == pytest.approx(p.p_upper, rel=1e-14)
+    assert p[0] == pytest.approx(n2_band.edges[0] + gap_width_sum, rel=1e-14)
+    p_upper = potential_of_angles(n2_band, [0.0, 0.0])
+    assert p[0] == pytest.approx(p_upper, rel=1e-14)
 
 
 def test_trace_one_gap_hand_value(one_gap_band, one_gap_traj):
     p = trace_potential(one_gap_band, one_gap_traj)
     i0 = np.searchsorted(one_gap_traj.x_grid, 0.0)
-    assert p.p_values[i0] == pytest.approx(3.0 - 2.0 * 1.5, abs=1e-13)
-    assert np.all(p.p_values >= p.p_lower - 1e-12)
-    assert np.all(p.p_values <= p.p_upper + 1e-12)
+    assert p[i0] == pytest.approx(3.0 - 2.0 * 1.5, abs=1e-13)
+    p_lower, p_upper = potential_of_angles(one_gap_band, [[math.pi], [0.0]])
+    assert np.all(p >= p_lower - 1e-12)
+    assert np.all(p <= p_upper + 1e-12)
     # spline evaluation agrees with the grid samples
-    assert potential_on(one_gap_band, one_gap_traj,
-                        one_gap_traj.x_grid[::37]) == pytest.approx(
-        p.p_values[::37], abs=1e-12)
+    ctx = WeylContext(one_gap_band, one_gap_traj)
+    assert ctx.p_of(one_gap_traj.x_grid[::37]) == pytest.approx(
+        p[::37], abs=1e-12)
 
 
 def test_free_background_trace(free_band):
@@ -378,7 +395,7 @@ def test_free_background_trace(free_band):
                             step=0.1, tol=1e-10)
     assert tr.mu_grid.shape == (21, 0)
     p = trace_potential(free_band, tr)
-    assert np.all(p.p_values == 0.0)
+    assert np.all(p == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +475,6 @@ def test_touch_levels_on_nodes_and_window_ends(one_gap_band):
     assert np.array_equal(tr.touch_points(0, "lower"), [-2.0, 0.0, 2.0])
     assert np.array_equal(tr.touch_points(0, "upper"), [-1.0, 1.0])
     assert np.array_equal(tr.flip_points(), [-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert np.array_equal(tr.touch_points(0, "lower", lo=0.0, hi=2.0),
-                          [0.0, 2.0])
-    assert tr.touch_points(0, "upper", lo=-0.5, hi=0.5).size == 0
 
 
 def test_touch_at_origin_on_the_edge(one_gap_band):
@@ -535,11 +549,12 @@ def test_one_gap_elliptic_oracle(one_gap_band, mu0, sigma0, tol):
         assert len(gaps) >= 10
         assert np.abs(gaps - period).max() <= 1e-9
     # trace formula: p = E0 + E1 + E2 - 2 mu, on the grid and off it
-    ps = trace_potential(one_gap_band, tr)
+    p = trace_potential(one_gap_band, tr)
     want = 3.0 - 2.0 * elliptic_mu(tr.x_grid, mu0, sigma0)
-    assert np.abs(ps.p_values - want).max() <= 20.0 * tol
+    assert np.abs(p - want).max() <= 20.0 * tol
     want = 3.0 - 2.0 * elliptic_mu(xs, mu0, sigma0)
-    assert np.abs(potential_on(one_gap_band, tr, xs) - want).max() <= 20.0 * tol
+    p = WeylContext(one_gap_band, tr).p_of(xs)
+    assert np.abs(p - want).max() <= 20.0 * tol
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +667,8 @@ def test_csv_format(tmp_path, one_gap_band):
     div = DirichletDivisor(((1.5, 1),))
     tr = integrate_dubrovin(one_gap_band, div, -0.2, 0.2, step=0.1, tol=1e-10)
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(one_gap_band, tr, path)
+    trajectory_to_csv(one_gap_band, tr, path,
+                      trace_potential(one_gap_band, tr))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,theta_1,mu_1,sigma_1,p"
     assert len(lines) == 1 + len(tr.x_grid)
@@ -669,7 +685,7 @@ def _csv_reference(band, tr, path):
     cols = (["x"] + ["theta_%d" % j for j in range(1, n + 1)]
             + ["mu_%d" % j for j in range(1, n + 1)]
             + ["sigma_%d" % j for j in range(1, n + 1)] + ["p"])
-    p = trace_potential(band, tr).p_values
+    p = trace_potential(band, tr)
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for i, xv in enumerate(tr.x_grid):
@@ -690,7 +706,8 @@ def test_csv_matches_per_value_writer(tmp_path, edges, divisor):
     band = BandStructure(edges)
     tr = integrate_dubrovin(band, DirichletDivisor(divisor), -3.0, 3.0,
                             step=0.01, tol=1e-10)
-    trajectory_to_csv(band, tr, tmp_path / "fast.csv")
+    trajectory_to_csv(band, tr, tmp_path / "fast.csv",
+                      trace_potential(band, tr))
     _csv_reference(band, tr, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()

@@ -5,8 +5,9 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from conftest import (
 from levitan import cli, kernel, weyl
 from levitan._numerics import rev_cumtrapz
 from levitan.dubrovin import (DirichletDivisor, DivisorTrajectory,
-                              integrate_dubrovin, trajectory_to_csv)
+                              integrate_dubrovin, trace_potential,
+                              trajectory_to_csv)
 from levitan.errors import MomentViolation, NoConvergence
 from levitan.kernel import (
     GridParams,
+    KernelBoundReport,
     PerturbationProfile,
     edge_amplitudes,
     eval_D,
@@ -139,6 +142,42 @@ def kn2():
 # perturbation profiles
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("call, words", [
+    pytest.param(lambda ctx: PerturbationProfile.gaussian_bump(0.1, 0.0, 0.0),
+                 "width must be positive", id="bump_zero_width"),
+    pytest.param(lambda ctx: PerturbationProfile.gaussian_bump(0.1, 0.0, -0.5),
+                 "width must be positive", id="bump_negative_width"),
+    pytest.param(lambda ctx: PerturbationProfile.compact_poly((1.0, 0.0),
+                                                              (0.0, 0.0)),
+                 "support must be a nonempty interval", id="poly_point"),
+    pytest.param(lambda ctx: PerturbationProfile.compact_poly((1.0, 0.0),
+                                                              (1.0, 0.0)),
+                 "support must be a nonempty interval", id="poly_reversed"),
+    pytest.param(lambda ctx: PerturbationProfile.from_table((0.0, 1.0),
+                                                            (0.0,)),
+                 "need matching xs/vals with at least two samples",
+                 id="table_unequal"),
+    pytest.param(lambda ctx: PerturbationProfile.from_table((0.0,), (0.0,)),
+                 "need matching xs/vals with at least two samples",
+                 id="table_one_sample"),
+    pytest.param(lambda ctx: edge_amplitudes(ctx, 5, [0.0]),
+                 "edge index 5 out of range", id="edge_past_last"),
+    pytest.param(lambda ctx: edge_amplitudes(ctx, -1, [0.0]),
+                 "edge index -1 out of range", id="edge_negative"),
+    pytest.param(lambda ctx: GridParams(x0=-1.0, h=0.0),
+                 "h must be positive", id="grid_zero_h"),
+    pytest.param(lambda ctx: GridParams(x0=-1.0, h=-0.05),
+                 "h must be positive", id="grid_negative_h"),
+    # kn2's trajectory ends at x = 3; the lattice reaches 2 x_max - x0 = 6
+    pytest.param(lambda ctx: solve_kernel(ctx, PerturbationProfile.zero(), "+",
+                                          GridParams(-1.0, 0.05, 2.5)),
+                 "does not cover the kernel lattice", id="lattice_past_flow"),
+])
+def test_bad_kernel_inputs_fail_loudly(kn2, call, words):
+    with pytest.raises(ValueError, match=re.escape(words)):
+        call(kn2)
+
+
 def test_gaussian_moment_closed_form():
     # int (1+x^2) A exp(-(x-c)^2 / 2w^2) dx = A sqrt(2 pi) w (1 + c^2 + w^2)
     cases = [(1.0, 0.0, 1.0), (0.5, 1.2, 0.7)]
@@ -239,9 +278,9 @@ def test_edge_phase_follows_touch_parity(kgap):
         a = edge_amplitudes(kgap, k, ts)
         a *= math.copysign(1.0, edge_amplitudes(kgap, k, [0.0])[0])
         for t, av in zip(ts, a):
-            touches = traj.touch_points(0, kind, lo=min(t, 0.0), hi=max(t, 0.0))
-            touches = touches[(np.abs(touches) > 1e-9)
-                              & (np.abs(touches - t) > 1e-9)]
+            touches = traj.touch_points(0, kind)
+            touches = touches[(touches > min(t, 0.0) + 1e-9)
+                              & (touches < max(t, 0.0) - 1e-9)]
             mod = scale[k] * math.sqrt(
                 abs(kgap.band.edges[k] - float(traj.mu_at(t)[0])))
             want = (-1.0) ** len(touches) * mod
@@ -331,9 +370,9 @@ def test_edge_amplitudes_match_closed_form(kfixture):
         sign0 = math.copysign(1.0, edge_amplitudes(ctx, k, [0.0])[0])
         assert np.all(a.imag == 0.0)
         for t, av in zip(ts, a.real):
-            touches = traj.touch_points(j, kind, lo=min(t, 0.0), hi=max(t, 0.0))
-            touches = touches[(np.abs(touches) > 1e-9)
-                              & (np.abs(touches - t) > 1e-9)]
+            touches = traj.touch_points(j, kind)
+            touches = touches[(touches > min(t, 0.0) + 1e-9)
+                              & (touches < max(t, 0.0) - 1e-9)]
             mod = scale[k] * math.sqrt(
                 np.prod(np.abs(ctx.band.edges[k] - traj.mu_at(t))))
             assert sign0 * av == pytest.approx((-1.0) ** len(touches) * mod,
@@ -721,6 +760,7 @@ def test_csv_writers_start_no_garbage_collection(kgap, tmp_path):
     # (one list per row starts about 175 of them at 50)
     grid = solve_kernel(kgap, BUMP_NARROW, "+", GridParams(x0=-1.0, h=0.04),
                         tol=1e-10)
+    p = trace_potential(kgap.band, kgap.trajectory)
     thresholds = gc.get_threshold()
     gc.collect()
     gc.set_threshold(50, *thresholds[1:])
@@ -728,7 +768,7 @@ def test_csv_writers_start_no_garbage_collection(kgap, tmp_path):
         before = gc.get_stats()[0]["collections"]
         grid.to_csv(tmp_path / "kernel.csv")
         trajectory_to_csv(kgap.band, kgap.trajectory,
-                          tmp_path / "trajectory.csv")
+                          tmp_path / "trajectory.csv", p)
         after = gc.get_stats()[0]["collections"]
     finally:
         gc.set_threshold(*thresholds)
@@ -758,6 +798,36 @@ def test_bound_check_catches_inflated_kernel(kgap):
     grid.values = grid.values * 50.0
     report = kernel_bound_check(kgap, grid, BUMP)
     assert len(report.violations) > 0
+
+
+def test_minus_bound_check_is_the_mirrored_plus_check(kgap, tmp_path):
+    # a - grid is the + grid of the mirrored problem, and its audit is that
+    # problem's: every field bit for bit, in the mirrored coordinates.  The
+    # bump sits off x = 0, so auditing against the unmirrored one differs
+    pert = PerturbationProfile.gaussian_bump(0.2, 0.4, 0.6)
+    params = GridParams(x0=-1.5, h=0.1)
+    minus = solve_kernel(kgap, pert, "-", params, tol=1e-11)
+    plus = solve_kernel(kgap.mirrored(), pert.mirrored(), "+", params,
+                        tol=1e-11)
+    got = kernel_bound_check(kgap, minus, pert)
+    want = kernel_bound_check(kgap.mirrored(), plus, pert.mirrored())
+    assert got.violations == want.violations == []
+    for f in fields(KernelBoundReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    m = minus.half_width
+    assert np.array_equal(got.c_of_x[:, 0], minus.positions[:m + 1])
+    unmirrored = kernel_bound_check(kgap.mirrored(), plus, pert)
+    assert not np.array_equal(unmirrored.c_of_x, got.c_of_x)
+    # kernel.csv of a - grid: physical x and y, both descending
+    minus.to_csv(tmp_path / "kernel.csv")
+    rows = np.loadtxt(tmp_path / "kernel.csv", delimiter=",", skiprows=1)
+    assert np.all(np.diff(rows[:, 0]) <= 0.0)
+    same_x = np.diff(rows[:, 0]) == 0.0
+    assert np.all(np.diff(rows[:, 1])[same_x] < 0.0)
 
 
 def test_bound_l2_rows_match_row_loop(kgap):

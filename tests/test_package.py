@@ -17,8 +17,8 @@ EXPORTS = {
     "Side", "SpectralPoint", "BandStructure", "HypothesisReport",
     "validate_band_structure", "require_hypothesis", "eval_Y", "eval_sqrtY",
     # dubrovin
-    "DirichletDivisor", "DivisorTrajectory", "PotentialSamples",
-    "integrate_dubrovin", "trace_potential", "trajectory_to_csv",
+    "DirichletDivisor", "DivisorTrajectory", "integrate_dubrovin",
+    "trace_potential", "trajectory_to_csv",
     # weyl
     "WeylContext", "PoleTag", "PoleClassification", "eval_G", "eval_H",
     "eval_m", "eval_psi_product", "eval_psi_ode", "eval_green",
@@ -37,7 +37,7 @@ EXPORTS = {
 
 
 def test_package_exports_every_module_list_once():
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 48
     assert len(levitan.__all__) == len(set(levitan.__all__))
     assert set(levitan.__all__) == EXPORTS
     for module in (spectral, dubrovin, weyl, kernel, cli):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,18 @@ def test_repeated_band_edge_is_nonmonotonic():
     # equality at a band boundary (E_2 == E_3) is an ordering defect, not a gap
     with pytest.raises(NonMonotonic):
         BandStructure((0.0, 1.0, 2.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("params, words", [
+    ({"hyp_l": 1.0}, "hyp_l must exceed 1"),
+    ({"hyp_l": 0.5}, "hyp_l must exceed 1"),
+    ({"hyp_C": 0.0}, "hyp_C and hyp_alpha must be positive"),
+    ({"hyp_C": -1.0}, "hyp_C and hyp_alpha must be positive"),
+    ({"hyp_alpha": 0.0}, "hyp_C and hyp_alpha must be positive"),
+], ids=["l_one", "l_below_one", "C_zero", "C_negative", "alpha_zero"])
+def test_rejects_inadmissible_hypothesis_parameters(params, words):
+    with pytest.raises(ValueError, match=re.escape(words)):
+        BandStructure((0.0, 1.0, 2.0), **params)
 
 
 def test_growth_violation_raises_only_on_require():

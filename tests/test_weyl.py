@@ -39,7 +39,6 @@ from levitan.errors import (
 )
 from levitan._numerics import principal_sqrt
 from levitan.spectral import as_point
-from levitan.dubrovin import potential_on
 from levitan.weyl import _magnus_pass, _ode_cs, probe_csv
 
 from conftest import (
@@ -165,12 +164,13 @@ def test_ode_cs_matches_dop853(gap1_ctx, gap2_ctx, gap10_ctx):
 def test_ode_tol_sets_the_sample_count(gap2_ctx, monkeypatch):
     from levitan import weyl
     counts = []
+    p_of = WeylContext.p_of
 
-    def counted(band, traj, x):
+    def counted(ctx, x):
         counts[-1] += np.size(x)
-        return potential_on(band, traj, x)
+        return p_of(ctx, x)
 
-    monkeypatch.setattr(weyl, "potential_on", counted)
+    monkeypatch.setattr(WeylContext, "p_of", counted)
     vals = []
     for tol in (1e-8, 1e-12):
         counts.append(0)
@@ -625,6 +625,16 @@ def test_psi_on_grid_quad_guard(gap1_ctx, monkeypatch):
         psi_on_grid(gap1_ctx, -1.0, xs, +1)
     monkeypatch.undo()
     assert np.all(np.isfinite(psi_on_grid(gap1_ctx, -1.0, xs, +1)))
+
+
+@pytest.mark.parametrize("points", [-1.0, [-1.0, 3.0 + 0.5j]],
+                         ids=["one_point", "two_points"])
+@pytest.mark.parametrize("xs", [[0.0, 0.0], [0.5, 0.1], [-0.2, 0.3, 0.3],
+                                [[0.0, 0.5]]],
+                         ids=["repeat", "decreasing", "repeat_at_end", "2d"])
+def test_psi_on_grid_rejects_a_grid_not_increasing(gap1_ctx, points, xs):
+    with pytest.raises(ValueError, match="xs must be strictly increasing"):
+        psi_on_grid(gap1_ctx, points, np.array(xs), +1)
 
 
 def test_psi_product_near_gap_bisects(gap1_ctx):
