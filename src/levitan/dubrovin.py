@@ -123,22 +123,19 @@ def _omega(band: BandStructure, theta: np.ndarray) -> np.ndarray:
     """Angle-form right sides; strictly positive on the whole torus.
 
     Vectorized over leading axes: theta of shape (..., N) gives (..., N).
-    The factors of gap j run over the other gaps only: row s of the table
-    ``other`` holds the s-th gap k != j, ascending, so each factor is formed
-    on a contiguous (other gap, gap, node) slab and the own-gap factor never
-    is.  The product over the slab axis multiplies in ascending k, so every
-    value is the float of the full product with its own-gap factor set to 1.
+    The factors of gap j run over the other gaps only, by the table
+    ``band.other_gaps``, so each factor is formed on a contiguous (other
+    gap, gap, node) slab and the own-gap factor never is.  The product over
+    the slab axis multiplies in ascending k, so every value is the float of
+    the full product with its own-gap factor set to 1.
     """
     mu = band.gap_mid - band.gap_half * np.cos(theta)
     base = 2.0 * np.sqrt(mu - band.edges[0])
     n = mu.shape[-1]
     if n <= 1:
         return base
-    s = np.arange(n - 1)[:, None]
-    other = s + (s >= np.arange(n))
+    other, lo, hi = band.other_gaps
     m = mu.reshape(-1, n).T.copy()
-    lo = band.edge_array[1::2].take(other)[..., None]
-    hi = band.edge_array[2::2].take(other)[..., None]
     f = m - lo
     f *= m - hi
     np.sqrt(f, out=f)

@@ -141,6 +141,18 @@ class BandStructure:
         return _read_only(np.asarray(self.edges, dtype=float))
 
     @cached_property
+    def other_gaps(self) -> tuple:
+        """(other, lo, hi): row s of ``other`` holds, for each gap j, the
+        s-th gap k != j, ascending; ``lo`` and ``hi`` hold its edges
+        E_{2k-1} and E_2k with a trailing axis for the nodes.  Shapes
+        (N-1, N) and (N-1, N, 1)."""
+        s = np.arange(self.gap_count - 1)[:, None]
+        other = s + (s >= np.arange(self.gap_count))
+        return tuple(_read_only(a) for a in (
+            other, self.edge_array[1::2].take(other)[..., None],
+            self.edge_array[2::2].take(other)[..., None]))
+
+    @cached_property
     def gaps(self) -> tuple:
         """Closed gap hulls [E_{2j-1}, E_2j], j = 1..N."""
         e = self.edges

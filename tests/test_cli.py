@@ -2,6 +2,7 @@
 verification summaries, exit codes, plot scripts, and byte determinism."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 import levitan
 from levitan import (
@@ -239,14 +241,61 @@ def test_free_pipeline_all_checks_pass(tmp_path):
         assert (tmp_path / "run" / name).exists()
 
 
+SUMMARY_ROWS = {
+    "hypothesis_moment", "wronskian", "weyl_routes", "green_sign",
+    "kernel_bound", "kernel_bound_monotone", "kernel_diagonal",
+    "kernel_max_abs", "oracle_equivalence", "D_diagonal",
+    "structural_identity", "reversibility", "moment"}
+
+
 def test_one_gap_summary_rows(one_gap_run):
     _, _, summary = one_gap_run
     assert summary.passed
-    for name in ("confinement", "potential_bounds", "wronskian", "weyl_routes",
-                 "green_sign", "kernel_bound", "kernel_diagonal", "oracle_equivalence",
-                 "D_diagonal", "D_symmetry", "structural_identity",
-                 "reversibility", "moment"):
-        assert summary.checks[name]["pass"], name
+    assert set(summary.checks) == SUMMARY_ROWS
+    for name, row in summary.checks.items():
+        assert row["pass"], name
+
+
+def _spoil_second_entry(orig):
+    def spoiled(*args, **kwargs):
+        out = np.array(orig(*args, **kwargs))
+        out[1] = np.nan
+        return out
+    return spoiled
+
+
+def _spoil_later_calls(orig):
+    calls = itertools.count()
+    return lambda *args, **kwargs: (orig(*args, **kwargs) if next(calls) == 0
+                                    else math.nan)
+
+
+def _spoil_second_probe(orig):
+    def spoiled(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        _, g, psi = out[1]
+        out[1] = (math.nan, g, psi)
+        return out
+    return spoiled
+
+
+@pytest.mark.parametrize("name,spoil,row", [
+    ("jost_direct", _spoil_second_entry, "oracle_equivalence"),
+    ("eval_D", _spoil_second_entry, "D_diagonal"),
+    ("structural_identity_check", _spoil_later_calls, "structural_identity"),
+    ("wronskian_check", _spoil_second_probe, "wronskian"),
+], ids=["oracle_equivalence", "D_diagonal", "structural_identity",
+        "wronskian"])
+def test_nan_sample_fails_its_row(tmp_path, monkeypatch, name, spoil, row):
+    # a NaN after the first sample of a row is its value, so the row and
+    # the run fail; a running max(worst, sample) would drop it
+    import levitan.cli as cli
+    monkeypatch.setattr(cli, name, spoil(getattr(cli, name)))
+    cfg = replace(generate_fixture("free"), out_dir=str(tmp_path / "run"))
+    summary = run_pipeline(cfg)
+    assert math.isnan(summary.checks[row]["value"])
+    assert not summary.checks[row]["pass"]
+    assert not summary.passed
 
 
 def test_summary_json_on_disk(one_gap_run):
@@ -271,6 +320,7 @@ def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
     # both writers format whole arrays at once; the per-value writers below
     # put every float through f17, one value at a time
     from levitan._numerics import f17
+    from levitan.dubrovin import trace_potential
     from levitan.kernel import jost_profile
     cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path))
     st = {}
@@ -278,8 +328,9 @@ def test_potential_and_jost_csv_match_per_value_writers(tmp_path):
         _STAGE_FNS[stage](cfg, st, {}, tmp_path)
     assert len(st["zpts"]) > 1
 
-    lines = ["x,p\n"] + ["%s,%s\n" % (f17(x), f17(p))
-                         for x, p in zip(st["traj"].x_grid, st["potential"])]
+    p = trace_potential(st["band"], st["traj"])
+    lines = ["x,p\n"] + ["%s,%s\n" % (f17(x), f17(v))
+                         for x, v in zip(st["traj"].x_grid, p)]
     assert (tmp_path / "potential.csv").read_text() == "".join(lines)
 
     lines = ["re_z,im_z,side,x,re_phi,im_phi,abs_phi\n"]
@@ -410,10 +461,9 @@ def test_reversed_z_probes_permute_the_probe_blocks(tmp_path):
 
 
 def test_verify_stage_checks_in_batches(tmp_path, monkeypatch):
-    # one amplitude evaluation per D row side (the diagonal, then both
-    # sides of the exchange), one angle read per structural-identity
-    # stencil, and no trajectory for the reversibility row, which reads
-    # only the back flow's end angles
+    # one amplitude evaluation for the D_diagonal row's batch, one angle
+    # read per structural-identity stencil, and no trajectory for the
+    # reversibility row, which reads only the back flow's end angles
     from levitan import dubrovin, kernel, weyl
     counts = {}
     _count_calls(monkeypatch, counts, kernel, "_amplitudes")
@@ -433,7 +483,7 @@ def test_verify_stage_checks_in_batches(tmp_path, monkeypatch):
     cfg = replace(generate_fixture("periodic_like", n=4),
                   out_dir=str(tmp_path))
     assert run_pipeline(cfg).passed
-    assert per_stage["verify"]["_amplitudes"] == 3
+    assert per_stage["verify"]["_amplitudes"] == 1
     assert per_stage["verify"]["integrate_dubrovin"] == 0
     assert stencils == [1] * 8
 
@@ -558,14 +608,17 @@ def test_arithmetic_stage_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "OverflowError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("category", [RuntimeWarning, IntegrationWarning],
+                         ids=["RuntimeWarning", "UserWarning_subclass"])
 def test_runtime_warning_as_error_is_a_stage_error(tmp_path, monkeypatch,
-                                                   capsys):
-    # CI runs the pipelines with RuntimeWarnings as errors: one raised in a
-    # stage exits 2 with error.json, as any other stage error does
-    def overflow(cfg, st, checks, out):
-        warnings.warn("overflow encountered in reduce", RuntimeWarning)
+                                                   capsys, category):
+    # CI runs the pipelines with warnings as errors: one raised in a stage,
+    # numpy's RuntimeWarning or scipy's IntegrationWarning (a UserWarning),
+    # exits 2 with error.json, as any other stage error does
+    def warn(cfg, st, checks, out):
+        warnings.warn("overflow encountered in reduce", category)
 
-    monkeypatch.setitem(_STAGE_FNS, "potential", overflow)
+    monkeypatch.setitem(_STAGE_FNS, "potential", warn)
     cfg = replace(generate_fixture("free"), out_dir=str(tmp_path / "run"))
     path = tmp_path / "cfg.json"
     cfg.write(path)
@@ -573,8 +626,23 @@ def test_runtime_warning_as_error_is_a_stage_error(tmp_path, monkeypatch,
         warnings.simplefilter("error")
         assert main(["all", str(path)]) == 2
     err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
-    assert (err["stage"], err["type"]) == ("potential", "RuntimeWarning")
-    assert "RuntimeWarning" in capsys.readouterr().err
+    assert (err["stage"], err["type"]) == ("potential", category.__name__)
+    assert category.__name__ in capsys.readouterr().err
+
+
+def test_growth_violation_stops_the_run_in_validate(tmp_path, capsys):
+    # E_3 - E_1 = 0.5 is not above C n^alpha = 1: the growth condition
+    # fails, and the run stops before the flow stage writes
+    cfg = replace(generate_fixture("one_gap"), out_dir=str(tmp_path / "run"),
+                  edges=(0.0, 1.0, 1.1, 1.5, 1.6),
+                  divisor=((1.05, 1), (1.55, 1)))
+    path = tmp_path / "cfg.json"
+    cfg.write(path)
+    assert main(["all", str(path)]) == 2
+    err = json.loads((tmp_path / "run" / "error.json").read_text())["error"]
+    assert (err["stage"], err["type"]) == ("validate", "GrowthViolation")
+    assert not (tmp_path / "run" / "trajectory.csv").exists()
+    assert "GrowthViolation" in capsys.readouterr().err
 
 
 def test_python_config_zero_step_writes_error_json(tmp_path):
@@ -685,8 +753,7 @@ def test_main_prefix_stage_runs_predecessors(tmp_path, capsys):
     cfg.write(path)
     assert main(["flow", str(path)]) == 0
     doc = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert set(doc["checks"]) == {"hypothesis_moment", "hypothesis_growth",
-                                  "confinement"}
+    assert set(doc["checks"]) == {"hypothesis_moment"}
     assert (tmp_path / "run" / "trajectory.csv").exists()
     assert not (tmp_path / "run" / "kernel.csv").exists()
     assert "overall: PASS" in capsys.readouterr().out
