@@ -59,6 +59,7 @@ from .kernel import (
     jost_direct,
     jost_profile,
     kernel_bound_check,
+    moment_check,
     solve_kernel,
     tail_cutoff,
 )
@@ -598,7 +599,7 @@ def _stage_verify(cfg: RunConfig, st: dict, checks: dict, out: Path) -> None:
                                      - traj.mu_at(0.0)), initial=0.0))
     checks["reversibility"] = _check(round_trip, 10.0 * cfg.flow_tol)
 
-    checks["moment"] = _check(pert.moment_value, math.inf)
+    checks["moment"] = _check(moment_check(pert), math.inf)
 
 
 _STAGE_FNS = {

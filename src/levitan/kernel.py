@@ -39,7 +39,8 @@ mirror substitution x -> -x applied to trajectory and perturbation, under
 which K_-(x, s) = K~_+(-x, -s) and phi_-(z, x) = phi~_+(z, -x) (a tilde marks
 the mirrored problem).  The one deliberate exception is jost_direct, which
 marches the Volterra equation of either sign natively, so that it stays an
-independent cross-validation oracle for the kernel route.
+independent cross-validation oracle for the kernel route.  The module needs
+numpy alone: moment_check is a closed form, and K is read only on its nodes.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import RectBivariateSpline
 
 from ._numerics import f17_column, rev_cumtrapz, write_rows
 from .errors import MomentViolation, NoConvergence
@@ -152,10 +151,6 @@ class PerturbationProfile:
             out = np.interp(x, xs, vals, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
-    @cached_property
-    def moment_value(self) -> float:
-        return moment_check(self)
-
     def mirrored(self) -> "PerturbationProfile":
         """The profile of the space-reflected problem, q~(x) = q(-x)."""
         if self.form == "gaussian_bump":
@@ -174,11 +169,27 @@ class PerturbationProfile:
 
 
 def moment_check(perturbation) -> float:
-    """int (1 + x^2) |q_tilde| dx over the support, by adaptive quadrature."""
-    a, b = perturbation.support
-    val, _ = quad(lambda x: (1.0 + x * x) * abs(perturbation(x)), a, b,
-                  limit=400, epsabs=1e-12, epsrel=1e-10)
-    return float(val)
+    """int (1 + x^2) |q_tilde| dx in closed form: the Gaussian's whole-line
+    value (inf on overflow), the polynomial's antiderivative between its
+    roots, and Simpson's rule (exact here) on table pieces split at zeros."""
+    if perturbation.form == "gaussian_bump":
+        amp, c, w = perturbation.params
+        return (abs(amp) * w * math.sqrt(2.0 * math.pi) * (1.0 + c * c + w * w)
+                if amp else 0.0)
+    if perturbation.form == "compact_poly":
+        # a leading 0 makes () a polynomial; roots outside clip to the ends
+        poly = np.array((0.0,) + perturbation.params)
+        a, b = perturbation.support
+        ends = np.sort(np.clip(np.append(np.roots(poly).real, (a, b)), a, b))
+        prim = np.polyint(np.polymul((1.0, 0.0, 1.0), poly))
+        return float(np.sum(np.abs(np.diff(np.polyval(prim, ends)))))
+    xs, vals = (np.array(t) for t in perturbation.params)
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+    zeros = xs[i] + (xs[i + 1] - xs[i]) * (vals[i] / (vals[i] - vals[i + 1]))
+    xs, f = np.insert(xs, i + 1, zeros), np.abs(np.insert(vals, i + 1, 0.0))
+    mid, g = 0.5 * (xs[:-1] + xs[1:]), (1.0 + xs * xs) * f
+    return float(np.sum(np.diff(xs) / 6.0 * (
+        g[:-1] + 2.0 * (1.0 + mid * mid) * (f[:-1] + f[1:]) + g[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +333,6 @@ class KernelGrid:
             sums = sums + 1j * np.bincount(i, weights=w.imag)
         return 2.0 * self.h * (sums - 0.5 * (w[first] + w[last]))
 
-    @cached_property
-    def _interp(self):
-        # Bicubic between lattice nodes: off-lattice evaluation must stay
-        # twice differentiable or finite-difference checks of phi would see
-        # interpolation kinks instead of the equation's residual.  A lattice
-        # with M < 3 has too few nodes for that and takes degree M.
-        v = self.h * np.arange(self.half_width + 1)
-        k = min(3, self.half_width)
-        return RectBivariateSpline(self.positions[:len(v)], v, self.values,
-                                   kx=k, ky=k, s=0)
-
     def to_csv(self, path) -> None:
         """Upper-triangular rows x,y,K over the native lattice, in the order
         of ``triangle``: by x and then y, both ascending on a + grid and
@@ -414,10 +414,10 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
         grid.side = "-"
         return grid
 
-    if not np.isfinite(perturbation.moment_value):
+    moment = moment_check(perturbation)
+    if not np.isfinite(moment):
         raise MomentViolation(
-            "second moment of the perturbation is not finite "
-            "(%r)" % (perturbation.moment_value,))
+            "second moment of the perturbation is not finite (%r)" % moment)
 
     x0, h = grid_params.x0, grid_params.h
     x_max = grid_params.x_max
@@ -579,8 +579,9 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
 
 def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
                      sign) -> complex:
-    """phi via the transformation operator: psi plus the K-smeared tail;
-    x must not lie beyond the lattice's anchor x0 (-x0 on the - side)."""
+    """phi via the transformation operator: psi plus the K-smeared tail.  x
+    must be a lattice node (to 1e-9 h; -x on the - side), where K was solved,
+    or lie past the truncation radius, where phi = psi; else ValueError."""
     sgn = _check_sign(sign)
     if grid.side != ("+" if sgn > 0 else "-"):
         raise ValueError("grid was solved for the %s side" % grid.side)
@@ -591,18 +592,16 @@ def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
     if sgn < 0:
         ctx, x = ctx.mirrored(), -x
     h = grid.h
+    i_x = (x - grid.x0) / h
+    if abs(i_x - round(i_x)) >= 1e-9 and x < grid.x_max:
+        raise ValueError("x = %g is not a node %g %s i * %g of the kernel "
+                         "lattice" % (sgn * x, sgn * grid.x0, grid.side, h))
     n = int(math.floor((grid.x_max - x) / h + 1e-9))
     if n <= 0:
         return psi_on_grid(ctx, p, np.array([x]), +1)[0]
     sgrid = x + 2.0 * h * np.arange(n + 1)
     psi = psi_on_grid(ctx, p, sgrid, +1)
-    i_x = (x - grid.x0) / h
-    if abs(i_x - round(i_x)) < 1e-9:
-        i0 = int(round(i_x))
-        js = np.arange(n + 1)
-        kv = grid.values[i0 + js, js]
-    else:
-        kv = grid._interp.ev(0.5 * (x + sgrid), 0.5 * (sgrid - x))
+    kv = grid.values.diagonal(-round(i_x))[:n + 1]
     return complex(psi[0] + np.trapezoid(kv * psi, dx=2.0 * h))
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
+from scipy.interpolate import RectBivariateSpline
 
 from levitan import BandStructure, DirichletDivisor, eval_G, eval_sqrtY
 from levitan._numerics import rev_cumtrapz
@@ -14,6 +15,7 @@ from levitan.kernel import (
     KernelBoundReport,
     _amplitudes,
     edge_amplitudes,
+    jost_from_kernel,
     tail_cutoff,
 )
 from levitan.spectral import as_point
@@ -276,9 +278,38 @@ def residue_f_plus(ctx, edge_index, x, y, r, s):
     return float((-1.0) ** edge_index * ((b[0] * b[1]) * (b[2] * b[3])))
 
 
+def k_spline(grid):
+    """The stored H(u, v) of a ``KernelGrid`` as a spline in (u, v): the
+    reference reader of K between lattice nodes, which the package does not
+    have."""
+    # Bicubic between lattice nodes: off-lattice evaluation must stay
+    # twice differentiable or finite-difference checks of phi would see
+    # interpolation kinks instead of the equation's residual.  A lattice
+    # with M < 3 has too few nodes for that and takes degree M.
+    v = grid.h * np.arange(grid.half_width + 1)
+    k = min(3, grid.half_width)
+    return RectBivariateSpline(grid.positions[:len(v)], v, grid.values,
+                               kx=k, ky=k, s=0)
+
+
+def jost_between_nodes(ctx, grid, p, x):
+    """phi_+ at any x of a + grid: ``jost_from_kernel`` on the lattice
+    nodes and past the truncation radius, and between nodes the same
+    transformation-operator sum with K read off ``k_spline``."""
+    h = grid.h
+    i_x = (x - grid.x0) / h
+    if abs(i_x - round(i_x)) < 1e-9 or not grid.x0 < x < grid.x_max:
+        return jost_from_kernel(ctx, grid, p, x, "+")
+    n = int(math.floor((grid.x_max - x) / h + 1e-9))
+    sgrid = x + 2.0 * h * np.arange(n + 1)
+    psi = psi_on_grid(ctx, p, sgrid, +1)
+    kv = k_spline(grid).ev(0.5 * (x + sgrid), 0.5 * (sgrid - x))
+    return complex(psi[0] + np.trapezoid(kv * psi, dx=2.0 * h))
+
+
 def k_at(grid, x, y):
     """K(x, y) read off a solved ``KernelGrid``: the stored value on a
-    lattice node, the grid's spline between nodes, and 0 outside the support
+    lattice node, ``k_spline`` between nodes, and 0 outside the support
     triangle (y < x on the + side, y > x on the - side)."""
     if grid.side == "-":
         x, y = -x, -y
@@ -290,7 +321,7 @@ def k_at(grid, x, y):
         return 0.0
     if abs(iu - round(iu)) < 1e-9 and abs(iv - round(iv)) < 1e-9:
         return float(grid.values[int(round(iu)), int(round(iv))])
-    return float(grid._interp.ev(u, max(v, 0.0)))
+    return float(k_spline(grid).ev(u, max(v, 0.0)))
 
 
 def schrodinger_residual(ctx, perturbation, phi_evaluator, p, x_window, h):

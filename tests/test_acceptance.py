@@ -45,7 +45,8 @@ from levitan.cli import main
 from levitan.errors import EmptyGap, GrowthViolation, NonMonotonic
 from levitan.weyl import _ode_cs
 
-from conftest import periodic_edges, schrodinger_residual
+from conftest import (jost_between_nodes, periodic_edges,
+                      schrodinger_residual)
 
 BUMP = PerturbationProfile.gaussian_bump(0.25, 0.0, 0.5)
 SEED = 20260823
@@ -304,7 +305,7 @@ def test_09_schrodinger_residual_order(ctx1):
     for h_lat, h_fd in ((0.04, 0.02), (0.02, 0.01)):
         grid = solve_kernel(ctx1, BUMP, "+", GridParams(-1.0, h_lat),
                             tol=1e-12)
-        ev = lambda x: jost_from_kernel(ctx1, grid, z, x, "+")
+        ev = lambda x: jost_between_nodes(ctx1, grid, z, x)
         residuals.append(
             schrodinger_residual(ctx1, BUMP, ev, z, (0.28, 0.32), h_fd))
     assert 3.5 <= residuals[0] / residuals[1] <= 4.5

@@ -7,7 +7,9 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scipy.integrate import cumulative_trapezoid, quad
 from conftest import (
     edge_products,
     jacobi_kernel,
+    jost_between_nodes,
     jost_profile_rows,
     k_at,
     lattice_bound_check,
@@ -178,20 +181,81 @@ def test_bad_kernel_inputs_fail_loudly(kn2, call, words):
         call(kn2)
 
 
-def test_gaussian_moment_closed_form():
-    # int (1+x^2) A exp(-(x-c)^2 / 2w^2) dx = A sqrt(2 pi) w (1 + c^2 + w^2)
-    cases = [(1.0, 0.0, 1.0), (0.5, 1.2, 0.7)]
-    for amp, c, w in cases:
-        pert = PerturbationProfile.gaussian_bump(amp, c, w)
-        expected = amp * math.sqrt(2.0 * math.pi) * w * (1.0 + c * c + w * w)
-        assert pert.moment_value == pytest.approx(expected, rel=1e-9)
+def _gaussian_moment(amp, c, w):
+    # int (1+x^2) |A| exp(-(x-c)^2 / 2w^2) dx = |A| sqrt(2 pi) w (1 + c^2 + w^2)
+    return abs(amp) * math.sqrt(2.0 * math.pi) * w * (1.0 + c * c + w * w)
 
 
-def test_moment_of_zero_profile():
-    assert moment_check(PerturbationProfile.zero()) == 0.0
+def _table_moment(xs, vals):
+    """int (1 + x^2) |q| of a nonnegative table, in exact rational
+    arithmetic: Simpson's rule is exact on each piece."""
+    assert min(vals) >= 0.0
+    xs, fs = [Fraction(v) for v in xs], [Fraction(v) for v in vals]
+    return float(sum((b - a) / 6 * ((1 + a * a) * fa
+                                    + 2 * (1 + ((a + b) / 2) ** 2) * (fa + fb)
+                                    + (1 + b * b) * fb)
+                     for a, b, fa, fb in zip(xs, xs[1:], fs, fs[1:])))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def _long_table():
+    # 13,501 nodes of 0.1 sin^2(40 pi x)(1 - x^2) on [-1, 1]
+    xs = np.linspace(-1.0, 1.0, 13501)
+    vals = 0.1 * np.sin(40.0 * np.pi * xs) ** 2 * (1.0 - xs * xs)
+    vals[0] = vals[-1] = 0.0
+    return PerturbationProfile.from_table(xs, vals)
+
+
+# 0.2 (x^2 - 0.04)(x^2 - 1): sign changes at +-0.2 inside the support
+_POLY = PerturbationProfile.compact_poly((0.2, 0.0, -0.208, 0.0, 0.008),
+                                         (-1.0, 1.0))
+_POLY_QUAD = quad(lambda x: (1.0 + x * x) * abs(_POLY(x)), -1.0, 1.0,
+                  points=(-0.2, 0.2), epsabs=1e-15, epsrel=1e-14)[0]
+# q = x on [0, 1], 3 - 2x on [1, 2] (zero at 1.5), x - 3 on [2, 3]:
+# 3/4 + (19/32 + 35/32) + 13/4 = 91/16
+_SIGN_TABLE = PerturbationProfile.from_table((0.0, 1.0, 2.0, 3.0),
+                                             (0.0, 1.0, -1.0, 0.0))
+
+
+@pytest.mark.parametrize("make, expected, rel", [
+    pytest.param(lambda: PerturbationProfile.gaussian_bump(1.0, 0.0, 1.0),
+                 _gaussian_moment(1.0, 0.0, 1.0), 1e-15, id="gaussian_centred"),
+    pytest.param(lambda: PerturbationProfile.gaussian_bump(0.5, 1.2, 0.7),
+                 _gaussian_moment(0.5, 1.2, 0.7), 1e-15, id="gaussian_shifted"),
+    pytest.param(lambda: PerturbationProfile.gaussian_bump(-0.3, -0.4, 0.2),
+                 _gaussian_moment(-0.3, -0.4, 0.2), 1e-15,
+                 id="gaussian_negative"),
+    pytest.param(lambda: PerturbationProfile.from_table(
+                     (-1.0, -0.5, 0.0, 0.5, 1.0), (0.0, 0.05, 0.1, 0.05, 0.0)),
+                 7.0 / 60.0, 1e-15, id="table_hat"),
+    pytest.param(lambda: _SIGN_TABLE, 91.0 / 16.0, 1e-15,
+                 id="table_sign_change"),
+    pytest.param(lambda: _POLY, _POLY_QUAD, 1e-14, id="poly_sign_change"),
+    pytest.param(lambda: PerturbationProfile.compact_poly((), (-1.0, 1.0)),
+                 0.0, 0.0, id="poly_empty"),
+    pytest.param(PerturbationProfile.zero, 0.0, 0.0, id="zero"),
+    pytest.param(lambda: PerturbationProfile.gaussian_bump(
+                     0.5, 1.2, 0.7).mirrored(),
+                 _gaussian_moment(0.5, 1.2, 0.7), 1e-15,
+                 id="gaussian_mirrored"),
+    pytest.param(lambda: _SIGN_TABLE.mirrored(), 91.0 / 16.0, 1e-15,
+                 id="table_mirrored"),
+    pytest.param(lambda: _POLY.mirrored(), _POLY_QUAD, 1e-14,
+                 id="poly_mirrored"),
+    pytest.param(_long_table, None, 1e-15, id="table_13501_nodes"),
+])
+def test_moment_is_exact(make, expected, rel):
+    # every form's second moment is a closed form, exact up to rounding and
+    # silent even under warnings-as-errors (a 13,501-node table once made an
+    # adaptive quadrature warn and miss by 1.6e-6)
+    pert = make()
+    if expected is None:                # the long table's exact value
+        expected = _table_moment(*pert.params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = moment_check(pert)
+    assert got == pytest.approx(expected, rel=rel, abs=0.0)
+
+
 def test_moment_slow_decay_grows_with_window():
     # q ~ 1/(1+|x|) has a non-integrable second moment: the report grows
     # without bound as the table's window [-w, w] widens (a flag for the
@@ -588,7 +652,7 @@ def test_off_lattice_reads_on_a_two_step_lattice(kgap):
     assert ks[-1] == grid.values[2, 1] == 0.0
     assert all(a > b for a, b in zip(ks, ks[1:]))
     z = SpectralPoint(-1.0 + 0.0j)
-    phis = [jost_from_kernel(kgap, grid, z, x, "+")
+    phis = [jost_between_nodes(kgap, grid, z, x)
             for x in np.linspace(-0.2, -0.15, 9)]
     assert all(a.real > b.real for a, b in zip(phis, phis[1:]))
 
@@ -645,11 +709,12 @@ def test_no_convergence_reports_deltas(kgap):
 
 
 def test_moment_violation():
+    # the closed form |A| w sqrt(2 pi) (1 + c^2 + w^2) overflows to inf
     band = BandStructure((0.0,))
     traj = integrate_dubrovin(band, DirichletDivisor(()), -1.0, 3.0, step=0.1)
     ctx = WeylContext(band, traj)
-    pert = PerturbationProfile.gaussian_bump(1.0, 0.0, 0.3)
-    pert.__dict__["moment_value"] = math.inf
+    pert = PerturbationProfile.gaussian_bump(1e308, 0.0, 10.0)
+    assert moment_check(pert) == math.inf
     with pytest.raises(MomentViolation):
         solve_kernel(ctx, pert, "+", GridParams(x0=-1.0, h=0.1))
 
@@ -1018,6 +1083,24 @@ def test_jost_from_kernel_refuses_points_left_of_lattice(kgap):
             jost_from_kernel(kgap, grid, z, x, "-")
 
 
+def test_jost_from_kernel_refuses_points_between_nodes(kgap):
+    # K is read only where it was solved: an x between two nodes short of
+    # the truncation radius is refused with the lattice named; past the
+    # radius, K = 0 and any x gives psi
+    z = SpectralPoint(-1.0 + 0.0j)
+    for side, sgn in (("+", 1.0), ("-", -1.0)):
+        grid = solve_kernel(kgap, BUMP_NARROW, side,
+                            GridParams(x0=-1.5, h=0.05), tol=1e-10)
+        lattice = "%g %s i * 0.05" % (-1.5 * sgn, side)
+        for x in (-0.325, -1.47, grid.x_max - 0.025):
+            with pytest.raises(ValueError, match=re.escape(lattice)):
+                jost_from_kernel(kgap, grid, z, sgn * x, side)
+        x = sgn * (grid.x_max + 0.013)
+        psi = psi_on_grid(kgap, z, np.array([x]), sgn)[0]
+        assert jost_from_kernel(kgap, grid, z, x, side) == \
+            pytest.approx(psi, rel=1e-10)
+
+
 def test_jost_equals_psi_beyond_support(kgap):
     grid = solve_kernel(kgap, BUMP_NARROW, "+", GridParams(x0=-1.5, h=0.05),
                         tol=1e-10)
@@ -1201,6 +1284,6 @@ def test_residual_end_to_end(kgap):
     grid = solve_kernel(kgap, BUMP, "+", GridParams(x0=-1.5, h=0.05),
                         tol=1e-11)
     z = SpectralPoint(-1.0 + 0.0j)
-    ev = lambda x: jost_from_kernel(kgap, grid, z, x, "+")
+    ev = lambda x: jost_between_nodes(kgap, grid, z, x)
     res = schrodinger_residual(kgap, BUMP, ev, z, (0.28, 0.32), 1e-3)
     assert res <= 1e-3

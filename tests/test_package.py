@@ -6,7 +6,10 @@ solver settings, and README's config table lists every config key path."""
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import levitan
@@ -112,3 +115,23 @@ def test_readme_config_table_lists_every_key():
     assert len(paths) == len(set(paths))
     # "band" and "divisor" have rows of their own: each may be a string
     assert set(paths) == set(cli._KEYS) | {"band", "divisor"}
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package's one scipy name is dubrovin's CubicHermiteSpline; the
+    # kernel layer needs numpy alone, so scipy.integrate is never loaded
+    src = Path(levitan.__file__).resolve().parents[1]
+    names = {alias.name
+             for path in sorted((src / "levitan").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("scipy")
+             for alias in node.names}
+    assert names == {"CubicHermiteSpline"}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, levitan; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
