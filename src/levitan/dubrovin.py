@@ -40,12 +40,7 @@ from numpy.polynomial import chebyshev
 from scipy.interpolate import CubicHermiteSpline
 
 from ._numerics import barycentric_matrix, cheb_lobatto, f17_column, write_rows
-from .errors import (
-    DegenerateGap,
-    NoConvergence,
-    QuadratureFailure,
-    StepTooLarge,
-)
+from .errors import NoConvergence, QuadratureFailure, StepTooLarge
 from .spectral import BandStructure
 
 __all__ = [
@@ -56,7 +51,6 @@ __all__ = [
     "trajectory_to_csv",
 ]
 
-_DEGENERATE_WIDTH = 1e-12
 # panel target = flow tolerance / _TOL_SAFETY, never below the floor under
 # which sweep changes and series tails are rounding noise
 _TOL_SAFETY = 100.0
@@ -400,8 +394,8 @@ def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
                     x_end: float, tol: float = 1e-10,
                     guess=None) -> np.ndarray:
     """The angles at ``x_end`` of the flow from ``divisor`` at x = 0, after
-    the guards of every flow run: ValueError for a divisor that does not
-    fit the band, DegenerateGap for a gap too thin to integrate.
+    the guard of every flow run: ValueError for a divisor that does not
+    fit the band.
 
     At x_end = 0 these are the start angles: theta_j in [0, pi] for
     sigma_j = +1, in [pi, 2 pi] for sigma_j = -1 (sin < 0 on the descending
@@ -417,10 +411,6 @@ def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
     only how many sweeps are made.
     """
     divisor.validate_against(band)
-    if band.gap_count and band.gap_half.min() <= _DEGENERATE_WIDTH * max(
-            1.0, np.abs(band.edge_array).max()):
-        raise DegenerateGap("a gap is too thin to integrate (half width %g)"
-                            % band.gap_half.min())
     c = np.clip((band.gap_mid - divisor.mu) / band.gap_half, -1.0, 1.0)
     theta0 = np.arccos(c)
     theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - theta0, theta0)
@@ -454,9 +444,9 @@ def integrate_dubrovin(band: BandStructure, divisor: DirichletDivisor,
 
     Raises NoConvergence when the sweeps of a panel do not settle within
     _MAX_SWEEPS, and QuadratureFailure when its Chebyshev tail stays above
-    the target, once halving would take the panel below _PANEL_FLOOR;
-    DegenerateGap for a gap too thin to integrate and StepTooLarge when
-    the output step is too coarse for the spline.
+    the target, once halving would take the panel below _PANEL_FLOOR, and
+    StepTooLarge when the output step is too coarse for the spline.  No
+    gap is too thin: Omega never forms a gap's own edge factor.
     """
     if step <= 0.0 or tol <= 0.0:
         raise ValueError("step and tol must be positive")

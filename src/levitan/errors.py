@@ -40,10 +40,6 @@ class BranchAtEdge(LevitanError):
 
 # --- divisor flow --------------------------------------------------------------
 
-class DegenerateGap(LevitanError):
-    """A gap is numerically too thin to carry a divisor point."""
-
-
 class StepTooLarge(LevitanError):
     """Angle advance per output step exceeded pi/2; the flow is under-resolved."""
 

@@ -20,19 +20,20 @@ factorizes over its four position arguments,
 with a real amplitude b_k(t) = L_k(t) prod_j (|E_k - mu_j(t)| S_kj)^{1/2},
 each factor normalized by ``BandStructure.edge_scale``, so b_k^4 / (-1)^k
 is prod_j |E_k - mu_j|^2 / prod_{m != k} (E_k - E_m), and no factor
-overflows however many gaps there are.  The sign L_k has a closed form in
-the Dubrovin angles: for the lower edge of gap j, E_{2j-1} - mu_j =
+overflows however many gaps there are.  The own-gap factor has a closed
+form in the Dubrovin angles: for the lower edge of gap j, E_{2j-1} - mu_j =
 -2 w_j sin^2(theta_j / 2), so the analytic amplitude is a multiple of
-sin(theta_j / 2) (cos for the upper edge E_2j).  L_k(t) is the sign of that
-factor, read off the branch index floor(theta_j / pi) with the right-limit
-convention of the sheet sign; L_0 = 1 (no mu_j reaches E_0).  On the flow
-(Omega > 0) the sign flips at each touch of mu_j on E_k; a tangential touch
-keeps it.  The sign is the limit phase of the oscillating exponential of
-psi_+ as z approaches the edge through the adjacent band, up to a constant
-factor that cancels in every product of four amplitudes.  The factorized
-form lets the solver build each lattice row's factors from slices of one
-(edges, positions) amplitude array, filled by one pass over the divisor, so
-no factor over the whole lattice is ever stored.
+sin(theta_j / 2) (cos for the upper edge E_2j, where E_2j - mu_j =
+2 w_j cos^2(theta_j / 2)).  That factor is taken as it stands, with its
+sign: it is exact however thin the gap, where the subtraction E_k - mu_j
+would cancel, and L_k(t) is its sign; L_0 = 1 (no mu_j reaches E_0).  On
+the flow (Omega > 0) the sign flips at each touch of mu_j on E_k; a
+tangential touch keeps it.  The sign is the limit phase of the oscillating
+exponential of psi_+ as z approaches the edge through the adjacent band,
+up to a constant factor that cancels in every product of four amplitudes.
+The factorized form lets the solver build each lattice row's factors from
+slices of one (edges, positions) amplitude array, filled by one pass over
+the divisor, so no factor over the whole lattice is ever stored.
 
 The - side is never solved directly: all minus-side objects come from the
 mirror substitution x -> -x applied to trajectory and perturbation, under
@@ -196,35 +197,33 @@ def moment_check(perturbation) -> float:
 # edge amplitudes b_k(t)
 # ---------------------------------------------------------------------------
 
-# the signs of sin(theta / 2) and cos(theta / 2) on the branch
-# k = floor(theta / pi), by k mod 4: (-1)^(k // 2) and (-1)^((k + 1) // 2)
-_HALF_ANGLE_SIGNS = np.array([[1, 1], [1, -1], [-1, -1], [-1, 1]], dtype=float)
-
-
 def _amplitudes(ctx: WeylContext, edges: slice, ts: np.ndarray) -> np.ndarray:
     """b_k(ts) for each k in the slice ``edges`` of the edge list, shape
     (edges, len(ts)), from one spline evaluation of the angles.
 
-    L_k(t) is the sign of the own-gap factor, sin(theta_j / 2) for E_{2j-1}
-    and cos(theta_j / 2) for E_2j, read off the branch index
-    floor(theta_j / pi).  A position on a touch takes the sign to its right
-    (the amplitude vanishes there anyway); E_0 keeps L_0 = 1.
+    The own gap of E_{2j-1} enters as 2 w_j S_kj (``BandStructure.own_gap``)
+    under the root and sin(theta_j / 2) outside it, that of E_2j with
+    cos(theta_j / 2): closed forms, whose sign is L_k(t), so no edge is
+    subtracted from its own mu_j.  E_0 has no own gap and L_0 = 1.
     """
-    traj = ctx.trajectory
+    band, traj = ctx.band, ctx.trajectory
     theta = traj.theta_at(ts)
-    amp = np.sqrt(np.prod(np.abs(ctx.band.edge_array[edges, None, None]
-                                 - traj.mu_of_theta(theta))
-                          * ctx.band.edge_scale[edges, None], axis=-1))
-    k = np.floor(theta / math.pi).astype(int)
-    sign = np.ones((len(k), 2 * k.shape[1] + 1))
-    sign[:, 1:] = _HALF_ANGLE_SIGNS[k % 4].reshape(len(k), -1)
-    return amp * sign[:, edges].T
+    mask, own = band.own_gap
+    mask, own = mask[edges], own[edges]
+    # (edges, gaps, positions): each own-gap entry is one contiguous row
+    f = np.abs(band.edge_array[edges, None, None] - traj.mu_of_theta(theta).T)
+    f *= band.edge_scale[edges, :, None]
+    f[mask] = own[mask][:, None]
+    half = np.ones((len(band.edges), len(theta)))
+    half[1::2], half[2::2] = np.sin(0.5 * theta.T), np.cos(0.5 * theta.T)
+    return np.sqrt(np.prod(f, axis=1)) * half[edges]
 
 
 def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
     """b_k at an array of positions, a fresh array on every call (real;
-    modulus prod_j (|E_k - mu_j| S_kj)^{1/2}, sign that of sin(theta_j / 2)
-    for E_k = E_{2j-1}, cos(theta_j / 2) for E_k = E_2j)."""
+    modulus prod_j (|E_k - mu_j| S_kj)^{1/2}, the own gap's factor in
+    closed form, a multiple of sin(theta_j / 2) for E_k = E_{2j-1} and of
+    cos(theta_j / 2) for E_k = E_2j, which carries the sign)."""
     if not 0 <= edge_index < len(ctx.band.edges):
         raise ValueError("edge index %d out of range" % edge_index)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))

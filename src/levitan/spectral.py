@@ -184,6 +184,17 @@ class BandStructure:
         s[:, :1] *= d[:, :1]
         return _read_only(1.0 / np.sqrt(s))
 
+    @cached_property
+    def own_gap(self) -> tuple:
+        """(mask, factor), shapes (edges, gaps): ``mask`` marks the gap of
+        E_{2j-1} and E_2j as their own, where ``factor`` is 2 w_j S_kj, so
+        that |E_k - mu_j| S_kj is factor times sin^2(theta_j / 2) at the
+        lower edge and cos^2(theta_j / 2) at the upper one."""
+        mask = np.zeros_like(self.edge_scale, dtype=bool)
+        mask[1:] = np.repeat(np.eye(self.gap_count, dtype=bool), 2, axis=0)
+        return _read_only(mask), _read_only(2.0 * self.gap_half
+                                            * self.edge_scale)
+
     @property
     def min_gap_width(self) -> float:
         return float(2.0 * self.gap_half.min()) if self.gap_count else math.inf

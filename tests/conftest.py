@@ -3,6 +3,7 @@ the suite.  Session-scoped where construction is not free."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
@@ -125,6 +126,28 @@ def edge_products(band):
     e = band.edges
     return np.array([math.prod(e[k] - e[m] for m in range(len(e)) if m != k)
                      for k in range(len(e))])
+
+
+def amplitude_modulus_50(band, theta):
+    """|b_k| for every edge k at each row of float angles, shape (edges,
+    rows), from a 50-digit product: sqrt(prod_j |E_k - mu_j|) over
+    |prod_{m != k} (E_k - E_m)|^{1/4}, with mu_j = m_j - w_j cos(theta_j)
+    on the midpoints and half widths of the float edges.  At that precision
+    the edge subtractions cancel nothing, so the reference carries only the
+    rounding of its result."""
+    out = np.empty((len(band.edges), len(theta)))
+    with mpmath.workdps(50):
+        e = [mpmath.mpf(v) for v in band.edges]
+        mid = [(a + b) / 2 for a, b in zip(e[1::2], e[2::2])]
+        half = [(b - a) / 2 for a, b in zip(e[1::2], e[2::2])]
+        den = [mpmath.fprod(abs(ek - em) for em in e[:k] + e[k + 1:]) ** 0.25
+               for k, ek in enumerate(e)]
+        for i, row in enumerate(np.asarray(theta).tolist()):
+            mu = [m - w * mpmath.cos(t) for m, w, t in zip(mid, half, row)]
+            for k, ek in enumerate(e):
+                out[k, i] = float(mpmath.sqrt(
+                    mpmath.fprod(abs(ek - v) for v in mu)) / den[k])
+    return out
 
 
 def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):

@@ -20,14 +20,11 @@ from levitan.dubrovin import (
     trajectory_to_csv,
 )
 from levitan.cli import run_pipeline
-from levitan.errors import (
-    DegenerateGap,
-    NoConvergence,
-    QuadratureFailure,
-    StepTooLarge,
-)
+from levitan.errors import NoConvergence, QuadratureFailure, StepTooLarge
+from levitan.kernel import edge_amplitudes
 
 from conftest import (
+    amplitude_modulus_50,
     dop853_flow,
     midpoint_divisor,
     omega_full_product,
@@ -171,13 +168,6 @@ def test_step_too_large(one_gap_band):
         integrate_dubrovin(one_gap_band, div, -1.0, 1.0, step=1.0, tol=1e-10)
 
 
-def test_degenerate_gap():
-    band = BandStructure((0.0, 1.0, 1.0 + 2.5e-13))
-    div = DirichletDivisor(((1.0 + 1e-13, 1),))
-    with pytest.raises(DegenerateGap):
-        integrate_dubrovin(band, div, -1.0, 1.0, step=0.01, tol=1e-10)
-
-
 def test_divisor_validation(one_gap_band):
     with pytest.raises(ValueError):
         DirichletDivisor(((1.5, 2),))
@@ -222,10 +212,27 @@ def test_flow_end_angles_are_the_window_end_rows(kind, kwargs, tmp_path):
             _bits(row)
 
 
+def test_a_thin_gap_integrates():
+    # a gap of half width 1.25e-13 at E = 1: the flow runs, the end angles
+    # are the integrator's window-end rows bit for bit, and the edge
+    # amplitudes, whose own-gap factor comes from the half angle, meet the
+    # 50-digit reference
+    band = BandStructure((0.0, 1.0, 1.0 + 2.5e-13))
+    div = DirichletDivisor(((1.0 + 1e-13, 1),))
+    traj = integrate_dubrovin(band, div, -1.0, 1.0, step=0.01, tol=1e-10)
+    assert traj.increasing(0)
+    for x_end, row in ((-1.0, traj.theta[0]), (1.0, traj.theta[-1])):
+        assert _bits(dubrovin.flow_end_angles(band, div, x_end, tol=1e-10)) \
+            == _bits(row)
+    ts = np.linspace(-1.0, 1.0, 41)
+    ref = amplitude_modulus_50(band, traj.theta_at(ts))
+    ctx = WeylContext(band, traj)
+    amp = np.array([edge_amplitudes(ctx, k, ts) for k in range(3)])
+    assert np.all(np.abs(np.abs(amp) - ref) <= 1e-14 * ref)
+
+
 def test_flow_end_angles_raise_what_the_integrator_raises(one_gap_band):
-    thin = BandStructure((0.0, 1.0, 1.0 + 2.5e-13))
-    cases = [(thin, DirichletDivisor(((1.0 + 1e-13, 1),)), DegenerateGap),
-             (one_gap_band, DirichletDivisor(()), ValueError),
+    cases = [(one_gap_band, DirichletDivisor(()), ValueError),
              (one_gap_band, DirichletDivisor(((0.5, 1),)), ValueError)]
     for band, div, exc in cases:
         with pytest.raises(exc) as flow:

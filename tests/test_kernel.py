@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
 from conftest import (
+    amplitude_modulus_50,
     edge_products,
     jacobi_kernel,
     jost_between_nodes,
@@ -393,10 +394,11 @@ def test_residue_vanishes_at_touch(kgap_sym):
     assert residue_f_plus(kgap_sym, 1, 0.5, 0.0, 0.8, -0.3) == 0.0
 
 
-def _flow_context(kind, n, seed, out):
-    """The fixture's config, its flow-stage state and the Weyl context,
-    built by the pipeline's own validate and flow stages."""
-    cfg = generate_fixture(kind, n=n, seed=seed)
+def _flow_context(kind, n, seed, out, cfg=None):
+    """The fixture's config (or ``cfg``), its flow-stage state and the Weyl
+    context, built by the pipeline's own validate and flow stages."""
+    if cfg is None:
+        cfg = generate_fixture(kind, n=n, seed=seed)
     st = {}
     for stage in ("validate", "flow"):
         cli._STAGE_FNS[stage](cfg, st, {}, out)
@@ -408,42 +410,58 @@ def _flow_context(kind, n, seed, out):
 FORMERLY_FAILING = [(5, 1), (8, 0), (8, 5), (9, 3), (9, 6)]
 
 
+def _square_gaps(n, power):
+    """periodic_like n = 10's probes, perturbation and lattice on gaps at j^2
+    of half width 0.1 j^-power, mu_j at the midpoints on alternating sheets:
+    the n-gap truncation of one infinite-gap background."""
+    edges = [0.0] + [j * j + s * 0.1 / j ** power
+                     for j in range(1, n + 1) for s in (-1.0, 1.0)]
+    divisor = tuple(((edges[2 * j - 1] + edges[2 * j]) / 2.0,
+                     1 if j % 2 == 1 else -1) for j in range(1, n + 1))
+    return replace(generate_fixture("periodic_like", n=10), edges=tuple(edges),
+                   divisor=divisor)
+
+
 @pytest.fixture(scope="module",
                 params=[("periodic_like", 4, 0), ("random", 6, 0),
                         ("one_gap", 0, 0)]
-                + [("random", n, seed) for n, seed in FORMERLY_FAILING],
+                + [("random", n, seed) for n, seed in FORMERLY_FAILING]
+                + [("periodic_like", 10, 0), ("square_gaps", 40, 0)],
                 ids=["periodic_like-4", "random-6", "one_gap"]
-                + ["random-%d-%d" % p for p in FORMERLY_FAILING])
+                + ["random-%d-%d" % p for p in FORMERLY_FAILING]
+                + ["periodic_like-10", "square-gaps-40"])
 def kfixture(request, tmp_path_factory):
-    return _flow_context(*request.param, tmp_path_factory.mktemp("flow"))[2]
+    # square-gaps-40: forty gaps down to half width 2.4e-11, where an edge
+    # less its own mu_j would cancel
+    kind, n, seed = request.param
+    cfg = _square_gaps(n, 6) if kind == "square_gaps" else None
+    return _flow_context(kind, n, seed, tmp_path_factory.mktemp("flow"),
+                         cfg)[2]
 
 
 def test_edge_amplitudes_match_closed_form(kfixture):
-    # oracle: sign(b_k(t) b_k(0)) is (-1)^(touches strictly between 0 and t),
-    # |b_k(t)| is sqrt(prod |E_k - mu_j|) / |prod_{m != k} (E_k - E_m)|^{1/4},
-    # and sign(b_k(t)) is read from the angle, sin(theta_j/2) for the lower
-    # edge and cos(theta_j/2) for the upper one
+    # oracle: |b_k(t)| is the 50-digit modulus of the same float angles, to
+    # 1e-14 relative; sign(b_k(t) b_k(0)) is (-1)^(touches strictly between
+    # 0 and t), and sign(b_k(t)) is read from the angle, sin(theta_j/2) for
+    # the lower edge and cos(theta_j/2) for the upper one
     ctx = kfixture
     traj = ctx.trajectory
     ts = np.linspace(traj.x_min, traj.x_max, 61)
-    scale = np.abs(edge_products(ctx.band)) ** -0.25
+    theta = traj.theta_at(ts)
+    ref = amplitude_modulus_50(ctx.band, theta)
     for k in range(1, len(ctx.band.edges)):
         j = (k + 1) // 2 - 1
         kind, half = ("lower", np.sin) if k % 2 == 1 else ("upper", np.cos)
         a = edge_amplitudes(ctx, k, ts)
+        assert np.all(np.abs(np.abs(a) - ref[k]) <= 1e-14 * ref[k])
         sign0 = math.copysign(1.0, edge_amplitudes(ctx, k, [0.0])[0])
-        assert np.all(a.imag == 0.0)
-        for t, av in zip(ts, a.real):
-            touches = traj.touch_points(j, kind)
-            touches = touches[(touches > min(t, 0.0) + 1e-9)
-                              & (touches < max(t, 0.0) - 1e-9)]
-            mod = scale[k] * math.sqrt(
-                np.prod(np.abs(ctx.band.edges[k] - traj.mu_at(t))))
-            assert sign0 * av == pytest.approx((-1.0) ** len(touches) * mod,
-                                               rel=1e-12, abs=1e-15)
-            angle_sign = half(0.5 * traj.theta_at(t)[j])
+        touches = traj.touch_points(j, kind)
+        for t, av, angle_sign in zip(ts, a, half(0.5 * theta[:, j])):
             if abs(angle_sign) > 1e-6:
                 assert math.copysign(1.0, av) == math.copysign(1.0, angle_sign)
+                between = touches[(touches > min(t, 0.0) + 1e-9)
+                                  & (touches < max(t, 0.0) - 1e-9)]
+                assert sign0 * math.copysign(1.0, av) == (-1.0) ** len(between)
 
 
 def test_eval_D_is_residue_sum_bit_for_bit(kfixture, rng):
@@ -482,20 +500,15 @@ def test_random_fixture_pipeline_passes(tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_gap_truncation_is_cauchy_in_n(tmp_path):
-    # periodic_like n = 10's probes, perturbation and lattice on gaps at j^2
-    # of half width 0.1 j^-4, mu_j at the midpoints on alternating sheets:
-    # the N-gap truncations of one infinite-gap background.  Every pipeline
+    # the N-gap truncations of gaps at j^2 of half width 0.1 j^-4, down to
+    # 1.2e-9 at N = 80, at flow.step 0.004 (at 0.01 the flow's angle
+    # advance per output step passes pi/2 near N = 78).  Every pipeline
     # passes, K_N settles on the shared lattice and C_const stays put
     kernels, consts = [], []
-    for n in (10, 20, 40, 60):
-        edges = [0.0] + [j * j + s * 0.1 / j ** 4
-                         for j in range(1, n + 1) for s in (-1.0, 1.0)]
-        divisor = tuple(((edges[2 * j - 1] + edges[2 * j]) / 2.0,
-                         1 if j % 2 == 1 else -1) for j in range(1, n + 1))
+    for n in (10, 20, 40, 60, 80):
         out = tmp_path / str(n)
-        summary = cli.run_pipeline(replace(
-            generate_fixture("periodic_like", n=10), edges=tuple(edges),
-            divisor=divisor, out_dir=str(out)))
+        summary = cli.run_pipeline(replace(_square_gaps(n, 4), flow_step=0.004,
+                                           out_dir=str(out)))
         failed = [k for k, row in summary.checks.items() if not row["pass"]]
         assert failed == []
         kernels.append(np.loadtxt(out / "kernel.csv", delimiter=",",
@@ -506,8 +519,8 @@ def test_infinite_gap_truncation_is_cauchy_in_n(tmp_path):
         assert np.array_equal(k[:, :2], kernels[0][:, :2])
     steps = [np.max(np.abs(b[:, 2] - a[:, 2]))
              for a, b in zip(kernels, kernels[1:])]
-    assert steps[0] > steps[1] > steps[2]
-    assert consts == pytest.approx([0.408240] * 4, abs=1e-6)
+    assert steps[0] > steps[1] > steps[2] > steps[3]
+    assert consts == pytest.approx([0.408240] * 5, abs=1e-6)
 
 
 def _y_prime(band, z):
