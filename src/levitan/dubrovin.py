@@ -411,8 +411,9 @@ def flow_end_angles(band: BandStructure, divisor: DirichletDivisor,
     only how many sweeps are made.
     """
     divisor.validate_against(band)
-    c = np.clip((band.gap_mid - divisor.mu) / band.gap_half, -1.0, 1.0)
-    theta0 = np.arccos(c)
+    # mu - E_{2j-1} = 2 w_j sin^2(theta_j / 2), E_2j - mu = 2 w_j cos^2
+    theta0 = 2.0 * np.arctan2(np.sqrt(divisor.mu - band.edge_array[1::2]),
+                              np.sqrt(band.edge_array[2::2] - divisor.mu))
     theta0 = np.where(divisor.sigma < 0, 2.0 * math.pi - theta0, theta0)
     if x_end == 0.0 or not band.gap_count:
         return theta0

@@ -31,7 +31,7 @@ the flow (Omega > 0) the sign flips at each touch of mu_j on E_k; a
 tangential touch keeps it.  The sign is the limit phase of the oscillating
 exponential of psi_+ as z approaches the edge through the adjacent band,
 up to a constant factor that cancels in every product of four amplitudes.
-The factorized form lets the solver build each lattice row's factors from
+The factorized form lets the solver build each K-row's factors from
 slices of one (edges, positions) amplitude array, filled by one pass over
 the divisor, so no factor over the whole lattice is ever stored.
 
@@ -379,29 +379,30 @@ def tail_cutoff(perturbation: PerturbationProfile, x0: float, h: float,
 def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
                  grid_params: GridParams, tol: float = 1e-9,
                  max_iter: int = 50) -> KernelGrid:
-    """Solve the kernel equation by one march over the rows, from X down.
+    """Solve the kernel equation by one march over the rows of K, from X down.
 
     In rotated coordinates the equation reads
 
         H(u, v) = -2 int_u^X q(t) D(u-v, t, t, u+v) dt
                   -4 int_u^X da int_0^v db q(a-b) D(u-v, a-b, a+b, u+v) H(a, b)
 
-    discretized by the trapezoid rule in b along each row and the reverse
-    trapezoid rule in a over the rows.  With D factorized over the edges
-    (real amplitudes b_k, c_k = -(-1)^k / 4),
+    discretized by the trapezoid rule in b along each H-row (fixed u) and
+    the reverse trapezoid rule in a over the H-rows.  With D factorized over
+    the edges (real amplitudes b_k, c_k = -(-1)^k / 4),
 
         H(u, v) = -2 sum_k c_k b_k(u-v) b_k(u+v) (phi_k(u) + 2 W_k(u, v)),
 
     where phi_k(u) = int_u^X q b_k^2 and W_k is the double integral of
-    q(a-b) b_k(a-b) b_k(a+b) H(a, b).  Row u needs only the rows a >= u,
-    which enter W_k through one running (edges, M+1) sum, so the rows are
-    solved in turn from u = X (where H = 0) down to u = x0, each as one
-    vectorized update over all edges.  A row enters its own W_k with the
-    trapezoid's end weight; that implicit part is solved by a fixed point
-    started from the row above, stopped once the row moves less than
-    ``tol``.  ``iterations`` and ``final_delta`` are the largest step count
-    and last change over the rows; a row still moving after ``max_iter``
-    steps raises NoConvergence with its delta history.  ``tol`` must be
+    q(a-b) b_k(a-b) b_k(a+b) H(a, b).  Cell H[m, l] needs only itself and
+    cells of smaller m - l, so the march goes over the K-rows x_i = x0 + i h,
+    i = M down to 0, whose cells H[i+l, l] = K(x_i, x_{i+2l}) are independent
+    (Linz 1985, ch. 7): one vectorized step over all edges per K-row, W_k
+    from two running (edges, M+1) sums.  The trapezoid's end weight leaves
+    each cell one scalar equation, cell = a + b cell with |b| = O(h^2 |q|),
+    solved by a fixed point from a until every cell moves less than ``tol``.
+    ``iterations`` and ``final_delta`` are the most sweeps and the largest
+    last change over the K-rows; a K-row still moving after ``max_iter``
+    sweeps raises NoConvergence with its delta history.  ``tol`` must be
     positive and ``max_iter`` at least 1, else ValueError.
     """
     if tol <= 0.0 or max_iter < 1:
@@ -440,34 +441,36 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
     phi = rev_cumtrapz(qt[:m_steps + 1] * amps[:, :m_steps + 1] ** 2, h,
                        axis=1)
 
+    # b_k(x_{i+2l}), l = 0.., is a contiguous slice of one parity's copy;
+    # run holds 2 W_k by column over the H-rows done, trap 2h times the
+    # trapezoid along each H-row up to its next cell, less that cell's term
+    split = amps[:, 0::2].copy(), amps[:, 1::2].copy()
     values = np.zeros((m_steps + 1, m_steps + 1))
-    # 2 W_k on the current row, less the row's own term
-    run = np.zeros((len(amps), m_steps + 1))
-    row = np.zeros(m_steps + 1)
+    run, trap = np.zeros((2, len(amps), m_steps + 1))
     most, worst = 0, 0.0
-    for m in range(m_steps, -1, -1):
-        outer = amps[:, m::-1] * amps[:, m:2 * m + 1]
-        inner = (h * qt[m::-1]) * outer
-        outer *= c2
-        drive = np.einsum("kl,kl->l", outer, phi[:, m:m + 1] + run[:, :m + 1])
-        outer *= h
-        row = row[:m + 1]
-        deltas = []
-        while True:
-            # trapezoid in b from 0 to each l along the row
-            w = inner * row
-            w = w.cumsum(axis=1) - 0.5 * (w + w[:, :1])
-            if deltas and deltas[-1] < tol:
-                break
+    for i in range(m_steps, -1, -1):
+        n, hhq = m_steps + 1 - i, h * h * qt[i]
+        outer = amps[:, i:i + 1] * split[i % 2][:, i // 2:i // 2 + n]
+        c2o = c2 * outer
+        a = np.einsum("kl,kl->l", c2o,
+                      phi[:, i:] + run[:, :n] + 0.5 * trap[:, i:])
+        b = (0.5 * hhq) * np.einsum("kl,kl->l", c2o, outer)
+        b[0] = 0.0                      # the trapezoid on [0, 0] is empty
+        cell, deltas = a, []
+        while not (deltas and deltas[-1] < tol):
             if len(deltas) == max_iter:
                 raise NoConvergence(
-                    "kernel row u = %g did not contract below %g in %d "
-                    "steps" % (pos[m], tol, max_iter), deltas=deltas)
-            new = drive + np.einsum("kl,kl->l", outer, w)
-            deltas.append(float(abs(new - row).max()))
-            row = new
-        values[m, :m + 1] = row
-        run[:, :m + 1] += (2.0 * h) * w
+                    "kernel row x = %g did not contract below %g in %d "
+                    "steps" % (pos[i], tol, max_iter), deltas=deltas)
+            new = a + b * cell
+            deltas.append(float(abs(new - cell).max()))
+            cell = new
+        values.reshape(-1)[i * (m_steps + 1)::m_steps + 2][:n] = cell
+        own = outer * (hhq * cell)
+        w = trap[:, i:] + own
+        w[:, 0] = 0.0
+        run[:, :n] += w
+        np.add(w, own, out=trap[:, i:])
         most, worst = max(most, len(deltas)), max(worst, deltas[-1])
 
     # scalar pow per edge: numpy's vectorized pow can differ in the last bit

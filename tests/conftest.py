@@ -152,11 +152,11 @@ def amplitude_modulus_50(band, theta):
 
 def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
     """H on the rotated lattice by full-lattice Jacobi sweeps: a reference
-    for ``solve_kernel``'s row march with the same discretization (trapezoid
-    in b along each row, reverse trapezoid in a over the rows) but the
-    opposite solution order.  Every sweep computes the whole lattice from the
-    previous iterate, using two stored (M+1)^2 factor arrays per edge.  It
-    weights the unnormalized amplitudes a_k = b_k |P_k|^{1/4} by
+    for ``solve_kernel``'s K-row march with the same discretization
+    (trapezoid in b along each H-row, reverse trapezoid in a over the
+    H-rows) but no march at all.  Every sweep computes the whole lattice
+    from the previous iterate, using two stored (M+1)^2 factor arrays per
+    edge.  It weights the unnormalized amplitudes a_k = b_k |P_k|^{1/4} by
     c_k = -1/4 / P_k, with P_k the explicit ``edge_products``."""
     x0, h = grid_params.x0, grid_params.h
     x_max = grid_params.x_max

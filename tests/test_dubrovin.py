@@ -231,6 +231,17 @@ def test_a_thin_gap_integrates():
     assert np.all(np.abs(np.abs(amp) - ref) <= 1e-14 * ref)
 
 
+def test_start_angles_at_the_edges_of_a_thin_gap():
+    # mu on an edge of a gap of width 2e-9 starts exactly at that edge's
+    # angle, 0 at E_1 and pi at E_2, mirrored to 2 pi - theta for sigma = -1;
+    # an arccos of (m - mu) / w put the upper edge 4.7e-4 below pi
+    band = BandStructure((0.0, 1.0, 1.0 + 2e-9))
+    for mu, theta in ((1.0, 0.0), (1.0 + 2e-9, math.pi)):
+        for sigma, want in ((1, theta), (-1, 2.0 * math.pi - theta)):
+            div = DirichletDivisor(((mu, sigma),))
+            assert dubrovin.flow_end_angles(band, div, 0.0).tolist() == [want]
+
+
 def test_flow_end_angles_raise_what_the_integrator_raises(one_gap_band):
     cases = [(one_gap_band, DirichletDivisor(()), ValueError),
              (one_gap_band, DirichletDivisor(((0.5, 1),)), ValueError)]

@@ -767,11 +767,10 @@ def kpipeline(request, tmp_path_factory):
 
 
 def test_row_march_matches_jacobi_reference(kpipeline):
-    # same discretization, opposite solution order: the march must land on
+    # same discretization, another solution order: the march must land on
     # the Jacobi sweeps' fixed point within the stopping tolerance
     cfg, pert, ctx = kpipeline
-    tol = 1e-9
-    for h in (0.05, 0.025):
+    for h, tol in ((0.05, 1e-9), (0.025, 1e-9), (0.05, 1e-13)):
         params = GridParams(cfg.x0, h, None, 1e-12)
         grid = solve_kernel(ctx, pert, "+", params, tol=tol)
         ref = jacobi_kernel(ctx, pert, params, tol)
@@ -779,6 +778,30 @@ def test_row_march_matches_jacobi_reference(kpipeline):
         assert np.max(np.abs(grid.values - ref)) <= 10.0 * tol
         assert grid.final_delta < tol
         assert grid.iterations >= 2
+
+
+@pytest.mark.parametrize("pert", [
+    PerturbationProfile.compact_poly((-0.3, 0.0, 0.3), (-1.0, 1.0)),
+    PerturbationProfile.from_table((-1.0, -0.2, 0.4, 1.0),
+                                   (0.0, 0.3, -0.1, 0.0)),
+], ids=["compact_poly", "table"])
+def test_compact_forms_match_jacobi_reference(kgap, pert):
+    # supports ending on the lattice at x = +-1 and a lattice past them: the
+    # K-rows at x >= 1 hold only zeros, and every side meets the Jacobi
+    # sweeps of its mirrored problem (the - side's own route)
+    params, tol = GridParams(x0=-1.5, h=0.05, x_max=1.5), 1e-12
+    for side in ("+", "-"):
+        grid = solve_kernel(kgap, pert, side, params, tol=tol)
+        ctx, prob = ((kgap, pert) if side == "+" else
+                     (kgap.mirrored(), pert.mirrored()))
+        ref = jacobi_kernel(ctx, prob, params, tol)
+        assert grid.values.shape == ref.shape == (61, 61)
+        assert np.max(np.abs(grid.values - ref)) <= 10.0 * tol
+        assert np.max(np.abs(grid.values)) > 1e-2
+        i, l = grid.triangle
+        past = grid.positions[i] >= 1.0 - 1e-9
+        assert np.count_nonzero(past) == 66
+        assert np.all(grid.values[i + l, l][past] == 0.0)
 
 
 def test_solve_memory_is_quadratic_in_lattice(tmp_path):
