@@ -311,15 +311,11 @@ class DivisorTrajectory:
                           for even in (True, False)
                           for x in self._level_crossings(j, even)])
 
-    @cached_property
-    def _mirror(self) -> "DivisorTrajectory":
+    def mirrored(self) -> "DivisorTrajectory":
+        """The trajectory of the space-reflected background, mu~(x) = mu(-x):
+        a new trajectory, with its own spline, on every call."""
         return DivisorTrajectory(self.band, -self.x_grid[::-1],
                                  -self.theta[::-1], self.dtheta[::-1].copy())
-
-    def mirrored(self) -> "DivisorTrajectory":
-        """The trajectory of the space-reflected background, mu~(x) = mu(-x),
-        built once and shared along with its spline."""
-        return self._mirror
 
 
 def _flow_panels(band: BandStructure, theta0: np.ndarray, x_end: float,

@@ -35,13 +35,12 @@ The factorized form lets the solver build each K-row's factors from
 slices of one (edges, positions) amplitude array, filled by one pass over
 the divisor, so no factor over the whole lattice is ever stored.
 
-The - side is never solved directly: all minus-side objects come from the
-mirror substitution x -> -x applied to trajectory and perturbation, under
-which K_-(x, s) = K~_+(-x, -s) and phi_-(z, x) = phi~_+(z, -x) (a tilde marks
-the mirrored problem).  The one deliberate exception is jost_direct, which
-marches the Volterra equation of either sign natively, so that it stays an
-independent cross-validation oracle for the kernel route.  The module needs
-numpy alone: moment_check is a closed form, and K is read only on its nodes.
+The kernel route is the + side only: K_-(x, s) = K~_+(-x, -s) and
+phi_-(z, x) = phi~_+(z, -x), where a tilde marks the problem solved on
+``ctx.mirrored()`` and ``perturbation.mirrored()``.  jost_direct alone marches
+either sign natively, as the independent oracle for that recipe.  The module
+needs numpy alone: moment_check is a closed form, and K is read only on its
+nodes.
 """
 
 from __future__ import annotations
@@ -234,18 +233,14 @@ def edge_amplitudes(ctx: WeylContext, edge_index: int, ts) -> np.ndarray:
 # residues and D
 # ---------------------------------------------------------------------------
 
-def eval_D(ctx: WeylContext, x, y, r, s, sign="+"):
-    """D_+- at four positions: -1/4 times the sum of edge terms.
+def eval_D(ctx: WeylContext, x, y, r, s):
+    """D_+ at four positions: -1/4 times the sum of edge terms.
 
     The positions are floats, giving a float, or equal-shape arrays, giving
     D at each index from one amplitude evaluation of all of them; every
-    entry is the float its scalar call gives.  The - side is the + side of
-    the mirrored problem evaluated at negated positions.
+    entry is the float its scalar call gives.
     """
     pos = np.array([x, y, r, s], dtype=float)
-    if _check_sign(sign) < 0:
-        ctx = ctx.mirrored()
-        pos = -pos
     b = _amplitudes(ctx, slice(None), pos.reshape(-1))
     b = b.reshape((len(b),) + pos.shape)
     # f_+(E_k) = (-1)^k b_k(x) b_k(y) b_k(r) b_k(s); pairwise grouping keeps
@@ -269,9 +264,8 @@ def eval_D(ctx: WeylContext, x, y, r, s, sign="+"):
 class GridParams:
     """Lattice parameters for the kernel solve.
 
-    ``x0`` anchors the left end (for the - side: the mirrored problem's left
-    end, i.e. minus the physical right anchor).  ``x_max`` overrides the
-    automatic tail truncation.
+    ``x0`` anchors the left end.  ``x_max`` overrides the automatic tail
+    truncation.
     """
 
     x0: float
@@ -293,8 +287,7 @@ class KernelGrid:
 
     Internally the solver works with H(u, v) = K(u - v, u + v) on
     u = x0 + m h (m = 0..M), v = l h (l = 0..m); ``values[m, l]`` stores H,
-    ``half_width`` is M.  K(x, y) is nonzero only for x <= y <= 2 x_max - x
-    (and the mirror image of that statement on the - side).
+    ``half_width`` is M.  K(x, y) is nonzero only for x <= y <= 2 x_max - x.
 
     ``triangle`` maps the stored triangle back to K: index pairs (i, l),
     ordered by x and then y, with K(x_i, x_{i+2l}) = H[i+l, l] for
@@ -309,7 +302,6 @@ class KernelGrid:
     final_delta: float
     x_max: float
     c_const: float
-    side: str = "+"
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -334,15 +326,12 @@ class KernelGrid:
 
     def to_csv(self, path) -> None:
         """Upper-triangular rows x,y,K over the native lattice, in the order
-        of ``triangle``: by x and then y, both ascending on a + grid and
-        both descending on a - grid, whose x and y are the physical ones,
-        -positions.  Every float goes through %.17g, as f17 writes it; each
-        of the 2M + 1 side-signed positions once, by ``f17_column``, and its
-        text serves every row that uses it.  The rows are written a block
-        at a time by ``write_rows``."""
+        of ``triangle``: by x and then y, both ascending.  Every float goes
+        through %.17g, as f17 writes it; each of the 2M + 1 positions once,
+        by ``f17_column``, and its text serves every row that uses it.  The
+        rows are written a block at a time by ``write_rows``."""
         i, l = self.triangle
-        pos = -self.positions if self.side == "-" else self.positions
-        text = f17_column(pos)
+        text = f17_column(self.positions)
         rows = np.column_stack([text[i], text[i + 2 * l],
                                 self.values[i + l, l].astype(object)])
         with open(path, "w") as fh:
@@ -376,10 +365,19 @@ def tail_cutoff(perturbation: PerturbationProfile, x0: float, h: float,
     return x0 + k * h
 
 
+def _plus_only(sign) -> None:
+    """The kernel route takes + (or +1) alone: K_- is K_+ of the mirrored
+    problem, read at negated positions."""
+    if _check_sign(sign) < 0:
+        raise ValueError("the kernel route solves K_+ only; for K_-, solve "
+                         "K_+ on ctx.mirrored() and perturbation.mirrored() "
+                         "and read it at -x")
+
+
 def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
                  grid_params: GridParams, tol: float = 1e-9,
                  max_iter: int = 50) -> KernelGrid:
-    """Solve the kernel equation by one march over the rows of K, from X down.
+    """Solve for K_+ by one march over the rows of K, from X down.
 
     In rotated coordinates the equation reads
 
@@ -403,16 +401,13 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
     ``iterations`` and ``final_delta`` are the most sweeps and the largest
     last change over the K-rows; a K-row still moving after ``max_iter``
     sweeps raises NoConvergence with its delta history.  ``tol`` must be
-    positive and ``max_iter`` at least 1, else ValueError.
+    positive and ``max_iter`` at least 1, and ``sign`` must be + (see
+    ``_plus_only``), else ValueError.
     """
+    _plus_only(sign)
     if tol <= 0.0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1, got "
                          "tol = %g, max_iter = %d" % (tol, max_iter))
-    if _check_sign(sign) < 0:
-        grid = solve_kernel(ctx.mirrored(), perturbation.mirrored(), "+",
-                            grid_params, tol=tol, max_iter=max_iter)
-        grid.side = "-"
-        return grid
 
     moment = moment_check(perturbation)
     if not np.isfinite(moment):
@@ -478,7 +473,7 @@ def solve_kernel(ctx: WeylContext, perturbation: PerturbationProfile, sign,
         [a ** 4 for a in np.max(np.abs(amps), axis=1).tolist()]))
     return KernelGrid(x0=x0, h=h, half_width=m_steps, values=values,
                       iterations=most, final_delta=worst,
-                      x_max=x_max, c_const=c_const, side="+")
+                      x_max=x_max, c_const=c_const)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +487,9 @@ class KernelBoundReport:
     ``violations`` lists every lattice point where |K(x,y)| exceeds
     C(x) Q(x+y) as ("pointwise", x, y, |K|, bound), ordered by x and then y,
     then every failing L2 row as ("L2", x, lhs, rhs), ordered by x; empty on
-    a passing run.  The x and y of ``violations`` and the x column of
-    ``c_of_x`` are ``grid.positions``: on a - grid, the coordinates of the
-    mirrored problem, the negated physical ones.  ``c1_fitted`` is the
-    observed constant of the derivative bound (reported, never asserted:
-    the true constant is existential).
+    a passing run.  ``c1_fitted`` is the observed constant of the
+    derivative bound (reported, never asserted: the true constant is
+    existential).
     """
 
     c_const: float
@@ -520,13 +513,8 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
 
     Every point a bound needs is a node of the tail grid (x = x_i and
     u = x_{i+l} on the triangle), so the bounds come from two node vectors,
-    int_t^inf |q| and int_t^inf s|q|, without interpolation.  A - grid is
-    the + grid of the mirrored problem, so it is audited against the
-    mirrored perturbation, and its report is in that problem's coordinates.
+    int_t^inf |q| and int_t^inf s|q|, without interpolation.
     """
-    if grid.side == "-":
-        perturbation = perturbation.mirrored()
-
     h, m, pos = grid.h, grid.half_width, grid.positions
     # Tail integrals at the solver's own trapezoid resolution and node
     # alignment, so that discretization error cancels between |K| and the
@@ -581,23 +569,19 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
 
 def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
                      sign) -> complex:
-    """phi via the transformation operator: psi plus the K-smeared tail.  x
-    must be a lattice node (to 1e-9 h; -x on the - side), where K was solved,
-    or lie past the truncation radius, where phi = psi; else ValueError."""
-    sgn = _check_sign(sign)
-    if grid.side != ("+" if sgn > 0 else "-"):
-        raise ValueError("grid was solved for the %s side" % grid.side)
-    if sgn * x < grid.x0 - 1e-9 * grid.h:
-        lo, hi = sorted((sgn * grid.x0, sgn * grid.x_max))
-        raise ValueError("x = %g is %s of the kernel lattice [%g, %g]"
-                         % (x, "left" if sgn > 0 else "right", lo, hi))
-    if sgn < 0:
-        ctx, x = ctx.mirrored(), -x
+    """phi_+ via the transformation operator: psi_+ plus the K-smeared tail.
+    x must be a lattice node (to 1e-9 h), where K was solved, or lie past the
+    truncation radius, where phi = psi; ``sign`` must be + (``_plus_only``);
+    else ValueError."""
+    _plus_only(sign)
+    if x < grid.x0 - 1e-9 * grid.h:
+        raise ValueError("x = %g is left of the kernel lattice [%g, %g]"
+                         % (x, grid.x0, grid.x_max))
     h = grid.h
     i_x = (x - grid.x0) / h
     if abs(i_x - round(i_x)) >= 1e-9 and x < grid.x_max:
-        raise ValueError("x = %g is not a node %g %s i * %g of the kernel "
-                         "lattice" % (sgn * x, sgn * grid.x0, grid.side, h))
+        raise ValueError("x = %g is not a node %g + i * %g of the kernel "
+                         "lattice" % (x, grid.x0, h))
     n = int(math.floor((grid.x_max - x) / h + 1e-9))
     if n <= 0:
         return psi_on_grid(ctx, p, np.array([x]), +1)[0]
@@ -608,7 +592,7 @@ def jost_from_kernel(ctx: WeylContext, grid: KernelGrid, p, x: float,
 
 
 def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
-    """phi on the grid's own x-lattice, as (positions, values); for a
+    """phi_+ on the grid's own x-lattice, as (positions, values); for a
     sequence of points, values has one row per point.
 
     Equivalent to calling jost_from_kernel at every lattice point up to the
@@ -619,14 +603,12 @@ def jost_profile(ctx: WeylContext, grid: KernelGrid, p):
     this profile, at lattice points 0 and M // 2.
     """
     pos, m = grid.positions, grid.half_width
-    psi = psi_on_grid(ctx.mirrored() if grid.side == "-" else ctx, p, pos, +1)
+    psi = psi_on_grid(ctx, p, pos, +1)
     i, l = grid.triangle
     kv = grid.values[i + l, l]
     phi = np.array([row[:m + 1] + grid.row_trapezoid(kv * row[i + 2 * l])
                     for row in np.atleast_2d(psi)]).reshape(
                         psi.shape[:-1] + (m + 1,))
-    if grid.side == "-":
-        return -pos[m::-1], phi[..., ::-1]
     return pos[:m + 1].copy(), phi
 
 

@@ -207,9 +207,6 @@ def lattice_bound_check(grid, perturbation):
     (M+1)^2 x and y lattices of the rotated grid and interpolates the tail
     integrals at every lattice point.  Its pointwise violations are ordered
     by u = (x + y)/2 and then v = (y - x)/2."""
-    if grid.side == "-":
-        perturbation = perturbation.mirrored()
-
     h = grid.h
     m = grid.half_width
     pos = grid.positions
@@ -332,10 +329,8 @@ def jost_between_nodes(ctx, grid, p, x):
 
 def k_at(grid, x, y):
     """K(x, y) read off a solved ``KernelGrid``: the stored value on a
-    lattice node, ``k_spline`` between nodes, and 0 outside the support
-    triangle (y < x on the + side, y > x on the - side)."""
-    if grid.side == "-":
-        x, y = -x, -y
+    lattice node, ``k_spline`` between nodes, and 0 where y < x or
+    (x + y)/2 lies off [x0, x_max]."""
     u = (x + y) * 0.5
     v = (y - x) * 0.5
     iu = (u - grid.x0) / grid.h

@@ -221,7 +221,7 @@ def test_05_d_diagonal_value(ctx0, ctx1, ctx2, ctx3, ctx4):
                       (ctx3, 10.0), (ctx4, 2.8)):
         for _ in range(200):
             x, y = rng.uniform(-span, span, 2)
-            assert eval_D(ctx, x, y, y, x, "+") == pytest.approx(
+            assert eval_D(ctx, x, y, y, x) == pytest.approx(
                 -0.25, abs=1e-8)
     assert time.monotonic() - t0 < 60.0
 
@@ -237,8 +237,8 @@ def test_06_d_symmetry(ctx1, ctx2, ctx3):
     for ctx in (ctx1, ctx2, ctx3):
         for _ in range(50):
             x, y, r, s = rng.uniform(-9.0, 9.0, 4)
-            d1 = eval_D(ctx, x, y, r, s, "+")
-            d2 = eval_D(ctx, y, x, s, r, "+")
+            d1 = eval_D(ctx, x, y, r, s)
+            d2 = eval_D(ctx, y, x, s, r)
             assert abs(d1 - d2) <= 1e-10
 
 

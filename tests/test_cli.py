@@ -298,6 +298,24 @@ def test_nan_sample_fails_its_row(tmp_path, monkeypatch, name, spoil, row):
     assert not summary.passed
 
 
+def test_edge_signs_fail_oracle_equivalence_alone(one_gap_run, tmp_path,
+                                                  monkeypatch):
+    # every L_k = +1, the amplitudes' moduli: D(x, y, y, x), the kernel
+    # diagonal and c_const use only b_k^2 and read as before, so on one_gap
+    # the Jost oracle is the one row that fails
+    from levitan import kernel
+    amplitudes = kernel._amplitudes
+    monkeypatch.setattr(kernel, "_amplitudes",
+                        lambda *args: np.abs(amplitudes(*args)))
+    cfg = replace(one_gap_run[0], out_dir=str(tmp_path / "run"))
+    checks = run_pipeline(cfg).checks
+    assert [name for name, row in checks.items() if not row["pass"]] == \
+        ["oracle_equivalence"]
+    row = checks["oracle_equivalence"]
+    assert row["value"] > 10.0 * row["bound"]
+    assert one_gap_run[2].checks["oracle_equivalence"]["pass"]
+
+
 def test_summary_json_on_disk(one_gap_run):
     _, out, summary = one_gap_run
     doc = json.loads((out / "summary.json").read_text())
