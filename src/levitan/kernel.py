@@ -111,12 +111,12 @@ class PerturbationProfile:
         if not a < b:
             raise ValueError("support must be a nonempty interval")
         coeffs = tuple(float(c) for c in coeffs)
-        scale = max(1.0, max(abs(np.polyval(coeffs, t))
-                             for t in np.linspace(a, b, 64)))
+        scale = max(1.0, *np.abs(np.polyval(coeffs, np.linspace(a, b, 64))))
         if abs(np.polyval(coeffs, a)) > _TABLE_END_TOL * scale or \
                 abs(np.polyval(coeffs, b)) > _TABLE_END_TOL * scale:
             raise ValueError("polynomial must vanish at the support ends "
-                             "(q_tilde is required to be continuous)")
+                             "(q_tilde is required to be continuous); coeffs "
+                             "come highest degree first, as np.polyval takes them")
         return cls("compact_poly", coeffs, (a, b))
 
     @classmethod
@@ -151,6 +151,44 @@ class PerturbationProfile:
             out = np.interp(x, xs, vals, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
+    def tails(self, t) -> np.ndarray:
+        """int_t^inf of q_tilde, |q_tilde|, s |q_tilde| and s^2 |q_tilde| at
+        each t of a float or an array (+-inf allowed), shape (4,) + t's,
+        exact up to rounding (inf on overflow): the Gaussian's by erfc and
+        exp, the other forms' by Gauss-Legendre on pieces split where q_tilde
+        changes sign and at t, exact: s^2 |q_tilde| is a polynomial there."""
+        t = np.asarray(t, dtype=float)
+        if self.form == "gaussian_bump":
+            amp, c, w = self.params     # i_j = int_t^inf (s - c)^j q / amp
+            i1 = w * w * np.exp(-0.5 * ((t - c) / w) ** 2)
+            i0 = w * math.sqrt(0.5 * math.pi) * np.vectorize(
+                math.erfc, otypes=[float])((t - c) / (w * math.sqrt(2.0)))
+            i2 = w * w * i0 + np.where(i1 > 0.0, t - c, 0.0) * i1  # 0, not nan
+            with np.errstate(over="ignore"):
+                return abs(amp) * np.array([np.sign(amp) * i0, i0, i1 + c * i0,
+                                            i2 + c * (2.0 * i1 + c * i0)])
+        if self.form == "compact_poly":
+            # a leading 0 makes () a polynomial; roots outside clip to the ends
+            ends = np.append(np.roots((0.0,) + self.params).real, self.support)
+        else:
+            ends, vals = (np.array(v) for v in self.params)
+            i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+            ends = np.append(ends, ends[i] + (ends[i + 1] - ends[i])
+                             * (vals[i] / (vals[i] - vals[i + 1])))
+        t = np.clip(t, *self.support)
+        ends = np.unique(np.append(np.clip(ends, *self.support), t))
+        # exact to degree 2n - 1 >= len(params) + 2 > deg s^2 q (a table: linear)
+        x, wts = np.polynomial.legendre.leggauss(len(self.params) // 2 + 2)
+        a, b = ends[:-1, None], ends[1:, None]
+        s = 0.5 * ((a + b) + (b - a) * x)
+        q = self(s)
+        f = 0.5 * (b - a) * np.array([q, abs(q), s * abs(q), s * s * abs(q)]) @ wts
+        at = np.unique(t)               # the pieces between them summed pairwise
+        part = np.add.reduceat(np.hstack([f, np.zeros((4, 1))]),
+                               np.searchsorted(ends, at), axis=1)
+        tails = np.cumsum(part[:, ::-1], axis=1)[:, ::-1]       # from the right
+        return tails[:, np.searchsorted(at, t)]
+
     def mirrored(self) -> "PerturbationProfile":
         """The profile of the space-reflected problem, q~(x) = q(-x)."""
         if self.form == "gaussian_bump":
@@ -169,27 +207,8 @@ class PerturbationProfile:
 
 
 def moment_check(perturbation) -> float:
-    """int (1 + x^2) |q_tilde| dx in closed form: the Gaussian's whole-line
-    value (inf on overflow), the polynomial's antiderivative between its
-    roots, and Simpson's rule (exact here) on table pieces split at zeros."""
-    if perturbation.form == "gaussian_bump":
-        amp, c, w = perturbation.params
-        return (abs(amp) * w * math.sqrt(2.0 * math.pi) * (1.0 + c * c + w * w)
-                if amp else 0.0)
-    if perturbation.form == "compact_poly":
-        # a leading 0 makes () a polynomial; roots outside clip to the ends
-        poly = np.array((0.0,) + perturbation.params)
-        a, b = perturbation.support
-        ends = np.sort(np.clip(np.append(np.roots(poly).real, (a, b)), a, b))
-        prim = np.polyint(np.polymul((1.0, 0.0, 1.0), poly))
-        return float(np.sum(np.abs(np.diff(np.polyval(prim, ends)))))
-    xs, vals = (np.array(t) for t in perturbation.params)
-    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    zeros = xs[i] + (xs[i + 1] - xs[i]) * (vals[i] / (vals[i] - vals[i + 1]))
-    xs, f = np.insert(xs, i + 1, zeros), np.abs(np.insert(vals, i + 1, 0.0))
-    mid, g = 0.5 * (xs[:-1] + xs[1:]), (1.0 + xs * xs) * f
-    return float(np.sum(np.diff(xs) / 6.0 * (
-        g[:-1] + 2.0 * (1.0 + mid * mid) * (f[:-1] + f[1:]) + g[1:])))
+    """int (1 + x^2) |q_tilde| dx from the whole-line tails (inf on overflow)."""
+    return sum(perturbation.tails(-math.inf)[1::2].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +373,11 @@ class KernelGrid:
 def tail_cutoff(perturbation: PerturbationProfile, x0: float, h: float,
               tail_eps: float) -> float:
     """Smallest lattice point X with int_X^inf |q| < tail_eps int_{x0}^inf |q|."""
-    hi = max(perturbation.support[1], x0 + h)
-    grid = np.arange(x0, hi + h, 0.5 * h)
-    vals = np.abs(perturbation(grid))
-    tail = rev_cumtrapz(vals, 0.5 * h)
+    k = max(1, math.ceil((perturbation.support[1] - x0) / h))
+    tail = perturbation.tails(x0 + h * np.arange(k + 1))[1]
     if tail[0] == 0.0:
         return x0 + 4 * h
-    idx = int(np.argmax(tail < tail_eps * tail[0]))
-    k = max(1, math.ceil((grid[idx] - x0) / h - 1e-9))
-    return x0 + k * h
+    return x0 + max(1, int(np.argmax(tail < tail_eps * tail[0]))) * h
 
 
 def _plus_only(sign) -> None:
@@ -511,14 +526,10 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
     - ``c1_fitted``, the least c1 with max(|K_x|, |K_y|) <= c1 (|q(u)| +
       Q(2u)), u = (x + y)/2, at interior nodes: observed, never asserted.
 
-    Every point a bound needs is a node of the tail grid (x = x_i and
-    u = x_{i+l} on the triangle), so the bounds come from two node vectors,
-    int_t^inf |q| and int_t^inf s|q|, without interpolation.
+    The L2 right side reads the exact tails; the rest, int_t^inf |q| and
+    s|q| by the trapezoid rule on K's nodes, whose O(h^2) error cancels K's.
     """
     h, m, pos = grid.h, grid.half_width, grid.positions
-    # Tail integrals at the solver's own trapezoid resolution and node
-    # alignment, so that discretization error cancels between |K| and the
-    # bound instead of producing spurious far-tail violations.
     n_tail = max(2 * m, math.ceil((perturbation.support[1] - pos[0]) / h)) + 1
     tgrid = pos[0] + h * np.arange(n_tail + 1)
     aq = np.abs(perturbation(tgrid))
@@ -541,7 +552,9 @@ def kernel_bound_check(ctx: WeylContext, grid: KernelGrid,
         bound[bad].tolist())]
 
     lhs = grid.row_trapezoid(kabs ** 2)
-    rhs = c_of_x ** 2 * r1 * tail
+    q1, q2 = perturbation.tails(xs)[1:3]
+    tail = 2.0 * (q2 - xs * q1)
+    rhs = (2.0 * c * np.exp(4.0 * c * tail)) ** 2 * q1 * tail
     violations += [("L2", float(xs[j]), float(lhs[j]), float(rhs[j]))
                    for j in np.nonzero(lhs > rhs + 1e-12)[0]]
 

@@ -205,8 +205,9 @@ def jacobi_kernel(ctx, perturbation, grid_params, tol, max_iter=50):
 def lattice_bound_check(grid, perturbation):
     """``kernel_bound_check`` in lattice form: a reference that builds the
     (M+1)^2 x and y lattices of the rotated grid and interpolates the tail
-    integrals at every lattice point.  Its pointwise violations are ordered
-    by u = (x + y)/2 and then v = (y - x)/2."""
+    integrals at every lattice point; the L2 right side reads the exact
+    tails.  Its pointwise violations are ordered by u = (x + y)/2 and then
+    v = (y - x)/2."""
     h = grid.h
     m = grid.half_width
     pos = grid.positions
@@ -245,7 +246,10 @@ def lattice_bound_check(grid, perturbation):
 
     sums = np.bincount(ix[tri], weights=kabs[tri] ** 2, minlength=m + 1)
     lhs = 2.0 * h * (sums - 0.5 * (kabs[:, 0] ** 2 + kabs[m, ::-1] ** 2))
-    rhs = c_of_x ** 2 * q_plus(2.0 * xs) * tail_q(xs)
+    # the L2 right side reads the exact tails, as the check does
+    _, q1, q2, _ = perturbation.tails(xs)
+    tail_x = 2.0 * (q2 - xs * q1)
+    rhs = (2.0 * c * np.exp(4.0 * c * tail_x)) ** 2 * q1 * tail_x
     violations += [("L2", float(xs[i]), float(lhs[i]), float(rhs[i]))
                    for i in np.nonzero(lhs > rhs + 1e-12)[0]]
 
@@ -356,6 +360,17 @@ def schrodinger_residual(ctx, perturbation, phi_evaluator, p, x_window, h):
         perturbation(xs), dtype=float)
     res = np.abs(-d2 + (pot - z) * vals[1:-1])
     return float(np.max(res))
+
+
+def aliased_table():
+    """(xs, vals): 13,501 samples of 0.1 sin^2(40 pi x)(1 - x^2) on [-1, 1],
+    ending at 0.  Every node of the h = 0.05 lattice from x0 = -1.5 falls on
+    a zero of sin^2(40 pi x), so that lattice sees |q_tilde| <= 9e-6 of a
+    bump whose half tail reaches 0.033."""
+    xs = np.linspace(-1.0, 1.0, 13501)
+    vals = 0.1 * np.sin(40.0 * np.pi * xs) ** 2 * (1.0 - xs * xs)
+    vals[0] = vals[-1] = 0.0
+    return xs, vals
 
 
 def midpoint_divisor(band):

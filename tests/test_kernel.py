@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
 from conftest import (
+    aliased_table,
     amplitude_modulus_50,
     edge_products,
     jacobi_kernel,
@@ -203,11 +204,7 @@ def _table_moment(xs, vals):
 
 
 def _long_table():
-    # 13,501 nodes of 0.1 sin^2(40 pi x)(1 - x^2) on [-1, 1]
-    xs = np.linspace(-1.0, 1.0, 13501)
-    vals = 0.1 * np.sin(40.0 * np.pi * xs) ** 2 * (1.0 - xs * xs)
-    vals[0] = vals[-1] = 0.0
-    return PerturbationProfile.from_table(xs, vals)
+    return PerturbationProfile.from_table(*aliased_table())
 
 
 # 0.2 (x^2 - 0.04)(x^2 - 1): sign changes at +-0.2 inside the support
@@ -275,6 +272,111 @@ def test_moment_slow_decay_grows_with_window():
     assert m[2] > 20.0 * m[0]
 
 
+# where the tails are read: left of, inside and right of every support below
+TAIL_POINTS = (-math.inf, -2.0, -1.0, -0.5, -0.2, 0.0, 0.1, 0.2, 0.77, 1.0,
+               1.25, 1.5, 1.75, 2.5, 3.0, 4.0, math.inf)
+
+
+@pytest.mark.parametrize("amp, c, w", [(1.0, 0.0, 1.0), (-0.3, 0.5, 0.2),
+                                       (0.5, 1.2, 0.7), (0.2, -0.4, 0.6)])
+def test_gaussian_tails_match_mpmath(amp, c, w):
+    # int_t^inf of q, |q|, s|q| and s^2|q| against 20-digit quadrature,
+    # split at the centre; warnings stay errors (+-inf included).  The
+    # points stay within 4 widths right of the centre: erfc's relative
+    # condition number 2 z^2 there is at most 16, and past it the rounding
+    # of (t - c) / w alone costs more than 1e-14
+    import mpmath
+    pert = PerturbationProfile.gaussian_bump(amp, c, w)
+    points = [-math.inf] + [c + k * w for k in (-5.0, -2.0, -1.0, -0.5, 0.0,
+                                                0.3, 1.0, 2.0, 4.0)] + [math.inf]
+    got = pert.tails(np.array(points))
+    assert got.shape == (4, len(points))
+    for j, t in enumerate(points):
+        # past 40 widths from the centre the integrand is below 1e-340
+        lo = max(t, c - 40.0 * w)
+        ends = [mpmath.mpf(v) for v in sorted({lo, max(lo, c)}) + [c + 40.0 * w]]
+        for row, weight in enumerate((math.copysign(1.0, amp), 1, "s", "s2")):
+            def f(s, weight=weight):
+                g = abs(amp) * mpmath.exp(-(s - c) ** 2 / (2 * mpmath.mpf(w) ** 2))
+                return g * {"s": s, "s2": s * s}.get(weight, weight)
+            with mpmath.workdps(20):
+                want = 0.0 if t == math.inf else float(mpmath.quad(f, ends))
+            assert got[row, j] == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+def _exact_tails(pieces, t):
+    """int_t^inf of q, |q|, s|q|, s^2|q| in rationals, for q a polynomial
+    (coefficients lowest first) on each piece (a, b) where it keeps its
+    sign, zero elsewhere."""
+    out = [Fraction(0)] * 4
+    for a, b, coef in pieces:
+        a, b = (Fraction(v) for v in (a, b))
+        if math.isfinite(t):
+            a = max(a, Fraction(t))
+        if a >= b or t == math.inf:
+            continue
+        def integral(j):            # int_a^b s^j q(s) ds
+            return sum(c * (b ** (i + j + 1) - a ** (i + j + 1)) / (i + j + 1)
+                       for i, c in enumerate(coef))
+        sign = 1 if integral(0) > 0 else -1
+        for row, (j, s) in enumerate(((0, 1), (0, sign), (1, sign), (2, sign))):
+            out[row] += s * integral(j)
+    return [float(v) for v in out]
+
+
+# 0.2 (s^2 - 0.04)(s^2 - 1) by its pieces between sign changes (the float
+# polynomial's roots lie within 1e-17 of +-1/5, which moves its |q|
+# integrals by about 1e-35), and _SIGN_TABLE's: s, 3 - 2s (zero at 1.5),
+# s - 3
+_POLY_PIECES = [(a, b, [Fraction(v) for v in (0.008, 0.0, -0.208, 0.0, 0.2)])
+                for a, b in ((-1, Fraction(-1, 5)), (Fraction(-1, 5), Fraction(1, 5)),
+                             (Fraction(1, 5), 1))]
+_SIGN_TABLE_PIECES = [(0, 1, [0, 1]), (1, Fraction(3, 2), [3, -2]),
+                      (Fraction(3, 2), 2, [3, -2]), (2, 3, [-3, 1])]
+
+
+@pytest.mark.parametrize("pert, pieces", [
+    pytest.param(_POLY, _POLY_PIECES, id="poly_sign_change"),
+    pytest.param(_SIGN_TABLE, _SIGN_TABLE_PIECES, id="table_sign_change"),
+])
+def test_compact_tails_are_exact_rationals(pert, pieces):
+    got = pert.tails(np.array(TAIL_POINTS))
+    for j, t in enumerate(TAIL_POINTS):
+        want = _exact_tails(pieces, t)
+        scale = max(abs(v) for v in _exact_tails(pieces, -math.inf))
+        np.testing.assert_allclose(got[:, j], want, rtol=1e-14,
+                                   atol=1e-15 * scale)
+    assert pert.tails(0.5).shape == (4,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _POLY, lambda: _SIGN_TABLE, _long_table, PerturbationProfile.zero,
+    lambda: PerturbationProfile.compact_poly((-0.2, 0.0, 0.05), (-0.5, 0.5)),
+    lambda: PerturbationProfile.compact_poly((), (-1.0, 1.0)),
+], ids=["poly", "sign_table", "table_13501_nodes", "zero", "poly_hat",
+        "poly_empty"])
+def test_compact_tails_vanish_past_the_support(make):
+    pert = make()
+    end = pert.support[1]
+    assert np.all(pert.tails(np.array([end, end + 0.5, math.inf])) == 0.0)
+
+
+@pytest.mark.parametrize("pert", [
+    PerturbationProfile.gaussian_bump(0.5, 1.2, 0.7), _POLY, _SIGN_TABLE,
+    PerturbationProfile.from_table((-1.0, -0.5, 0.0, 0.5, 1.0),
+                                   (0.0, 0.05, 0.1, 0.05, 0.0)),
+], ids=["gaussian", "poly", "sign_table", "table_hat"])
+def test_mirrored_tails_are_left_tails(pert):
+    # int_{-t}^inf of q~(s) = q(-s) is int_-inf^t of q, and s picks up the
+    # reflection's sign
+    ts = np.array(TAIL_POINTS[1:-1])
+    left = pert.tails(-math.inf)[:, None] - pert.tails(ts)
+    got = pert.mirrored().tails(-ts)
+    scale = np.max(np.abs(pert.tails(-math.inf)))
+    np.testing.assert_allclose(got, np.array([1, 1, -1, 1])[:, None] * left,
+                               rtol=0.0, atol=1e-14 * scale)
+
+
 @pytest.mark.parametrize("shape, axis", [((1,), 0), ((2,), 0), ((1001,), 0),
                                          ((7, 33), 1), ((33, 7), 0)])
 def test_rev_cumtrapz_is_scipys_cumulative_trapezoid(shape, axis):
@@ -293,6 +395,12 @@ def test_rev_cumtrapz_is_scipys_cumulative_trapezoid(shape, axis):
 def test_compact_poly_must_vanish_at_support_ends():
     with pytest.raises(ValueError):
         PerturbationProfile.compact_poly((1.0, 0.0, 1.0), (-1.0, 1.0))
+    # 0.05 s^2 - 0.2 written lowest degree first: the refusal names the order
+    with pytest.raises(ValueError, match="highest degree first, as "
+                                         "np.polyval takes them"):
+        PerturbationProfile.compact_poly((0.05, 0.0, -0.2), (-0.5, 0.5))
+    assert PerturbationProfile.compact_poly((-0.2, 0.0, 0.05),
+                                            (-0.5, 0.5))(0.0) == 0.05
     pert = PerturbationProfile.compact_poly((-1.0, 0.0, 1.0), (-1.0, 1.0))
     assert pert(0.0) == pytest.approx(1.0)
     assert pert(2.0) == 0.0
